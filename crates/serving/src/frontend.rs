@@ -1,7 +1,7 @@
 //! High-throughput batched serving front-end (DESIGN.md §10): a bounded
 //! admission queue in front of [`ServingPipeline`], draining microbatches
 //! that coalesce candidates from many concurrent requests into **one**
-//! packed-matmul model pass.
+//! model pass.
 //!
 //! ## Time model
 //!

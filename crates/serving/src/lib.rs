@@ -23,7 +23,7 @@
 //! (DESIGN.md §10): [`arrivals`] generates deterministic Poisson traffic
 //! riding the world's hour-of-day curve, and [`frontend`] runs it through a
 //! bounded admission queue that coalesces concurrent requests into one
-//! packed-matmul microbatch per model pass ([`scorer::score_microbatch`]),
+//! microbatch per model pass ([`scorer::score_microbatch`]),
 //! shedding to the degradation ladder's statistics-prior rung when queue
 //! wait would breach the deadline budget. Batched execution is pinned
 //! bitwise-equal to sequential per-request scoring.

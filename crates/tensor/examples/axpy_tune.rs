@@ -7,8 +7,8 @@
 //! the AVX call boundary (`#[target_feature]` functions cannot inline into
 //! SSE-baseline callers) is paid for by the wider lanes. Note this
 //! standalone crossover is *optimistic* — inside real kernels the boundary
-//! costs more (see `serve_shapes` and the `WIDE_MIN_LEN` doc), which is why
-//! the shipped threshold sits above the break-even printed here. Run with
+//! costs more (see the `WIDE_MIN_LEN` doc), which is why the shipped
+//! threshold sits above the break-even printed here. Run with
 //! `cargo run --release -p basm-tensor --example axpy_tune`.
 
 use basm_tensor::simd;

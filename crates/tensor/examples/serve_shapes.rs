@@ -1,14 +1,12 @@
-//! Matmul-context SIMD cost at the serve path's actual shapes.
+//! Matmul SIMD-vs-scalar cost at the serve path's actual shapes.
 //!
-//! `axpy_tune` measures the standalone kernel crossover behind
-//! `simd::WIDE_MIN_LEN`; this example measures the same decision *inside*
-//! `linalg::matmul`, at the shapes the BASM serve path actually runs (tower
-//! layers `[cands,150]→64→32→1`, attention projections at width 32). It is
-//! the regression probe that caught the per-call dispatch overhead: shapes
-//! whose slices all route to the scalar kernel must print ≈1.0, because both
-//! modes then execute identical machine code — any systematic deficit there
-//! is dispatch cost, not lane cost. Run with
-//! `cargo run --release -p basm-tensor --example serve_shapes`.
+//! Times `linalg::matmul` with the GEMM kernel's scalar instance
+//! (`BASM_SIMD=0`) against its widest one, at the shapes the BASM serve
+//! path runs (tower layers `[cands,150]→64→32→1`, attention projections at
+//! width 32). The kernel is dispatched once per call, so narrow outputs
+//! get wide lanes too; `axpy_tune` measures the per-slice crossover
+//! (`simd::WIDE_MIN_LEN`) that still governs the elementwise kernels. Run
+//! with `cargo run --release -p basm-tensor --example serve_shapes`.
 
 use basm_tensor::{linalg, simd, Prng};
 use std::time::Instant;

@@ -1,227 +1,62 @@
-//! Matrix-multiplication kernels.
+//! Matrix multiplication: one register-tiled kernel behind three entry points.
 //!
-//! Three variants cover forward and both backward passes of a dense layer
-//! without materializing explicit transposes:
+//! * `matmul`        — `C = A  · B`
+//! * `matmul_at_b`   — `C = Aᵀ · B` (weight gradients)
+//! * `matmul_a_bt`   — `C = A  · Bᵀ` (input gradients)
 //!
-//! * `matmul`        — `C += A  · B`
-//! * `matmul_at_b`   — `C += Aᵀ · B` (weight gradients)
-//! * `matmul_a_bt`   — `C += A  · Bᵀ` (input gradients)
+//! All three run one kernel, `C[i,j] = Σ_p A(i,p)·B(p,j)`, over a strided
+//! left operand `A(i,p) = a[i·ai + p·ap]` and a row-major `B`. `matmul`
+//! passes `A` row-major (`ai = k`, `ap = 1`). `matmul_at_b` reads its stored
+//! `[k, m]` operand column-wise (`ai = 1`, `ap = m`), so no transpose is
+//! materialized. `matmul_a_bt` transposes its `B` (weight-sized, `[n, k]`)
+//! once into pooled scratch.
 //!
-//! All kernels use the cache-friendly `i-k-j` loop order so the innermost loop
-//! streams contiguous rows of `B` and `C`. Those inner loops run through the
-//! explicit lane-parallel kernels in [`crate::simd`] (`BASM_SIMD=0` forces
-//! the scalar path); lanes map to distinct output elements, so every element
-//! accumulates in the unchanged scalar order and SIMD-vs-scalar is bitwise
-//! identical per mode.
-//! When the `B` operand is too large to sit in cache (see `PACK_MIN_B`),
-//! `matmul`/`matmul_at_b` switch to a packed, cache-blocked kernel: the
-//! `KC x NC` panel of `B` currently in play is copied once into a pooled,
-//! contiguous, block-major scratch buffer and reused across all output rows.
-//! Blocking runs `k` in ascending `KC` chunks and positions ascend within
-//! each chunk, so every output element still accumulates its `k` products in
-//! exactly the same `p`-ascending order as the naive loop — the packed and
-//! naive kernels are **bitwise identical** (pinned in
-//! `tests/parallel_determinism.rs`).
+//! **The kernel.** `p` runs in [`KC`]-long blocks, so a block of `B` stays
+//! cache-resident while every row tile of the output passes over it. Output
+//! rows go in tiles of `MR = 4`. Within a row tile, columns go in tiles two
+//! vectors wide, then one vector wide, then one column at a time. Each
+//! accumulator tile lives in registers for the whole `KC` block and is
+//! stored once at its end, then loaded back for the next block. The loop
+//! nest is written once, generic over a `simd::Lanes` backend (AVX 8,
+//! SSE2 4, scalar 1 lanes), and dispatched once per call. The AVX instance
+//! compiles inside one `#[target_feature(enable = "avx")]` function, so the
+//! call boundary is paid per matmul, not per row. `BASM_SIMD=0` runs the
+//! scalar instance of the same loop order.
 //!
-//! The `C = A · B` entry points allocate `C` as unzeroed pooled scratch and
-//! let the kernels initialize it: the first `k` term of each element is
-//! written as `0.0 + a·b` with `=` instead of `+=`. That is the identical
-//! float-op sequence as accumulating into a zeroed buffer (the compiler may
-//! not fold `0.0 + x` — it would turn `-0.0` into `+0.0`), so bits don't
-//! move, but the whole-output memset is gone. [`matmul_acc`] keeps pure
-//! `+=` semantics for callers accumulating into existing values.
+//! **Bits.** Every output element sees exactly `acc = +0.0; acc = acc +
+//! a_p·b_p` for `p` ascending, with no FMA. Lanes and tile rows are distinct
+//! output elements, a `KC` seam is an exact store and reload of the running
+//! sum, and `k = 0` writes the empty sum `+0.0`. That is the naive `i-k-j`
+//! triple loop's float-op sequence, so results are bitwise the same for
+//! every backend (`BASM_SIMD`), every row partition (`BASM_THREADS`, via
+//! [`pool::par_row_blocks`]) and every tile position. The sweep in
+//! `tests/simd_equivalence.rs` pins this against the naive loop at every
+//! tile and `KC` edge, including signed zeros, infinities and NaNs.
 //!
-//! Above a work threshold (see [`crate::pool::threads_for`]) each kernel
-//! row-blocks its *output* across scoped threads. The per-row code is shared
-//! between the serial and parallel paths and every output element accumulates
-//! in the same `p`-ascending order regardless of the partition, so results
-//! are bitwise identical for any `BASM_THREADS` value.
-//!
-//! The default kernels are branch-free: they do not skip zero entries, so
-//! their flop count is shape-determined (what the Table VI efficiency
-//! accounting assumes) and serial/parallel variants do identical work. For
-//! genuinely sparse left operands (e.g. one-hot rows) use
-//! [`matmul_acc_sparse`], which keeps the zero-skip and is explicit about it.
+//! The kernel is branch-free over the data: it skips no zero entries, so its
+//! flop count is shape-determined (what the Table VI efficiency accounting
+//! assumes).
 
 use crate::bufpool;
 use crate::pool;
-use crate::simd;
+use crate::simd::{self, Lanes};
 use crate::tensor::Tensor;
 
-/// Rows of `B` per packed panel (`k`-direction block). `KC x NC` floats is
-/// 32 KiB — comfortably inside L1d on anything this runs on.
-const KC: usize = 128;
+/// Output rows per register tile (the arms of `tile_rows`).
+const MR: usize = 4;
 
-/// Columns of `B` per packed panel (`n`-direction block).
-const NC: usize = 64;
-
-/// Minimum `B` element count before the packed kernel pays for its packing
-/// traffic: below this, `B` fits in cache and the plain `i-k-j` loop already
-/// streams it. 32 Ki floats = 128 KiB.
-const PACK_MIN_B: usize = 1 << 15;
-
-#[inline]
-fn use_packed(m: usize, k: usize, n: usize) -> bool {
-    // Packing is amortized across output rows; a couple of rows can't pay
-    // for it. Both branches are bitwise identical, so this threshold is a
-    // pure performance choice.
-    m >= 4 && k * n >= PACK_MIN_B
-}
+/// Length of the `p` block an accumulator tile stays in registers for, and
+/// the number of `B` rows kept cache-resident across all row tiles: a block
+/// of a 32-wide `B` is 32 KiB.
+pub const KC: usize = 256;
 
 /// `C = A · B` where `A: [m,k]`, `B: [k,n]`.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = a.shape();
     let (k2, n) = b.shape();
     assert_eq!(k, k2, "matmul: inner dims {k} vs {k2} (A {m}x{k}, B {k2}x{n})");
-    // Pooled scratch: the INIT kernels write every element (first `k` term
-    // with `=`), so the whole-tensor zeroing memset is elided. The written
-    // value `0.0 + a·b` replays exactly the accumulate-from-zero sequence —
-    // same bits as zeroing first (the compiler cannot fold `0.0 + x` without
-    // fast-math: it would flip `-0.0` to `+0.0`).
-    let mut c = Tensor::scratch_pooled(m, n);
-    let ad = a.data();
-    let bd = b.data();
     let _span = basm_obs::span!("tensor.matmul", rows = m, inner = k, cols = n);
-    let threads = pool::threads_for(m, m * k * n);
-    if use_packed(m, k, n) {
-        pool::par_row_blocks(c.data_mut(), n, threads, |i0, block| {
-            matmul_rows_packed::<true>(ad, bd, block, i0, k, n);
-        });
-    } else {
-        pool::par_row_blocks(c.data_mut(), n, threads, |i0, block| {
-            matmul_rows::<true>(ad, bd, block, i0, k, n);
-        });
-    }
-    c
-}
-
-/// Accumulate `A[i0.., :] · B` into `c_rows` (rows `i0..` of C). With
-/// `INIT`, the `p == 0` term is written with `=` (as `0.0 + a·b`) instead of
-/// `+=` — bit-for-bit the accumulate-from-zero sequence, minus the memset.
-fn matmul_rows<const INIT: bool>(
-    ad: &[f32],
-    bd: &[f32],
-    c_rows: &mut [f32],
-    i0: usize,
-    k: usize,
-    n: usize,
-) {
-    if INIT && k == 0 {
-        c_rows.fill(0.0);
-        return;
-    }
-    for (ri, crow) in c_rows.chunks_mut(n).enumerate() {
-        let i = i0 + ri;
-        let arow = &ad[i * k..(i + 1) * k];
-        for (p, &aip) in arow.iter().enumerate() {
-            let brow = &bd[p * n..(p + 1) * n];
-            // Lane-parallel over output columns; each element still sees the
-            // scalar `c + a*b` sequence (see `simd` module docs).
-            if INIT && p == 0 {
-                simd::axpy_init(crow, brow, aip);
-            } else {
-                simd::axpy(crow, brow, aip);
-            }
-        }
-    }
-}
-
-/// Cache-blocked sibling of [`matmul_rows`]: packs each `KC x NC` panel of
-/// `B` into a pooled contiguous scratch buffer and accumulates panel by
-/// panel. `kb` blocks ascend and `p` ascends within each block, so every
-/// output element receives its `k` products in the same order as
-/// [`matmul_rows`] — bitwise identical results, better locality.
-fn matmul_rows_packed<const INIT: bool>(
-    ad: &[f32],
-    bd: &[f32],
-    c_rows: &mut [f32],
-    i0: usize,
-    k: usize,
-    n: usize,
-) {
-    if INIT && k == 0 {
-        c_rows.fill(0.0);
-        return;
-    }
-    let rows = c_rows.len() / n;
-    let mut pack = bufpool::acquire_scratch(KC * NC);
-    for jb in (0..n).step_by(NC) {
-        let jw = NC.min(n - jb);
-        for kb in (0..k).step_by(KC) {
-            let kw = KC.min(k - kb);
-            // Pack B[kb..kb+kw, jb..jb+jw] row-major; every slot written.
-            for p in 0..kw {
-                let src = (kb + p) * n + jb;
-                pack[p * jw..(p + 1) * jw].copy_from_slice(&bd[src..src + jw]);
-            }
-            for ri in 0..rows {
-                let arow = &ad[(i0 + ri) * k + kb..(i0 + ri) * k + kb + kw];
-                let crow = &mut c_rows[ri * n + jb..ri * n + jb + jw];
-                for (p, &aip) in arow.iter().enumerate() {
-                    let brow = &pack[p * jw..(p + 1) * jw];
-                    // Each element's first `k` term overall sits at
-                    // (kb == 0, p == 0) of its `jb` panel.
-                    if INIT && kb == 0 && p == 0 {
-                        simd::axpy_init(crow, brow, aip);
-                    } else {
-                        simd::axpy(crow, brow, aip);
-                    }
-                }
-            }
-        }
-    }
-    bufpool::release(pack);
-}
-
-/// `C += A · B` into an existing output buffer. Branch-free: every
-/// `a[i][p]` participates, so the flop count is exactly `2·m·k·n`
-/// independent of the data.
-pub fn matmul_acc(a: &Tensor, b: &Tensor, c: &mut Tensor) {
-    let (m, k) = a.shape();
-    let (_, n) = b.shape();
-    debug_assert_eq!(c.shape(), (m, n));
-    let _span = basm_obs::span!("tensor.matmul", rows = m, inner = k, cols = n);
-    let ad = a.data();
-    let bd = b.data();
-    let threads = pool::threads_for(m, m * k * n);
-    if use_packed(m, k, n) {
-        pool::par_row_blocks(c.data_mut(), n, threads, |i0, block| {
-            matmul_rows_packed::<false>(ad, bd, block, i0, k, n);
-        });
-    } else {
-        pool::par_row_blocks(c.data_mut(), n, threads, |i0, block| {
-            matmul_rows::<false>(ad, bd, block, i0, k, n);
-        });
-    }
-}
-
-/// `C += A · B`, skipping zero entries of `A`.
-///
-/// Bitwise-equal results to [`matmul_acc`] except for signed-zero outputs,
-/// but the flop count becomes data-dependent — use only where the left
-/// operand is known sparse (one-hot / heavily masked rows) and the caller
-/// accepts data-dependent timing.
-pub fn matmul_acc_sparse(a: &Tensor, b: &Tensor, c: &mut Tensor) {
-    let (m, k) = a.shape();
-    let (_, n) = b.shape();
-    debug_assert_eq!(c.shape(), (m, n));
-    let _span = basm_obs::span!("tensor.matmul_sparse", rows = m, inner = k, cols = n);
-    let ad = a.data();
-    let bd = b.data();
-    let threads = pool::threads_for(m, m * k * n);
-    pool::par_row_blocks(c.data_mut(), n, threads, |i0, block| {
-        for (ri, crow) in block.chunks_mut(n).enumerate() {
-            let i = i0 + ri;
-            let arow = &ad[i * k..(i + 1) * k];
-            for (p, &aip) in arow.iter().enumerate() {
-                if aip == 0.0 {
-                    continue;
-                }
-                let brow = &bd[p * n..(p + 1) * n];
-                simd::axpy(crow, brow, aip);
-            }
-        }
-    });
+    gemm(a.data(), k, 1, b.data(), m, k, n)
 }
 
 /// `C = Aᵀ · B` where `A: [k,m]`, `B: [k,n]`, result `[m,n]`.
@@ -230,113 +65,193 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = b.shape();
     assert_eq!(k, k2, "matmul_at_b: outer dims {k} vs {k2}");
     let _span = basm_obs::span!("tensor.matmul_at_b", rows = m, inner = k, cols = n);
-    // Pooled scratch, initialized by the kernels' first `k` term (see
-    // [`matmul`] for the bitwise argument).
-    let mut c = Tensor::scratch_pooled(m, n);
-    let ad = a.data();
+    gemm(a.data(), 1, m, b.data(), m, k, n)
+}
+
+/// `C = A · Bᵀ` where `A: [m,k]`, `B: [n,k]`, result `[m,n]`.
+pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
+    let (m, k) = a.shape();
+    let (n, k2) = b.shape();
+    assert_eq!(k, k2, "matmul_a_bt: inner dims {k} vs {k2}");
+    let _span = basm_obs::span!("tensor.matmul_a_bt", rows = m, inner = k, cols = n);
     let bd = b.data();
-    let threads = pool::threads_for(m, m * k * n);
-    if use_packed(m, k, n) {
-        // Transpose A once into pooled scratch (row-major [m,k]) and reuse
-        // the packed kernel. Per output element that is the same
-        // `p`-ascending accumulation as the p-outer loop below.
-        let mut at = bufpool::acquire_scratch(k * m);
-        for (p, arow) in ad.chunks_exact(m).enumerate() {
-            for (i, &av) in arow.iter().enumerate() {
-                at[i * k + p] = av;
-            }
+    let mut bt = bufpool::acquire_scratch(k * n);
+    for p in 0..k {
+        for j in 0..n {
+            bt[p * n + j] = bd[j * k + p];
         }
-        let atr = &at;
-        pool::par_row_blocks(c.data_mut(), n, threads, |i0, block| {
-            matmul_rows_packed::<true>(atr, bd, block, i0, k, n);
-        });
-        bufpool::release(at);
-        return c;
     }
-    // Each block owns output rows [i0, i0+rows) — columns i0.. of A. The
-    // p-outer loop keeps B-row streaming and preserves the accumulation
-    // order of the serial (single-block) pass for every output element;
-    // `p == 0` initializes.
+    let c = gemm(a.data(), k, 1, &bt, m, k, n);
+    bufpool::release(bt);
+    c
+}
+
+/// `C = A · B` into a fresh `[m, n]` tensor, for `A(i,p) = a[i·ai + p·ap]`
+/// and row-major `b: [k, n]`. Output rows are partitioned across the pool;
+/// each element's sum does not depend on the partition.
+fn gemm(a: &[f32], ai: usize, ap: usize, b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
+    // The kernel reads without bounds checks; these make every read valid.
+    assert!(m == 0 || k == 0 || (m - 1) * ai + (k - 1) * ap < a.len(), "gemm: A too short");
+    assert_eq!(b.len(), k * n, "gemm: B is not [k, n]");
+    // Pooled scratch: the kernel writes every element, so no memset.
+    let mut c = Tensor::scratch_pooled(m, n);
+    let lanes = simd::active_lanes();
+    let threads = pool::threads_for(m, m * k * n);
     pool::par_row_blocks(c.data_mut(), n, threads, |i0, block| {
-        let rows = block.len() / n;
         if k == 0 {
-            block.fill(0.0);
+            block.fill(0.0); // the empty sum
+            return;
         }
-        for p in 0..k {
-            let arow = &ad[p * m..(p + 1) * m];
-            let brow = &bd[p * n..(p + 1) * n];
-            for (ri, &av) in arow[i0..i0 + rows].iter().enumerate() {
-                let crow = &mut block[ri * n..(ri + 1) * n];
-                if p == 0 {
-                    simd::axpy_init(crow, brow, av);
-                } else {
-                    simd::axpy(crow, brow, av);
-                }
+        // SAFETY: the block holds whole output rows `i0..i0 + rows` with
+        // `i0 + rows <= m`, so every `A(i,p)` read is inside `a` and every
+        // `B(p,j)` read inside `b` (both asserted above); `lanes` comes from
+        // `active_lanes`, so 8 lanes implies the CPU has AVX.
+        unsafe {
+            match lanes {
+                #[cfg(target_arch = "x86_64")]
+                8 => gemm_avx(a, ai, ap, b, block, i0, k, n),
+                #[cfg(target_arch = "x86_64")]
+                4 => gemm_tiled::<simd::Sse>(a, ai, ap, b, block, i0, k, n),
+                _ => gemm_tiled::<simd::Scalar>(a, ai, ap, b, block, i0, k, n),
             }
         }
     });
     c
 }
 
-/// `C = A · Bᵀ` where `A: [m,k]`, `B: [n,k]`, result `[m,n]`.
+/// The AVX instance of [`gemm_tiled`]: the whole loop nest in one
+/// `target_feature` function.
 ///
-/// Scalar path: `B`'s rows are already contiguous, so there is nothing to
-/// pack; the `j` loop is blocked in `NC`-row chunks of `B` so a panel stays
-/// in cache across every output row, and each output element is a single
-/// write of a self-contained dot product. With SIMD active and a
-/// packing-worthy shape, `B` is transposed once into scratch and the
-/// lane-parallel packed kernel runs instead — same accumulation order per
-/// element, same bits.
-pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = a.shape();
-    let (n, k2) = b.shape();
-    assert_eq!(k, k2, "matmul_a_bt: inner dims {k} vs {k2}");
-    let _span = basm_obs::span!("tensor.matmul_a_bt", rows = m, inner = k, cols = n);
-    let mut c = Tensor::scratch_pooled(m, n);
-    let ad = a.data();
-    let bd = b.data();
-    let threads = pool::threads_for(m, m * k * n);
-    if simd::active_lanes() > 1 && use_packed(m, k, n) {
-        // The dot-product loop below accumulates *within* one element, which
-        // lanes must never split. Instead transpose `B` once into pooled
-        // scratch (row-major `[k,n]`) and reuse the lane-parallel packed
-        // kernel: per output element `acc = 0.0; acc += a·b; ...` and
-        // `c = 0.0 + a·b; c += a·b; ...` are the identical float-op
-        // sequence in the identical `p`-ascending order, so this branch is
-        // bitwise equal to the dot loop (pinned in
-        // `tests/simd_equivalence.rs`).
-        let mut bt = bufpool::acquire_scratch(k * n);
-        for (j, brow) in bd.chunks_exact(k).enumerate() {
-            for (p, &bv) in brow.iter().enumerate() {
-                bt[p * n + j] = bv;
+/// # Safety
+/// The CPU must support AVX; otherwise as [`gemm_tiled`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_avx(
+    a: &[f32],
+    ai: usize,
+    ap: usize,
+    b: &[f32],
+    c: &mut [f32],
+    i0: usize,
+    k: usize,
+    n: usize,
+) {
+    gemm_tiled::<simd::Avx>(a, ai, ap, b, c, i0, k, n)
+}
+
+/// Output rows `i0..` of `C` (whole rows, in `c`) for `k >= 1`.
+///
+/// # Safety
+/// `L`'s instructions must be available, and `a`/`b` must cover every
+/// `A(i,p)`, `B(p,j)` those rows read.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_tiled<L: Lanes>(
+    a: &[f32],
+    ai: usize,
+    ap: usize,
+    b: &[f32],
+    c: &mut [f32],
+    i0: usize,
+    k: usize,
+    n: usize,
+) {
+    let rows = c.len() / n;
+    let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    for kb in (0..k).step_by(KC) {
+        let kc = KC.min(k - kb);
+        for r in (0..rows).step_by(MR) {
+            let mr = MR.min(rows - r);
+            let (ar, cr) = (a.add((i0 + r) * ai), c.add(r * n));
+            let mut j = 0;
+            while j + 2 * L::W <= n {
+                tile_rows::<L, 2>(mr, ar, ai, ap, b.add(j), cr.add(j), n, kb, kc);
+                j += 2 * L::W;
+            }
+            if j + L::W <= n {
+                tile_rows::<L, 1>(mr, ar, ai, ap, b.add(j), cr.add(j), n, kb, kc);
+                j += L::W;
+            }
+            for j in j..n {
+                tile_rows::<simd::Scalar, 1>(mr, ar, ai, ap, b.add(j), cr.add(j), n, kb, kc);
             }
         }
-        let btr = &bt;
-        pool::par_row_blocks(c.data_mut(), n, threads, |i0, block| {
-            matmul_rows_packed::<true>(ad, btr, block, i0, k, n);
-        });
-        bufpool::release(bt);
-        return c;
     }
-    pool::par_row_blocks(c.data_mut(), n, threads, |i0, block| {
-        let rows = block.len() / n;
-        for jb in (0..n).step_by(NC) {
-            let jw = NC.min(n - jb);
-            for ri in 0..rows {
-                let arow = &ad[(i0 + ri) * k..(i0 + ri + 1) * k];
-                let crow = &mut block[ri * n + jb..ri * n + jb + jw];
-                for (jo, cv) in crow.iter_mut().enumerate() {
-                    let brow = &bd[(jb + jo) * k..(jb + jo + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                        acc += av * bv;
-                    }
-                    *cv = acc;
-                }
+}
+
+/// [`tile`] for the `rows <= MR` rows left in a row tile.
+///
+/// # Safety
+/// As [`tile`], for `rows` rows.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_rows<L: Lanes, const C: usize>(
+    rows: usize,
+    a: *const f32,
+    ai: usize,
+    ap: usize,
+    b: *const f32,
+    c: *mut f32,
+    n: usize,
+    kb: usize,
+    kc: usize,
+) {
+    match rows {
+        4 => tile::<L, 4, C>(a, ai, ap, b, c, n, kb, kc),
+        3 => tile::<L, 3, C>(a, ai, ap, b, c, n, kb, kc),
+        2 => tile::<L, 2, C>(a, ai, ap, b, c, n, kb, kc),
+        _ => tile::<L, 1, C>(a, ai, ap, b, c, n, kb, kc),
+    }
+}
+
+/// One `R × C·W` accumulator tile over `p ∈ kb..kb + kc`. `a` points at
+/// `A(first tile row, 0)`, `b` at `B(0, first tile column)`, and `c` at the
+/// tile's top-left output element (row stride `n`). The first block starts
+/// every accumulator at `+0.0`; later blocks reload the stored running sum.
+///
+/// # Safety
+/// `L`'s instructions must be available; `A(r, p)` for `r < R`, `p <
+/// kb + kc`, `B(p, 0..C·W)` and the tile's `R` output rows of `C·W`
+/// elements must all be in bounds.
+#[inline(always)]
+#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+unsafe fn tile<L: Lanes, const R: usize, const C: usize>(
+    a: *const f32,
+    ai: usize,
+    ap: usize,
+    b: *const f32,
+    c: *mut f32,
+    n: usize,
+    kb: usize,
+    kc: usize,
+) {
+    let mut acc = [[L::zero(); C]; R];
+    if kb > 0 {
+        for r in 0..R {
+            for v in 0..C {
+                acc[r][v] = L::load(c.add(r * n + v * L::W));
             }
         }
-    });
-    c
+    }
+    for p in kb..kb + kc {
+        let (a_p, b_p) = (a.add(p * ap), b.add(p * n));
+        let mut bv = [L::zero(); C];
+        for v in 0..C {
+            bv[v] = L::load(b_p.add(v * L::W));
+        }
+        for r in 0..R {
+            let av = L::splat(*a_p.add(r * ai));
+            for v in 0..C {
+                acc[r][v] = L::add_mul(acc[r][v], av, bv[v]);
+            }
+        }
+    }
+    for r in 0..R {
+        for v in 0..C {
+            L::store(c.add(r * n + v * L::W), acc[r][v]);
+        }
+    }
 }
 
 /// Dot product of two equal-length slices.
@@ -395,19 +310,6 @@ mod tests {
         let eye = Tensor::from_fn(4, 4, |i, j| if i == j { 1.0 } else { 0.0 });
         assert_close(&matmul(&a, &eye), &a, 1e-6);
         assert_close(&matmul(&eye, &a), &a, 1e-6);
-    }
-
-    #[test]
-    fn sparse_entry_point_matches_dense_kernel() {
-        let mut rng = Prng::seeded(5);
-        // One-hot-ish left operand: mostly zeros.
-        let a = Tensor::from_fn(8, 16, |i, j| if j == i * 2 { 1.5 } else { 0.0 });
-        let b = rng.randn(16, 6, 1.0);
-        let mut dense = Tensor::zeros(8, 6);
-        let mut sparse = Tensor::zeros(8, 6);
-        matmul_acc(&a, &b, &mut dense);
-        matmul_acc_sparse(&a, &b, &mut sparse);
-        assert_close(&dense, &sparse, 0.0);
     }
 
     #[test]

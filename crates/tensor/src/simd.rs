@@ -1,9 +1,12 @@
 //! Explicit-SIMD inner kernels — portable fixed-width `f32` lanes.
 //!
-//! Every hot inner loop in this crate is an *elementwise* map over one or two
-//! slices (`axpy` in the matmul micro-kernels, `add`/`mul`/... in the graph
-//! ops, scalar broadcasts in softmax). This module gives each of those loops
-//! an explicit lane-parallel implementation selected at runtime:
+//! Most hot inner loops in this crate are *elementwise* maps over one or two
+//! slices (`axpy` in the backward kernels, `add`/`mul`/... in the graph ops,
+//! scalar broadcasts in softmax). This module gives each of those loops an
+//! explicit lane-parallel implementation selected at runtime, and exports
+//! the same three backends as register-level `Lanes` types for the GEMM
+//! kernel in [`crate::linalg`], which keeps accumulators in registers across
+//! a whole loop nest instead of mapping one slice at a time:
 //!
 //! * **8 lanes** — AVX (`core::arch::x86_64::_mm256_*`), used when the CPU
 //!   reports `avx` at runtime. The crate's baseline target is plain x86-64,
@@ -124,15 +127,6 @@ mod scalar {
         }
     }
 
-    /// `acc[i] = 0.0 + a * x[i]` — the init-fused first `k` term (see
-    /// `linalg.rs`: `0.0 + x` is the accumulate-from-zero sequence).
-    #[inline(always)]
-    pub fn axpy_init(acc: &mut [f32], x: &[f32], a: f32) {
-        for (c, &v) in acc.iter_mut().zip(x.iter()) {
-            *c = 0.0 + a * v;
-        }
-    }
-
     /// `acc[i] += x[i]`.
     #[inline(always)]
     pub fn acc(acc: &mut [f32], x: &[f32]) {
@@ -209,6 +203,35 @@ mod scalar {
             *v /= s;
         }
     }
+
+    /// The 1-lane register backend (see [`super::Lanes`]): plain `f32`
+    /// arithmetic, the reference semantics.
+    pub(crate) struct Scalar;
+
+    impl super::Lanes for Scalar {
+        const W: usize = 1;
+        type V = f32;
+        #[inline(always)]
+        unsafe fn zero() -> f32 {
+            0.0
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> f32 {
+            x
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> f32 {
+            *p
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: f32) {
+            *p = v;
+        }
+        #[inline(always)]
+        unsafe fn add_mul(acc: f32, a: f32, b: f32) -> f32 {
+            acc + a * b
+        }
+    }
 }
 
 /// Elementwise binary op selector shared by all lane widths.
@@ -247,23 +270,6 @@ mod sse {
             }
         }
         super::scalar::axpy(&mut acc[body..], &x[body..], a);
-    }
-
-    #[inline]
-    pub fn axpy_init(acc: &mut [f32], x: &[f32], a: f32) {
-        let n = acc.len();
-        let body = n - n % W;
-        unsafe {
-            let va = _mm_set1_ps(a);
-            let zero = _mm_setzero_ps();
-            let mut i = 0;
-            while i < body {
-                let vx = _mm_loadu_ps(x.as_ptr().add(i));
-                _mm_storeu_ps(acc.as_mut_ptr().add(i), _mm_add_ps(zero, _mm_mul_ps(va, vx)));
-                i += W;
-            }
-        }
-        super::scalar::axpy_init(&mut acc[body..], &x[body..], a);
     }
 
     #[inline]
@@ -383,6 +389,34 @@ mod sse {
         }
         super::scalar::div_scalar_inplace(&mut x[body..], s);
     }
+
+    /// The 4-lane register backend (see [`super::Lanes`]).
+    pub(crate) struct Sse;
+
+    impl super::Lanes for Sse {
+        const W: usize = W;
+        type V = __m128;
+        #[inline(always)]
+        unsafe fn zero() -> __m128 {
+            _mm_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> __m128 {
+            _mm_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> __m128 {
+            _mm_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: __m128) {
+            _mm_storeu_ps(p, v)
+        }
+        #[inline(always)]
+        unsafe fn add_mul(acc: __m128, a: __m128, b: __m128) -> __m128 {
+            _mm_add_ps(acc, _mm_mul_ps(a, b))
+        }
+    }
 }
 
 /// AVX 8-lane kernels. Gated behind runtime `is_x86_feature_detected!("avx")`
@@ -411,23 +445,6 @@ mod avx {
             i += W;
         }
         super::scalar::axpy(&mut acc[body..], &x[body..], a);
-    }
-
-    /// # Safety
-    /// Caller must have verified `is_x86_feature_detected!("avx")`.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn axpy_init(acc: &mut [f32], x: &[f32], a: f32) {
-        let n = acc.len();
-        let body = n - n % W;
-        let va = _mm256_set1_ps(a);
-        let zero = _mm256_setzero_ps();
-        let mut i = 0;
-        while i < body {
-            let vx = _mm256_loadu_ps(x.as_ptr().add(i));
-            _mm256_storeu_ps(acc.as_mut_ptr().add(i), _mm256_add_ps(zero, _mm256_mul_ps(va, vx)));
-            i += W;
-        }
-        super::scalar::axpy_init(&mut acc[body..], &x[body..], a);
     }
 
     /// # Safety
@@ -547,7 +564,82 @@ mod avx {
         }
         super::scalar::div_scalar_inplace(&mut x[body..], s);
     }
+
+    /// The 8-lane register backend (see [`super::Lanes`]). Only ever
+    /// instantiated inside a `#[target_feature(enable = "avx")]` caller,
+    /// which is where these `#[inline(always)]` bodies become 256-bit ops.
+    pub(crate) struct Avx;
+
+    impl super::Lanes for Avx {
+        const W: usize = W;
+        type V = __m256;
+        #[inline(always)]
+        unsafe fn zero() -> __m256 {
+            _mm256_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> __m256 {
+            _mm256_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> __m256 {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: __m256) {
+            _mm256_storeu_ps(p, v)
+        }
+        #[inline(always)]
+        unsafe fn add_mul(acc: __m256, a: __m256, b: __m256) -> __m256 {
+            _mm256_add_ps(acc, _mm256_mul_ps(a, b))
+        }
+    }
 }
+
+/// One lane backend as register-level operations, for kernels that keep
+/// vector accumulators live across a whole loop nest (the register-tiled
+/// GEMM in [`crate::linalg`]). The kernel is written once, generic over
+/// `Lanes`, and instantiated per backend; for `Avx` the instantiation sits
+/// inside one `#[target_feature(enable = "avx")]` function, so the nest pays
+/// the call boundary once instead of once per slice.
+pub(crate) trait Lanes {
+    /// `f32` lanes per vector.
+    const W: usize;
+    /// The register type.
+    type V: Copy;
+    /// All lanes `+0.0`.
+    ///
+    /// # Safety
+    /// The backend's instructions must be available (see [`active_lanes`]).
+    unsafe fn zero() -> Self::V;
+    /// All lanes `x`.
+    ///
+    /// # Safety
+    /// As [`Lanes::zero`].
+    unsafe fn splat(x: f32) -> Self::V;
+    /// Unaligned load of `W` floats.
+    ///
+    /// # Safety
+    /// As [`Lanes::zero`]; `p` must be valid for `W` reads.
+    unsafe fn load(p: *const f32) -> Self::V;
+    /// Unaligned store of `W` floats.
+    ///
+    /// # Safety
+    /// As [`Lanes::zero`]; `p` must be valid for `W` writes.
+    unsafe fn store(p: *mut f32, v: Self::V);
+    /// `acc + a·b` per lane — a multiply and an add, two roundings, never
+    /// fused (same per-element sequence as the scalar `*c += a * v`).
+    ///
+    /// # Safety
+    /// As [`Lanes::zero`].
+    unsafe fn add_mul(acc: Self::V, a: Self::V, b: Self::V) -> Self::V;
+}
+
+#[cfg(target_arch = "x86_64")]
+pub(crate) use avx::Avx;
+pub(crate) use scalar::Scalar;
+#[cfg(target_arch = "x86_64")]
+pub(crate) use sse::Sse;
 
 // ---------------------------------------------------------------------------
 // Public dispatchers: pick the widest *worthwhile* backend per call.
@@ -565,21 +657,24 @@ mod avx {
 //
 // Ordering matters: the length test comes FIRST, against a compile-time
 // constant, so the short-slice fast path never touches `active_lanes()` at
-// all. The serve matmuls call these once per output element at `n = 1`;
-// even a relaxed atomic load per call showed up as an 8–23% regression on
-// those shapes before the check was reordered. Only slices long enough to
+// all. When the matmuls still ran on `axpy`, they called it once per output
+// element at `n = 1`, and even a relaxed atomic load per call showed up as
+// an 8–23% regression on those shapes before the check was reordered. Only slices long enough to
 // amortize it pay the one-load mode lookup. Every backend produces identical
 // bits (pinned below), so this routing is a pure wall-clock choice,
 // invisible to results.
 // ---------------------------------------------------------------------------
 
 /// Minimum slice length before an explicit wide kernel beats the inlined,
-/// auto-vectorized scalar loop. Measured on the benchmark host at three
-/// levels: `axpy_tune` (standalone kernel — AVX edges ahead near 64),
-/// `serve_shapes` (inside `matmul`, where 64-wide slices still *lose* ~5%
-/// to the call boundary), and `bench_simd` end to end (64 → serve 0.90x,
-/// train 1.08x; 128 → serve parity, train 1.13x). The in-context crossover
-/// is what counts, hence 128.
+/// auto-vectorized scalar loop, for the slice kernels below. It no longer
+/// governs matmul: the GEMM kernel in [`crate::linalg`] dispatches once per
+/// call and pays the AVX call boundary once per matmul, so it runs 8-wide
+/// lanes at every output width. The value was measured when the matmuls
+/// still ran on `axpy`, at three levels: `axpy_tune` (standalone kernel —
+/// AVX edges ahead near 64), inside `matmul` (64-wide slices still *lost*
+/// ~5% to the call boundary), and `bench_simd` end to end (64 → serve
+/// 0.90x, train 1.08x; 128 → serve parity, train 1.13x). The in-context
+/// crossover is what counts, hence 128.
 const WIDE_MIN_LEN: usize = 128;
 
 macro_rules! dispatch {
@@ -600,19 +695,11 @@ macro_rules! dispatch {
     };
 }
 
-/// `acc[i] += a * x[i]` — the matmul inner loop and every backward
-/// accumulate-scaled-row kernel.
+/// `acc[i] += a * x[i]` — every backward accumulate-scaled-row kernel.
 #[inline]
 pub fn axpy(acc: &mut [f32], x: &[f32], a: f32) {
     debug_assert_eq!(acc.len(), x.len());
     dispatch!(acc.len(), axpy(acc, x, a));
-}
-
-/// `acc[i] = 0.0 + a * x[i]` — the init-fused first `k` term.
-#[inline]
-pub fn axpy_init(acc: &mut [f32], x: &[f32], a: f32) {
-    debug_assert_eq!(acc.len(), x.len());
-    dispatch!(acc.len(), axpy_init(acc, x, a));
 }
 
 /// `acc[i] += x[i]` — gradient accumulation.
@@ -710,11 +797,6 @@ mod tests {
                 axpy(&mut acc, &vals(n, 2), 0.37);
                 acc
             });
-            assert_modes_match(|| {
-                let mut acc = vals(n, 3);
-                axpy_init(&mut acc, &vals(n, 4), -1.25);
-                acc
-            });
         }
     }
 
@@ -769,17 +851,6 @@ mod tests {
                 x
             });
         }
-    }
-
-    #[test]
-    fn signed_zero_survives_init() {
-        // `0.0 + (-0.0)` must be `+0.0` in every backend (the documented
-        // reason `0.0 + x` cannot be folded away).
-        assert_modes_match(|| {
-            let mut acc = vec![123.0; 9];
-            axpy_init(&mut acc, &[-0.0; 9], 1.0);
-            acc
-        });
     }
 
     #[test]

@@ -39,13 +39,10 @@ fn matmul_kernels_bitwise_identical_across_thread_counts() {
     let bt = rng.randn(23, 19, 1.0);
     let run = |threads: usize| {
         with_pool(threads, || {
-            let mut sparse = Tensor::zeros(37, 23);
-            linalg::matmul_acc_sparse(&a, &b, &mut sparse);
             (
                 bits(&linalg::matmul(&a, &b)),
                 bits(&linalg::matmul_at_b(&at, &b)),
                 bits(&linalg::matmul_a_bt(&a, &bt)),
-                bits(&sparse),
             )
         })
     };
@@ -175,38 +172,6 @@ fn simd_on_off_bitwise_identical() {
     assert_eq!(baseline, run(false, 4));
 }
 
-/// Same pin for the packed block-major GEMM kernels, including the
-/// SIMD-mode transpose-and-pack path of `matmul_a_bt` (shapes past the
-/// packing threshold with ragged panel edges).
-#[test]
-fn simd_on_off_matmul_kernels_bitwise_identical() {
-    let _guard = SETTINGS.lock().unwrap();
-    let mut rng = Prng::seeded(29);
-    let (m, k, n) = (8, 150, 300);
-    let a = rng.randn(m, k, 1.0);
-    let b = rng.randn(k, n, 1.0);
-    let at = a.transposed();
-    let bt = b.transposed();
-    let run = |on: bool, threads: usize| {
-        simd::set_simd(Some(on));
-        let out = with_pool(threads, || {
-            let mut sparse = Tensor::zeros(m, n);
-            linalg::matmul_acc_sparse(&a, &b, &mut sparse);
-            (
-                bits(&linalg::matmul(&a, &b)),
-                bits(&linalg::matmul_at_b(&at, &b)),
-                bits(&linalg::matmul_a_bt(&a, &bt)),
-                bits(&sparse),
-            )
-        });
-        simd::set_simd(None);
-        out
-    };
-    let scalar = run(false, 1);
-    assert_eq!(scalar, run(true, 1), "simd matmuls must match serially");
-    assert_eq!(scalar, run(true, 4), "simd matmuls must match in parallel");
-}
-
 /// Recycled tapes from [`with_graph`] start logically empty but reuse node
 /// storage and pooled tensor buffers; repeated reuse must not change a bit
 /// relative to a fresh `Graph::new()`.
@@ -220,56 +185,6 @@ fn graph_recycling_bitwise_identical_across_reuse() {
         assert_eq!(fresh, reused, "recycled graph diverged on round {round}");
     }
     bufpool::set_pooling(None);
-}
-
-/// Reference `i-k-j` kernel: every output element accumulates its `k`
-/// products in ascending-`p` order starting from 0.0 — the exact order the
-/// production kernels (naive and packed alike) promise to preserve.
-fn naive_ikj(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = a.shape();
-    let (_, n) = b.shape();
-    let mut c = Tensor::zeros(m, n);
-    let cd = c.data_mut();
-    for i in 0..m {
-        for p in 0..k {
-            let aip = a.get(i, p);
-            for j in 0..n {
-                cd[i * n + j] += aip * b.get(p, j);
-            }
-        }
-    }
-    c
-}
-
-/// The packed cache-blocked kernels must be bitwise identical to the naive
-/// triple loop. Shapes are chosen to trigger the packed path (`m >= 4`,
-/// `k*n >= 2^15`) with ragged edges (k, n not multiples of the 128x64
-/// panel), and checked under 1 and 4 threads.
-#[test]
-fn packed_kernels_bitwise_match_naive_triple_loop() {
-    let _guard = SETTINGS.lock().unwrap();
-    let mut rng = Prng::seeded(23);
-    let (m, k, n) = (16, 150, 300);
-    let a = rng.randn(m, k, 1.0);
-    let b = rng.randn(k, n, 1.0);
-    let at = a.transposed();
-    let bt = b.transposed();
-    let want = bits(&naive_ikj(&a, &b));
-    for threads in [1usize, 4] {
-        with_pool(threads, || {
-            assert_eq!(bits(&linalg::matmul(&a, &b)), want, "matmul, {threads} threads");
-            assert_eq!(
-                bits(&linalg::matmul_at_b(&at, &b)),
-                want,
-                "matmul_at_b, {threads} threads"
-            );
-            assert_eq!(
-                bits(&linalg::matmul_a_bt(&a, &bt)),
-                want,
-                "matmul_a_bt, {threads} threads"
-            );
-        });
-    }
 }
 
 /// `Graph::memory_bytes` must report allocated capacity, not logical

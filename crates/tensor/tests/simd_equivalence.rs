@@ -1,4 +1,4 @@
-//! SIMD-vs-scalar bitwise equivalence (ISSUE: explicit-SIMD kernel layer).
+//! SIMD-vs-scalar bitwise equivalence, and the GEMM kernel's bitwise pins.
 //!
 //! The `basm_tensor::simd` contract: `BASM_SIMD` moves wall-clock only.
 //! Lanes map to distinct output elements, no accumulation chain is split,
@@ -8,7 +8,7 @@
 //! past two full 8-lane vectors plus a ragged tail) and compare raw bits
 //! between forced-off and forced-on runs of the same computation.
 
-use basm_tensor::{linalg, quant, simd, Graph, Prng, Tensor};
+use basm_tensor::{linalg, pool, quant, simd, Graph, Prng, Tensor};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -183,10 +183,11 @@ proptest! {
     }
 }
 
-/// The remainder grid above sits below the dispatcher's wide-slice threshold
-/// (short slices run the scalar loop in both modes by design), so this sweep
-/// pins the *wide* region too: output widths straddling the threshold and
-/// both lane widths' tails, where the AVX/SSE bodies actually execute.
+/// The remainder grid above sits below the elementwise dispatcher's
+/// wide-slice threshold (short slices run the scalar loop in both modes by
+/// design), so this sweep pins the *wide* region too: widths straddling the
+/// threshold and both lane widths' tails, where the AVX/SSE slice bodies
+/// execute. The matmuls ride along at the same widths.
 #[test]
 fn wide_slices_simd_matches_scalar_bitwise() {
     for n in [63usize, 64, 65, 80, 127, 128, 129, 137, 200] {
@@ -212,38 +213,133 @@ fn wide_slices_simd_matches_scalar_bitwise() {
     }
 }
 
-/// `matmul_acc_sparse` must produce bitwise-dense results when the "sparse"
-/// input has structural zeros at every packing block boundary — the zero-skip
-/// may only elide work that contributes exact zeros, under both SIMD modes.
-/// Shape chosen past the packing threshold (`m >= 4`, `k·n >= 2^15`) with
-/// zeros planted at the KC=128 / NC=64 panel edges and interior.
+/// Reference for the kernel pins: the naive `p`-ascending triple loop,
+/// `acc = 0.0; acc += a·b`, over row-major `a: [m,k]`, `b: [k,n]`.
+fn naive_matmul(a: &Tensor, b: &Tensor) -> Vec<f32> {
+    let ((m, k), n) = (a.shape(), b.cols());
+    let (ad, bd) = (a.data(), b.data());
+    let mut out = Vec::with_capacity(m * n);
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for p in 0..k {
+                acc += ad[i * k + p] * bd[p * n + j];
+            }
+            out.push(acc);
+        }
+    }
+    out
+}
+
+/// Run `f` under every bits-invariant kernel mode: `BASM_THREADS` 1 and 4
+/// (with the parallelism threshold at zero, so even one-row outputs take
+/// the partitioned path) × `BASM_SIMD` off and on.
+fn for_each_kernel_mode(mut f: impl FnMut(&str)) {
+    let _guard = SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
+    pool::set_min_work(0);
+    for threads in [1usize, 4] {
+        pool::set_threads(threads);
+        for on in [false, true] {
+            simd::set_simd(Some(on));
+            f(&format!("threads={threads} simd={on}"));
+        }
+    }
+    simd::set_simd(None);
+    pool::set_threads(0);
+    pool::set_min_work(usize::MAX);
+}
+
+/// All three entry points on `a · b`, with the operands laid out as each
+/// entry point takes them.
+fn three_entry_points(a: &Tensor, b: &Tensor, at: &Tensor, bt: &Tensor) -> [Tensor; 3] {
+    [linalg::matmul(a, b), linalg::matmul_at_b(at, b), linalg::matmul_a_bt(a, bt)]
+}
+
+/// Tile-edge sweep: every row-tile remainder (`m` up to two 4-row tiles plus
+/// one), every column remainder of the two-vector, one-vector and scalar
+/// column tiles for both lane widths (`n` up to 33, around 64, and a wide
+/// 528), and `k` at zero, tiny, and either side of one and two `KC` seams.
+/// All three entry points must reproduce the naive loop bit for bit.
 #[test]
-fn sparse_matches_dense_with_structural_zeros_at_block_boundaries() {
-    let (m, k, n) = (8, 260, 130); // k spans 3 KC-panels, n spans 3 NC-panels
-    let mut rng = Prng::seeded(31);
-    let mut a = rng.randn(m, k, 1.0);
-    // Zero full a-columns at the KC boundaries and their neighbors: these
-    // drive the `aip == 0.0 → skip` branch inside the packed micro-kernel.
-    for &p in &[0usize, 1, 126, 127, 128, 129, 255, 256, 259] {
-        for i in 0..m {
-            a.data_mut()[i * k + p] = 0.0;
+fn tile_edges_match_naive_loop_bitwise() {
+    let kc = linalg::KC;
+    let ns: Vec<usize> = (1..=33).chain([63, 64, 65, 528]).collect();
+    let ks = [0, 1, 2, kc - 1, kc, kc + 1, 2 * kc + 3];
+    let mut cases = Vec::new();
+    for m in 1..=9usize {
+        for &n in &ns {
+            for &k in &ks {
+                let mut rng = Prng::seeded((m * 1000 + n) as u64 * 1000 + k as u64);
+                let a = rng.randn(m, k, 1.0);
+                let b = rng.randn(k, n, 1.0);
+                let want: Vec<u32> = naive_matmul(&a, &b).iter().map(|v| v.to_bits()).collect();
+                let (at, bt) = (a.transposed(), b.transposed());
+                cases.push((a, b, at, bt, want));
+            }
         }
     }
-    // And a mostly-zero row to exercise whole-row skipping.
-    for p in 0..k {
-        if p != 5 {
-            a.data_mut()[3 * k + p] = 0.0;
+    for_each_kernel_mode(|mode| {
+        for (a, b, at, bt, want) in &cases {
+            let (m, k, n) = (a.rows(), a.cols(), b.cols());
+            for (name, c) in ["matmul", "matmul_at_b", "matmul_a_bt"]
+                .iter()
+                .zip(three_entry_points(a, b, at, bt))
+            {
+                assert!(bits(&c) == *want, "{name} m={m} k={k} n={n} {mode}");
+            }
         }
-    }
-    let b = rng.randn(k, n, 1.0);
-    let (s, v) = scalar_vs_simd(|| {
-        let mut sparse = Tensor::zeros(m, n);
-        linalg::matmul_acc_sparse(&a, &b, &mut sparse);
-        (bits(&linalg::matmul(&a, &b)), bits(&sparse))
     });
-    assert_eq!(s.0, s.1, "scalar: sparse kernel must match dense bitwise");
-    assert_eq!(v.0, v.1, "simd: sparse kernel must match dense bitwise");
-    assert_eq!(s, v, "sparse/dense results must not move across SIMD modes");
+}
+
+/// Signed zeros, infinities and NaNs through every entry point. Row 0 of
+/// `A` is all `-0.0` against a non-negative column 0 of `B`, so output
+/// `(0,0)` sums only `-0.0` products: the naive loop gives `+0.0`, and a
+/// kernel that started from the first product would give `-0.0`. Column 1
+/// of `B` is all `-0.0`, and specials sit on a stride through both
+/// operands, so they land on tile edges and either side of the `KC` seam.
+/// NaN payloads are not part of the contract, so NaN positions compare by
+/// `is_nan`; every other element compares bit for bit.
+#[test]
+fn special_values_match_naive_loop() {
+    const SPECIALS: [f32; 6] = [-0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 3.0e38];
+    let kc = linalg::KC;
+    let (mut saw_nan, mut saw_inf) = (false, false);
+    for (m, k, n) in [(9, kc + 3, 33), (5, 2 * kc + 3, 27), (6, 1, 17), (3, kc, 65)] {
+        let mut rng = Prng::seeded((m * k * n) as u64);
+        let mut a = rng.randn(m, k, 1.0);
+        let mut b = rng.randn(k, n, 1.0).map(f32::abs);
+        for (i, v) in a.data_mut().iter_mut().enumerate() {
+            if i < k {
+                *v = -0.0;
+            } else if i % 61 == 0 {
+                *v = SPECIALS[(i / 61) % SPECIALS.len()];
+            }
+        }
+        for (i, v) in b.data_mut().iter_mut().enumerate() {
+            if i % n == 1 {
+                *v = -0.0;
+            } else if i % n != 0 && i % 37 == 0 {
+                *v = SPECIALS[(i / 37) % SPECIALS.len()];
+            }
+        }
+        let want = naive_matmul(&a, &b);
+        assert_eq!(want[0].to_bits(), 0, "fixture: (0,0) must be +0.0");
+        saw_nan |= want.iter().any(|v| v.is_nan());
+        saw_inf |= want.iter().any(|v| v.is_infinite());
+        let (at, bt) = (a.transposed(), b.transposed());
+        for_each_kernel_mode(|mode| {
+            for (name, c) in ["matmul", "matmul_at_b", "matmul_a_bt"]
+                .iter()
+                .zip(three_entry_points(&a, &b, &at, &bt))
+            {
+                for (e, (&got, &w)) in c.data().iter().zip(want.iter()).enumerate() {
+                    let same = if w.is_nan() { got.is_nan() } else { got.to_bits() == w.to_bits() };
+                    assert!(same, "{name} m={m} k={k} n={n} {mode}: [{e}] {got:?} vs {w:?}");
+                }
+            }
+        });
+    }
+    assert!(saw_nan && saw_inf, "fixture must produce NaN and infinite outputs");
 }
 
 /// The runtime dispatcher reports a real lane width and the override wins

@@ -32,7 +32,7 @@ done
 # enabled, including under threads. The serving suite rides the same sweep:
 # the batched front-end (DESIGN.md §10) pins coalesced microbatch scoring
 # bitwise-equal to sequential per-request scoring, and that pin must hold
-# whichever matmul path (packed or scalar) executes the batch.
+# at any batch height.
 for pool in 0 1; do
     echo "== tier1: basm-tensor tests (BASM_POOL=$pool, BASM_THREADS=4) =="
     BASM_POOL=$pool BASM_THREADS=4 cargo test -q -p basm-tensor --tests
