@@ -4,7 +4,8 @@
 //! visits every consumer before its producers. Each rule is exercised by a
 //! finite-difference check in `tests/gradcheck.rs`.
 
-use crate::graph::{stable_sigmoid, Graph, Op, Saved, Var};
+use crate::bufpool;
+use crate::graph::{select, stable_sigmoid, Graph, Op, Saved, Var, DIN_BLOCK};
 use crate::linalg;
 use crate::pool;
 use crate::simd;
@@ -25,7 +26,7 @@ impl Graph {
             "backward: loss does not depend on any gradient-requiring leaf"
         );
         let _span = basm_obs::span!("tensor.backward", nodes = self.nodes.len());
-        self.accum_grad(loss.0, Tensor::scalar(1.0));
+        self.accum_grad(loss.0, Tensor::full_pooled(1, 1, 1.0));
 
         for i in (0..=loss.0).rev() {
             let Some(gout) = self.nodes[i].grad.take() else { continue };
@@ -80,15 +81,15 @@ impl Graph {
             }
             Op::Add { a, b } => {
                 if self.needs(a) {
-                    out.push((a, gout.clone()));
+                    out.push((a, gout.clone_pooled()));
                 }
                 if self.needs(b) {
-                    out.push((b, gout.clone()));
+                    out.push((b, gout.clone_pooled()));
                 }
             }
             Op::Sub { a, b } => {
                 if self.needs(a) {
-                    out.push((a, gout.clone()));
+                    out.push((a, gout.clone_pooled()));
                 }
                 if self.needs(b) {
                     out.push((b, gout.par_map(|g| -g)));
@@ -115,7 +116,7 @@ impl Graph {
             }
             Op::AddRow { a, b } => {
                 if self.needs(a) {
-                    out.push((a, gout.clone()));
+                    out.push((a, gout.clone_pooled()));
                 }
                 if self.needs(b) {
                     out.push((b, col_sums(gout)));
@@ -153,7 +154,7 @@ impl Graph {
             }
             Op::AddCol { a, b } => {
                 if self.needs(a) {
-                    out.push((a, gout.clone()));
+                    out.push((a, gout.clone_pooled()));
                 }
                 if self.needs(b) {
                     let g = Tensor::from_fn(gout.rows(), 1, |r, _| gout.row(r).iter().sum());
@@ -192,7 +193,7 @@ impl Graph {
             }
             Op::AddScalar { a, .. } => {
                 if self.needs(a) {
-                    out.push((a, gout.clone()));
+                    out.push((a, gout.clone_pooled()));
                 }
             }
             Op::Sigmoid { a } => {
@@ -214,7 +215,7 @@ impl Graph {
                 if self.needs(a) {
                     out.push((
                         a,
-                        gout.par_zip_map(y, |g, yv| if yv > 0.0 { g } else { g * slope }),
+                        gout.par_zip_map(y, |g, yv| select(yv > 0.0, g, g * slope)),
                     ));
                 }
             }
@@ -286,14 +287,14 @@ impl Graph {
             Op::SumAll { a } => {
                 if self.needs(a) {
                     let (m, n) = self.val(a).shape();
-                    out.push((a, Tensor::full(m, n, gout.item())));
+                    out.push((a, Tensor::full_pooled(m, n, gout.item())));
                 }
             }
             Op::MeanAll { a } => {
                 if self.needs(a) {
                     let (m, n) = self.val(a).shape();
                     let scale = gout.item() / (m * n) as f32;
-                    out.push((a, Tensor::full(m, n, scale)));
+                    out.push((a, Tensor::full_pooled(m, n, scale)));
                 }
             }
             Op::SumRows { a } => {
@@ -474,6 +475,13 @@ impl Graph {
                     out.push((x, g));
                 }
             }
+            Op::DinScores { query, seq, w1, b1, w2, b2, t, slope } => {
+                let Some(Saved::DinActs { feats, acts }) = &self.nodes[i].saved else {
+                    unreachable!("DinScores node missing saved activations (inference tape?)");
+                };
+                let ids = [query, seq, w1, b1, w2, b2];
+                self.din_scores_grads(feats, acts, gout, ids, t, slope, &mut out);
+            }
             Op::BatchNormTrain { x, eps } => {
                 if self.needs(x) {
                     let Some(Saved::BnStats { var, .. }) = &self.nodes[i].saved else {
@@ -543,6 +551,108 @@ impl Graph {
         }
         out
     }
+
+    /// Backward of [`Graph::din_scores`]. Every element replays the float-op
+    /// sequence the composite's reverse sweep produces through `accum_grad`
+    /// (DESIGN.md §15): GEMM and repeat-rows sums start at `+0.0`, and the
+    /// `q`/`k` contributions add up in the sweep's order. `dF = dpre · w1ᵀ`
+    /// is formed one `DIN_BLOCK` of samples at a time and folded straight
+    /// into `dq`/`dk`, never materialized whole.
+    #[allow(clippy::too_many_arguments)]
+    fn din_scores_grads(
+        &self,
+        feats: &Tensor,
+        acts: &Tensor,
+        gout: &Tensor,
+        [query, seq, w1, b1, w2, b2]: [usize; 6],
+        t: usize,
+        slope: f32,
+        out: &mut Vec<(usize, Tensor)>,
+    ) {
+        let (qv, sv) = (self.val(query), self.val(seq));
+        let (m, d) = qv.shape();
+        let (rows, fw, h) = (m * t, 4 * d, acts.cols());
+        let _span = basm_obs::span!("tensor.din_scores.backward", rows = m, t, d, h);
+        let gs = gout.data();
+        let w2d = self.val(w2).data();
+        // dpre = leaky'(A) ⊙ (0 + dS·w2): the score GEMM's input gradient
+        // (k = 1) through the LeakyReLU rule.
+        let mut dpre = Tensor::scratch_pooled(rows, h);
+        let threads = pool::threads_for(rows, rows * h);
+        pool::par_row_blocks(dpre.data_mut(), h, threads, |i0, block| {
+            for (ri, orow) in block.chunks_mut(h).enumerate() {
+                let (g, arow) = (gs[i0 + ri], acts.row(i0 + ri));
+                for ((o, &a), &w) in orow.iter_mut().zip(arow).zip(w2d) {
+                    let da = 0.0 + g * w;
+                    *o = select(a > 0.0, da, da * slope);
+                }
+            }
+        });
+        // dW2, db2, db1: serial sums in row order, each from +0.0.
+        if self.needs(w2) {
+            let mut g = Tensor::zeros_pooled(h, 1);
+            for (r, &gr) in gs.iter().enumerate() {
+                simd::axpy(g.data_mut(), acts.row(r), gr);
+            }
+            out.push((w2, g));
+        }
+        if self.needs(b2) {
+            let mut g = Tensor::zeros_pooled(1, 1);
+            for &gr in gs {
+                g.data_mut()[0] += gr;
+            }
+            out.push((b2, g));
+        }
+        if self.needs(b1) {
+            out.push((b1, col_sums(&dpre)));
+        }
+        if self.needs(w1) {
+            out.push((w1, linalg::matmul_at_b(feats, &dpre)));
+        }
+        if self.needs(query) || self.needs(seq) {
+            // dq = Σ_i ((g0 + g3⊙k) + g2) and dk = (g1 + g3⊙q) + (-g2), with
+            // dF = [g0 g1 g2 g3] the gradient of the [q; k; q-k; q⊙k] row.
+            let w1t = linalg::transpose_scratch(self.val(w1));
+            let mut dq = Tensor::zeros_pooled(m, d);
+            let mut dk = Tensor::scratch_pooled(m, t * d);
+            let threads = pool::threads_for(m, rows * fw * h);
+            let outs = [dq.data_mut(), dk.data_mut()];
+            pool::par_row_blocks_n(outs, [d, t * d], threads, |s0, [dqb, dkb]| {
+                let ns = dqb.len() / d;
+                let mut df = bufpool::acquire_scratch(DIN_BLOCK.min(ns) * t * fw);
+                for b0 in (0..ns).step_by(DIN_BLOCK) {
+                    let nb = DIN_BLOCK.min(ns - b0);
+                    let (r0, r1) = ((s0 + b0) * t, (s0 + b0 + nb) * t);
+                    let df = &mut df[..(r1 - r0) * fw];
+                    linalg::gemm_rows(&dpre.data()[r0 * h..r1 * h], h, 1, &w1t, h, fw, 0, df);
+                    for (ri, grow) in df.chunks(fw).enumerate() {
+                        let (sl, i) = (b0 + ri / t, ri % t);
+                        let (q, k) = (qv.row(s0 + sl), &sv.row(s0 + sl)[i * d..(i + 1) * d]);
+                        let dq = &mut dqb[sl * d..(sl + 1) * d];
+                        let dk = &mut dkb[(sl * t + i) * d..(sl * t + i + 1) * d];
+                        let (g0, rest) = grow.split_at(d);
+                        let (g1, rest) = rest.split_at(d);
+                        let (g2, g3) = rest.split_at(d);
+                        for e in 0..d {
+                            dq[e] += (g0[e] + g3[e] * k[e]) + g2[e];
+                            dk[e] = (g1[e] + g3[e] * q[e]) + (-g2[e]);
+                        }
+                    }
+                }
+                bufpool::release(df);
+            });
+            // The composite's repeat-rows node (query) sits after its
+            // reshape node (seq) on the tape, so query's gradient lands first.
+            for (v, g) in [(query, dq), (seq, dk)] {
+                if self.needs(v) {
+                    out.push((v, g));
+                } else {
+                    g.recycle();
+                }
+            }
+        }
+        dpre.recycle();
+    }
 }
 
 fn col_sums(t: &Tensor) -> Tensor {
@@ -607,6 +717,54 @@ mod tests {
         let a = g.input_with_grad(Tensor::zeros(2, 2));
         let b = g.relu(a);
         g.backward(b);
+    }
+
+    /// Every hot-path allocation goes through the buffer pool: after
+    /// backward, each node value and gradient carries a pool-bucket
+    /// (power-of-two) capacity — reshape copies, the pass-through gradients
+    /// of the add-family rules, parameter copies, embedding gathers and the
+    /// fused attention op included.
+    #[test]
+    fn hot_path_buffers_come_from_the_pool() {
+        use crate::nn::EmbeddingTable;
+        use crate::params::ParamStore;
+        use crate::rng::Prng;
+        let _guard = crate::bufpool::tests::pool_lock();
+        crate::bufpool::set_pooling(Some(true));
+        let mut rng = Prng::seeded(9);
+        let mut store = ParamStore::new();
+        let w = store.add("w", rng.randn(3, 3, 1.0));
+        let w1 = store.add("w1", rng.randn(12, 5, 1.0));
+        let b1 = store.add("b1", rng.randn(1, 5, 1.0));
+        let w2 = store.add("w2", rng.randn(5, 1, 1.0));
+        let b2 = store.add("b2", rng.randn(1, 1, 1.0));
+        let table = EmbeddingTable::new(&mut rng, "emb", 10, 3, 1.0);
+
+        let mut g = Graph::new();
+        let x = g.input_with_grad(table.gather(&[1, 2, 3, 4]));
+        let wv = g.param(&store, w);
+        let h = g.matmul(x, wv);
+        let a = g.add(h, x);
+        let s = g.sub(a, x);
+        let row = g.input_with_grad(rng.randn(1, 3, 1.0));
+        let col = g.input_with_grad(rng.randn(4, 1, 1.0));
+        let r = g.add_row(s, row);
+        let c = g.add_col(r, col);
+        let k = g.add_scalar(c, 0.5);
+        let seq = g.reshape(k, 1, 12);
+        let q = g.slice_cols(seq, 0, 3);
+        let p: Vec<Var> = [w1, b1, w2, b2].iter().map(|&id| g.param(&store, id)).collect();
+        let scores = g.din_scores(q, seq, p[0], p[1], p[2], p[3], 4, 0.01);
+        let loss = g.sum_all(scores);
+        g.backward(loss);
+
+        for (i, node) in g.nodes.iter().enumerate() {
+            let grad = node.grad.as_ref().map(Tensor::capacity);
+            for cap in std::iter::once(node.value.capacity()).chain(grad) {
+                assert!(cap.is_power_of_two(), "node {i} ({:?}): capacity {cap}", node.op);
+            }
+        }
+        crate::bufpool::set_pooling(None);
     }
 
     #[test]

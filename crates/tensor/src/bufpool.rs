@@ -237,7 +237,7 @@ pub fn stats() -> PoolStats {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Pooling state is process-global; serialize tests that toggle it.

@@ -103,6 +103,18 @@ pub(crate) enum Op {
     MetaLinear { w: usize, x: usize, out_dim: usize, in_dim: usize },
     /// Like `MetaLinear` but with in-major weight layout: `y_o = Σ_i w[i*out+o]·x_i`.
     MetaLinearInMajor { w: usize, x: usize, out_dim: usize, in_dim: usize },
+    /// DIN's activation unit, fused: per sample and position,
+    /// `score = leaky([q; k; q-k; q⊙k] · w1 + b1) · w2 + b2` -> `[m, t]`.
+    DinScores {
+        query: usize,
+        seq: usize,
+        w1: usize,
+        b1: usize,
+        w2: usize,
+        b2: usize,
+        t: usize,
+        slope: f32,
+    },
     /// Per-column batch normalization (no affine) using batch statistics.
     BatchNormTrain { x: usize, eps: f32 },
     /// Per-column normalization with fixed (running) statistics `mean`/`var` `[1,n]`.
@@ -116,6 +128,34 @@ pub(crate) enum Op {
 pub(crate) enum Saved {
     /// Batch statistics computed by [`Op::BatchNormTrain`].
     BnStats { mean: Vec<f32>, var: Vec<f32> },
+    /// The features `[q; k; q-k; q⊙k]` (`[m·t, 4d]`) and hidden activations
+    /// (`[m·t, h]`) of an [`Op::DinScores`] node on a training tape.
+    DinActs { feats: Tensor, acts: Tensor },
+}
+
+impl Saved {
+    /// Allocated bytes, counted like node values (capacity, not length).
+    fn bytes(&self) -> usize {
+        let floats = match self {
+            Saved::BnStats { mean, var } => mean.capacity() + var.capacity(),
+            Saved::DinActs { feats, acts } => feats.capacity() + acts.capacity(),
+        };
+        floats * std::mem::size_of::<f32>()
+    }
+
+    /// Return the buffers to the [`crate::bufpool`].
+    fn recycle(self) {
+        match self {
+            Saved::BnStats { mean, var } => {
+                bufpool::release(mean);
+                bufpool::release(var);
+            }
+            Saved::DinActs { feats, acts } => {
+                feats.recycle();
+                acts.recycle();
+            }
+        }
+    }
 }
 
 pub(crate) struct Node {
@@ -154,7 +194,8 @@ impl Graph {
         self.nodes.is_empty()
     }
 
-    /// Bytes held by all node values and gradients currently on the tape —
+    /// Bytes held by all node values, gradients and saved backward context
+    /// (a fused op's intermediates, batch statistics) currently on the tape —
     /// the activation-memory measurement used by the Table VI accounting.
     /// Counts allocated **capacity**, not logical length, so buffers the
     /// recycling pool rounded up to a bucket size are reported honestly.
@@ -164,14 +205,16 @@ impl Graph {
             .map(|n| {
                 let g = n.grad.as_ref().map_or(0, Tensor::capacity);
                 (n.value.capacity() + g) * std::mem::size_of::<f32>()
+                    + n.saved.as_ref().map_or(0, Saved::bytes)
             })
             .sum()
     }
 
-    /// Clear the tape for reuse, recycling every node's value and gradient
-    /// buffer into the [`crate::bufpool`] while retaining the node vector's
-    /// and the param maps' own capacity. Records the tape's high-water mark
-    /// as the `graph.peak_bytes` gauge before releasing anything.
+    /// Clear the tape for reuse, recycling every node's value, gradient and
+    /// saved buffer into the [`crate::bufpool`] while retaining the node
+    /// vector's and the param maps' own capacity. Records the tape's
+    /// high-water mark as the `graph.peak_bytes` gauge before releasing
+    /// anything.
     pub fn reset(&mut self) {
         if !self.nodes.is_empty() {
             basm_obs::gauge_max("graph.peak_bytes", self.memory_bytes() as u64);
@@ -180,6 +223,9 @@ impl Graph {
             node.value.recycle();
             if let Some(grad) = node.grad {
                 grad.recycle();
+            }
+            if let Some(saved) = node.saved {
+                saved.recycle();
             }
         }
         self.param_cache.clear();
@@ -214,7 +260,7 @@ impl Graph {
     pub fn bn_saved(&self, v: Var) -> Option<(&[f32], &[f32])> {
         match &self.nodes[v.0].saved {
             Some(Saved::BnStats { mean, var }) => Some((mean, var)),
-            None => None,
+            _ => None,
         }
     }
 
@@ -258,7 +304,7 @@ impl Graph {
         if let Some(&v) = self.param_cache.get(&id) {
             return v;
         }
-        let v = self.push(Op::Leaf, store.value(id).clone(), true);
+        let v = self.push(Op::Leaf, store.value(id).clone_pooled(), true);
         self.param_cache.insert(id, v);
         self.param_of_node.insert(v.0, id);
         v
@@ -423,7 +469,7 @@ impl Graph {
 
     /// Leaky ReLU with the given negative slope (the paper's activation).
     pub fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
-        let v = self.value(a).par_map(|x| if x > 0.0 { x } else { slope * x });
+        let v = self.value(a).par_map(|x| select(x > 0.0, x, slope * x));
         let rg = self.rg(a.0);
         self.push(Op::LeakyRelu { a: a.0, slope }, v, rg)
     }
@@ -562,14 +608,14 @@ impl Graph {
 
     /// Sum of all elements, `[1,1]`.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let v = Tensor::scalar(self.value(a).sum() as f32);
+        let v = Tensor::full_pooled(1, 1, self.value(a).sum() as f32);
         let rg = self.rg(a.0);
         self.push(Op::SumAll { a: a.0 }, v, rg)
     }
 
     /// Mean of all elements, `[1,1]`.
     pub fn mean_all(&mut self, a: Var) -> Var {
-        let v = Tensor::scalar(self.value(a).mean() as f32);
+        let v = Tensor::full_pooled(1, 1, self.value(a).mean() as f32);
         let rg = self.rg(a.0);
         self.push(Op::MeanAll { a: a.0 }, v, rg)
     }
@@ -730,6 +776,98 @@ impl Graph {
         self.push(Op::MetaLinearInMajor { w: w.0, x: x.0, out_dim, in_dim }, out, rg)
     }
 
+    /// DIN's local activation unit as one op: for sample `r` and position
+    /// `i < t`, with `q = query[r]` and `k = seq[r, i·d .. i·d+d]`,
+    /// `scores[r, i] = leaky([q; k; q-k; q⊙k] · w1 + b1) · w2 + b2`, for
+    /// `query [m, d]`, `seq [m, t·d]`, `w1 [4d, h]`, `b1 [1, h]`, `w2 [h, 1]`,
+    /// `b2 [1, 1]`.
+    ///
+    /// Bitwise equal, forward and backward, to the composite `repeat_rows`,
+    /// `sub`, `mul`, `concat_cols`, `matmul`, `add_row`, `leaky_relu`,
+    /// `matmul`, `add_row`, `reshape` (DESIGN.md §15). Samples go 32 at a
+    /// time, so a block's features are still in cache when the GEMM reads
+    /// them. A training tape keeps the features and hidden activations for
+    /// the backward pass; an inference tape recycles them as soon as the
+    /// scores are out.
+    #[allow(clippy::too_many_arguments)]
+    pub fn din_scores(
+        &mut self,
+        query: Var,
+        seq: Var,
+        w1: Var,
+        b1: Var,
+        w2: Var,
+        b2: Var,
+        t: usize,
+        slope: f32,
+    ) -> Var {
+        let (qv, sv) = (self.value(query), self.value(seq));
+        let (m, d) = qv.shape();
+        let (fw, h) = (4 * d, self.value(w1).cols());
+        assert!(t > 0, "din_scores: t must be positive");
+        assert_eq!(sv.shape(), (m, t * d), "din_scores: seq must be [{m},{}]", t * d);
+        assert_eq!(self.value(w1).shape(), (fw, h), "din_scores: w1 must be [{fw},{h}]");
+        assert_eq!(self.value(b1).shape(), (1, h), "din_scores: b1 must be [1,{h}]");
+        assert_eq!(self.value(w2).shape(), (h, 1), "din_scores: w2 must be [{h},1]");
+        assert_eq!(self.value(b2).shape(), (1, 1), "din_scores: b2 must be [1,1]");
+        let _span = basm_obs::span!("tensor.din_scores", rows = m, t, d, h);
+        let (w1d, b1d) = (self.value(w1).data(), self.value(b1).data());
+        let w2d = self.value(w2).data();
+        let b2v = self.value(b2).item();
+        let mut scores = Tensor::scratch_pooled(m, t);
+        let mut feats = Tensor::scratch_pooled(m * t, fw);
+        let mut acts = Tensor::scratch_pooled(m * t, h);
+        let threads = pool::threads_for(m, m * t * fw * h);
+        let outs = [scores.data_mut(), feats.data_mut(), acts.data_mut()];
+        pool::par_row_blocks_n(outs, [t, t * fw, t * h], threads, |s0, [sc, f, a]| {
+            for b0 in (0..sc.len() / t).step_by(DIN_BLOCK) {
+                let nb = DIN_BLOCK.min(sc.len() / t - b0);
+                let (r0, r1) = (b0 * t, (b0 + nb) * t);
+                let (f, a) = (&mut f[r0 * fw..r1 * fw], &mut a[r0 * h..r1 * h]);
+                for (ri, frow) in f.chunks_mut(fw).enumerate() {
+                    let s = s0 + b0 + ri / t;
+                    let (q, k) = (qv.row(s), &sv.row(s)[(ri % t) * d..(ri % t + 1) * d]);
+                    let (fq, rest) = frow.split_at_mut(d);
+                    let (fk, rest) = rest.split_at_mut(d);
+                    let (fdiff, fprod) = rest.split_at_mut(d);
+                    fq.copy_from_slice(q);
+                    fk.copy_from_slice(k);
+                    simd::binary(simd::BinOp::Sub, fdiff, q, k);
+                    simd::binary(simd::BinOp::Mul, fprod, q, k);
+                }
+                linalg::gemm_rows(f, fw, 1, w1d, fw, h, 0, a);
+                for arow in a.chunks_mut(h) {
+                    for (x, &b) in arow.iter_mut().zip(b1d) {
+                        let pre = *x + b;
+                        *x = select(pre > 0.0, pre, slope * pre);
+                    }
+                }
+                let sc = &mut sc[r0..r1];
+                linalg::gemm_rows(a, h, 1, w2d, h, 1, 0, sc);
+                sc.iter_mut().for_each(|s| *s += b2v);
+            }
+        });
+        let rg = [query, seq, w1, b1, w2, b2].iter().any(|v| self.rg(v.0));
+        let saved = if self.inference {
+            feats.recycle();
+            acts.recycle();
+            None
+        } else {
+            Some(Saved::DinActs { feats, acts })
+        };
+        let op = Op::DinScores {
+            query: query.0,
+            seq: seq.0,
+            w1: w1.0,
+            b1: b1.0,
+            w2: w2.0,
+            b2: b2.0,
+            t,
+            slope,
+        };
+        self.push_saved(op, scores, rg, saved)
+    }
+
     // --------------------------------------------------------- normalization
 
     /// Batch normalization core (no affine): per-column standardization with
@@ -739,8 +877,8 @@ impl Graph {
         let xv = self.value(x);
         let (m, n) = xv.shape();
         assert!(m > 0, "batch_norm_train: empty batch");
-        let mut mean = vec![0.0f32; n];
-        let mut var = vec![0.0f32; n];
+        let mut mean = bufpool::acquire_zeroed(n);
+        let mut var = bufpool::acquire_zeroed(n);
         for r in 0..m {
             for (j, &v) in xv.row(r).iter().enumerate() {
                 mean[j] += v;
@@ -818,7 +956,7 @@ impl Graph {
             let term = z.max(0.0) - z * y + (-z.abs()).exp().ln_1p();
             total += term as f64;
         }
-        let v = Tensor::scalar((total / count) as f32);
+        let v = Tensor::full_pooled(1, 1, (total / count) as f32);
         let rg = self.rg(logits.0);
         self.push(Op::BceWithLogits { logits: logits.0, labels: labels.0 }, v, rg)
     }
@@ -832,6 +970,11 @@ impl Drop for Graph {
         self.reset();
     }
 }
+
+/// Samples per cache block of [`Graph::din_scores`]: a block's features
+/// (`DIN_BLOCK·t` rows of `4d`) are written and then read by the GEMM while
+/// still cache-resident — 320 KiB at `t = 20`, `d = 32`.
+pub(crate) const DIN_BLOCK: usize = 32;
 
 /// Graphs retained per thread by [`with_graph`]. Serving fans one request
 /// out per worker thread and each worker needs at most one live graph, but
@@ -865,6 +1008,15 @@ pub fn with_graph<R>(f: impl FnOnce(&mut Graph) -> R) -> R {
         }
     });
     out
+}
+
+/// `if pos { x } else { other }` as a bitwise select. LeakyReLU's sign test
+/// on activations is a coin flip, so a branch there mispredicts every other
+/// element; this form cannot become a branch.
+#[inline(always)]
+pub(crate) fn select(pos: bool, x: f32, other: f32) -> f32 {
+    let m = (pos as u32).wrapping_neg();
+    f32::from_bits((x.to_bits() & m) | (other.to_bits() & !m))
 }
 
 /// Numerically stable logistic function.
@@ -1022,6 +1174,40 @@ mod tests {
         let (m, s) = g.bn_saved(y).unwrap();
         assert!((m[0] - 2.5).abs() < 1e-6);
         assert!((s[0] - 1.25).abs() < 1e-5);
+    }
+
+    /// `memory_bytes` counts saved backward context: a training tape holds
+    /// the fused attention op's features and activations (and BN's batch
+    /// statistics) on top of the values an inference tape holds, so Table
+    /// VI's activation column cannot shrink by hiding buffers in `Saved`.
+    #[test]
+    fn memory_bytes_counts_saved_buffers() {
+        let (m, t, d, h) = (3, 5, 4, 8);
+        let build = |inference: bool| {
+            let mut g = Graph::new();
+            g.set_inference(inference);
+            let mut v = |r, c| {
+                g.input(Tensor::from_fn(r, c, |i, j| ((i * 7 + j) % 5) as f32 - 2.0))
+            };
+            let (q, seq) = (v(m, d), v(m, t * d));
+            let (w1, b1, w2, b2) = (v(4 * d, h), v(1, h), v(h, 1), v(1, 1));
+            g.din_scores(q, seq, w1, b1, w2, b2, t, 0.01);
+            g.memory_bytes()
+        };
+        let f32s = std::mem::size_of::<f32>();
+        let saved = Tensor::scratch_pooled(m * t, 4 * d).capacity()
+            + Tensor::scratch_pooled(m * t, h).capacity();
+        assert_eq!(build(false), build(true) + saved * f32s);
+
+        let mut g = Graph::new();
+        let x = g.input(Tensor::from_fn(m, t, |i, j| (i * t + j) as f32));
+        let y = g.batch_norm_train(x, 1e-5);
+        let (mean, var) = match &g.nodes[y.0].saved {
+            Some(Saved::BnStats { mean, var }) => (mean.capacity(), var.capacity()),
+            _ => unreachable!("batch_norm_train saves its statistics"),
+        };
+        let values = g.value(x).capacity() + g.value(y).capacity();
+        assert_eq!(g.memory_bytes(), (values + mean + var) * f32s);
     }
 
     #[test]

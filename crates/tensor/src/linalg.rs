@@ -74,6 +74,16 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
     let (n, k2) = b.shape();
     assert_eq!(k, k2, "matmul_a_bt: inner dims {k} vs {k2}");
     let _span = basm_obs::span!("tensor.matmul_a_bt", rows = m, inner = k, cols = n);
+    let bt = transpose_scratch(b);
+    let c = gemm(a.data(), k, 1, &bt, m, k, n);
+    bufpool::release(bt);
+    c
+}
+
+/// `bᵀ` of an `[n, k]` tensor as a row-major `[k, n]` pooled buffer — the
+/// right operand of `A · Bᵀ`. Return it with [`bufpool::release`].
+pub(crate) fn transpose_scratch(b: &Tensor) -> Vec<f32> {
+    let (n, k) = b.shape();
     let bd = b.data();
     let mut bt = bufpool::acquire_scratch(k * n);
     for p in 0..k {
@@ -81,42 +91,62 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
             bt[p * n + j] = bd[j * k + p];
         }
     }
-    let c = gemm(a.data(), k, 1, &bt, m, k, n);
-    bufpool::release(bt);
-    c
+    bt
 }
 
 /// `C = A · B` into a fresh `[m, n]` tensor, for `A(i,p) = a[i·ai + p·ap]`
 /// and row-major `b: [k, n]`. Output rows are partitioned across the pool;
 /// each element's sum does not depend on the partition.
 fn gemm(a: &[f32], ai: usize, ap: usize, b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
-    // The kernel reads without bounds checks; these make every read valid.
-    assert!(m == 0 || k == 0 || (m - 1) * ai + (k - 1) * ap < a.len(), "gemm: A too short");
-    assert_eq!(b.len(), k * n, "gemm: B is not [k, n]");
     // Pooled scratch: the kernel writes every element, so no memset.
     let mut c = Tensor::scratch_pooled(m, n);
-    let lanes = simd::active_lanes();
     let threads = pool::threads_for(m, m * k * n);
     pool::par_row_blocks(c.data_mut(), n, threads, |i0, block| {
-        if k == 0 {
-            block.fill(0.0); // the empty sum
-            return;
-        }
-        // SAFETY: the block holds whole output rows `i0..i0 + rows` with
-        // `i0 + rows <= m`, so every `A(i,p)` read is inside `a` and every
-        // `B(p,j)` read inside `b` (both asserted above); `lanes` comes from
-        // `active_lanes`, so 8 lanes implies the CPU has AVX.
-        unsafe {
-            match lanes {
-                #[cfg(target_arch = "x86_64")]
-                8 => gemm_avx(a, ai, ap, b, block, i0, k, n),
-                #[cfg(target_arch = "x86_64")]
-                4 => gemm_tiled::<simd::Sse>(a, ai, ap, b, block, i0, k, n),
-                _ => gemm_tiled::<simd::Scalar>(a, ai, ap, b, block, i0, k, n),
-            }
-        }
+        gemm_rows(a, ai, ap, b, k, n, i0, block);
     });
     c
+}
+
+/// Output rows `i0..i0 + c.len() / n` of `C = A · B` into `c`, on the
+/// calling thread: the row-block entry fused ops use to run the kernel on a
+/// cache-sized block. Bits are those of the same rows of a whole-matrix
+/// call, since no element's sum depends on which rows share a call.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_rows(
+    a: &[f32],
+    ai: usize,
+    ap: usize,
+    b: &[f32],
+    k: usize,
+    n: usize,
+    i0: usize,
+    c: &mut [f32],
+) {
+    let rows = c.len() / n.max(1);
+    if rows == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        c.fill(0.0); // the empty sum
+        return;
+    }
+    // The kernel reads without bounds checks; these make every read valid.
+    assert!((i0 + rows - 1) * ai + (k - 1) * ap < a.len(), "gemm: A too short");
+    assert_eq!(b.len(), k * n, "gemm: B is not [k, n]");
+    assert_eq!(c.len(), rows * n, "gemm: C is not whole rows");
+    // SAFETY: `c` holds whole output rows `i0..i0 + rows`, so every
+    // `A(i,p)` read is inside `a` and every `B(p,j)` read inside `b` (both
+    // asserted above); `active_lanes` reports 8 lanes only when the CPU has
+    // AVX.
+    unsafe {
+        match simd::active_lanes() {
+            #[cfg(target_arch = "x86_64")]
+            8 => gemm_avx(a, ai, ap, b, c, i0, k, n),
+            #[cfg(target_arch = "x86_64")]
+            4 => gemm_tiled::<simd::Sse>(a, ai, ap, b, c, i0, k, n),
+            _ => gemm_tiled::<simd::Scalar>(a, ai, ap, b, c, i0, k, n),
+        }
+    }
 }
 
 /// The AVX instance of [`gemm_tiled`]: the whole loop nest in one

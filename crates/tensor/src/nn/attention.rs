@@ -12,13 +12,18 @@
 //! `[batch, seq_len]` 0/1 mask; padded positions are excluded by masked
 //! softmax.
 //!
-//! These blocks compose graph ops exclusively, so the SIMD kernel layer
-//! (DESIGN.md §14) rides in underneath: the score matmuls run the
-//! lane-parallel micro-kernels and the (masked) softmax's sub-max /
-//! normalize passes run the lane-parallel broadcasts, while the max/sum
-//! folds stay serial. `BASM_SIMD` therefore never moves attention bits —
-//! pinned transitively by `tests/simd_equivalence.rs` and the composite
-//! forward/backward pin in `tests/parallel_determinism.rs`.
+//! [`TargetAttention`] scores behaviors with one fused graph op,
+//! [`Graph::din_scores`], which keeps its parameters in the block's [`Mlp`]
+//! and is pinned bitwise (forward and every gradient) to the composite of
+//! primitive ops it replaces by `tests/din_scores.rs`. The other blocks
+//! compose primitive graph ops. Either way the SIMD kernel layer
+//! (DESIGN.md §14) rides in underneath: the matmuls run the register-tiled
+//! GEMM, the (masked) softmax's sub-max / normalize passes run the
+//! lane-parallel broadcasts, and the max/sum folds stay serial. `BASM_SIMD`
+//! therefore never moves attention bits — pinned by
+//! `tests/simd_equivalence.rs`, `tests/din_scores.rs` and the composite
+//! forward/backward pin in `tests/parallel_determinism.rs`. The activation
+//! unit always runs in f32, including under `BASM_QUANT=int8`.
 
 use crate::graph::{Graph, Var};
 use crate::nn::linear::Linear;
@@ -60,16 +65,18 @@ impl TargetAttention {
         let d = self.dim;
         let m = g.value(query).rows();
         debug_assert_eq!(g.value(query).cols(), d);
-        debug_assert_eq!(g.value(seq).shape(), (m, t * d));
         debug_assert_eq!(g.value(mask).shape(), (m, t));
 
-        let seq_flat = g.reshape(seq, m * t, d);
-        let q_rep = g.repeat_rows(query, t);
-        let diff = g.sub(q_rep, seq_flat);
-        let prod = g.mul(q_rep, seq_flat);
-        let feats = g.concat_cols(&[q_rep, seq_flat, diff, prod]);
-        let scores_flat = self.mlp.forward(g, store, feats);
-        let scores = g.reshape(scores_flat, m, t);
+        let [fc0, fc1] = self.mlp.layers() else { unreachable!("two-layer activation unit") };
+        let Activation::LeakyRelu(slope) = self.mlp.activation() else {
+            unreachable!("the activation unit is LeakyReLU")
+        };
+        let bias = |l: &Linear| l.b.expect("activation-unit layers have biases");
+        let w1 = g.param(store, fc0.w);
+        let b1 = g.param(store, bias(fc0));
+        let w2 = g.param(store, fc1.w);
+        let b2 = g.param(store, bias(fc1));
+        let scores = g.din_scores(query, seq, w1, b1, w2, b2, t, slope);
         let att = g.masked_softmax_rows(scores, mask);
         let pooled = g.seq_weighted_sum(seq, att, t, d);
         (pooled, att)

@@ -142,7 +142,8 @@ impl EmbeddingTable {
     /// Gather `ids` into a dense `[ids.len(), dim]` tensor, bypassing the
     /// hot-row cache (read-only callers).
     pub fn gather(&self, ids: &[u32]) -> Tensor {
-        let mut out = Tensor::zeros(ids.len(), self.dim);
+        // Every row is overwritten below, so pooled scratch needs no memset.
+        let mut out = Tensor::scratch_pooled(ids.len(), self.dim);
         for (r, &id) in ids.iter().enumerate() {
             out.row_mut(r).copy_from_slice(self.row(id));
         }
@@ -156,7 +157,7 @@ impl EmbeddingTable {
             Backing::Ram { .. } => self.gather(ids),
             Backing::Pack(p) => {
                 let dim = self.dim;
-                let mut out = Tensor::zeros(ids.len(), dim);
+                let mut out = Tensor::scratch_pooled(ids.len(), dim);
                 for (r, &id) in ids.iter().enumerate() {
                     assert!(
                         (id as usize) < self.rows,

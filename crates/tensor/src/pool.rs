@@ -164,20 +164,59 @@ pub fn par_row_blocks<F>(out: &mut [f32], width: usize, threads: usize, f: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
-    debug_assert!(width > 0 && out.len() % width == 0);
-    let rows = out.len() / width;
+    par_row_blocks_n([out], [width], threads, |first_row, [block]| f(first_row, block));
+}
+
+/// [`par_row_blocks`] over `N` outputs that share one row partition: output
+/// `i` is row-major with `widths[i]` floats per row, and every output has
+/// the same row count. `f(first_row, blocks)` receives the same rows of
+/// every output — how a fused op writes its result and its saved
+/// intermediates in one pass.
+///
+/// ```
+/// use basm_tensor::pool;
+///
+/// // Row r of `a` (width 1) and `b` (width 2) written together, on 2 threads.
+/// let (mut a, mut b) = (vec![0.0f32; 4], vec![0.0f32; 8]);
+/// pool::par_row_blocks_n([&mut a[..], &mut b[..]], [1, 2], 2, |first_row, [a, b]| {
+///     for (i, (x, y)) in a.iter_mut().zip(b.chunks_mut(2)).enumerate() {
+///         *x = (first_row + i) as f32;
+///         y.fill(*x);
+///     }
+/// });
+/// assert_eq!((a[3], b[7]), (3.0, 3.0));
+/// ```
+pub fn par_row_blocks_n<const N: usize, F>(
+    outs: [&mut [f32]; N],
+    widths: [usize; N],
+    threads: usize,
+    f: F,
+) where
+    F: Fn(usize, [&mut [f32]; N]) + Sync,
+{
+    debug_assert!(widths.iter().all(|&w| w > 0));
+    let rows = outs[0].len() / widths[0];
+    debug_assert!((0..N).all(|i| outs[i].len() == rows * widths[i]));
     if threads <= 1 || rows <= 1 {
         basm_obs::counter_add("pool.serial_regions", 1);
-        f(0, out);
+        f(0, outs);
         return;
     }
     let threads = threads.min(rows);
     basm_obs::counter_add("pool.par_regions", 1);
     basm_obs::counter_add("pool.par_threads", threads as u64);
     let chunk_rows = rows.div_ceil(threads);
+    let mut rest = outs;
+    let mut blocks = (0..rows.div_ceil(chunk_rows)).map(|_| {
+        std::array::from_fn::<_, N, _>(|i| {
+            let tail = std::mem::take(&mut rest[i]);
+            let (block, tail) = tail.split_at_mut((chunk_rows * widths[i]).min(tail.len()));
+            rest[i] = tail;
+            block
+        })
+    });
     std::thread::scope(|scope| {
         let f = &f;
-        let mut blocks = out.chunks_mut(chunk_rows * width);
         let first = blocks.next().expect("non-empty output");
         for (bi, block) in blocks.enumerate() {
             let first_row = (bi + 1) * chunk_rows;

@@ -771,7 +771,15 @@ mod tests {
     }
 
     /// Run `f` with SIMD forced on and off, assert identical output bits.
+    /// The SIMD override is process-global; serialize the tests that flip
+    /// it, or one test's `set_simd` lands between another's set and check.
+    fn simd_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     fn assert_modes_match(mut f: impl FnMut() -> Vec<f32>) {
+        let _guard = simd_lock();
         set_simd(Some(true));
         let wide = f();
         set_simd(Some(false));
@@ -855,6 +863,7 @@ mod tests {
 
     #[test]
     fn env_gate_defaults_on_and_override_wins() {
+        let _guard = simd_lock();
         set_simd(None);
         // Whatever the env says, the override must dominate.
         set_simd(Some(false));

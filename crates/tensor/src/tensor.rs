@@ -64,6 +64,13 @@ impl Tensor {
         Self { data: vec![value; rows * cols], rows, cols }
     }
 
+    /// [`Tensor::full`] in a buffer from the recycling pool.
+    pub fn full_pooled(rows: usize, cols: usize, value: f32) -> Self {
+        let mut out = Self::scratch_pooled(rows, cols);
+        out.data.fill(value);
+        out
+    }
+
     /// Build a tensor from an existing buffer. Panics if the buffer length
     /// does not equal `rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
@@ -199,7 +206,14 @@ impl Tensor {
             "reshape {:?} -> ({rows},{cols}) changes element count",
             self.shape()
         );
-        Tensor { data: self.data.clone(), rows, cols }
+        Tensor { rows, cols, ..self.clone_pooled() }
+    }
+
+    /// [`Clone::clone`] into a buffer from the recycling pool.
+    pub fn clone_pooled(&self) -> Tensor {
+        let mut out = Tensor::scratch_pooled(self.rows, self.cols);
+        out.data.copy_from_slice(&self.data);
+        out
     }
 
     /// Transposed copy.

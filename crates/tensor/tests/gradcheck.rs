@@ -352,3 +352,22 @@ fn meta_linear_in_major_matches_transposed_meta_linear() {
         assert!((x - y).abs() < 1e-6);
     }
 }
+
+#[test]
+fn grad_din_scores() {
+    let mut rng = Prng::seeded(21);
+    // query [2, 3], seq [2, 4*3] (t = 4), w1 [12, 5], b1, w2 [5, 1], b2.
+    let inputs = [
+        rt(&mut rng, 2, 3),
+        rt(&mut rng, 2, 12),
+        rt(&mut rng, 12, 5),
+        rt_off(&mut rng, 1, 5),
+        rt(&mut rng, 5, 1),
+        rt(&mut rng, 1, 1),
+    ];
+    assert_gradients(&inputs, |g, v| {
+        let s = g.din_scores(v[0], v[1], v[2], v[3], v[4], v[5], 4, 0.1);
+        let q = g.square(s);
+        g.mean_all(q)
+    });
+}
