@@ -7,26 +7,45 @@
 //!   is parsed, but the embedding shards are attached via mmap — no record is
 //!   deserialized, so the open cost is independent of table size.
 //!
-//! After the warm attach the binary drives a Zipf-ish lookup stream through
-//! the pack-backed store and reports the hot-row-cache hit rates, at two
-//! embedding scales (tiny and eleme-like worlds).
+//! Then it times the two embedding data paths on the restored models, RAM
+//! table against mmap'd pack table, interleaved rep by rep: a **gather**
+//! (`EmbeddingStore::lookup` over every table) and a **sparse update**
+//! (`apply_grads` of one backward's gradients), each in ns per id, on a
+//! head-heavy id stream, at two embedding scales (tiny and eleme-like
+//! worlds). Both arms apply the same updates, and their rows are checked
+//! bit for bit afterwards.
 
 use basm_bench::{timing, BenchEnv};
 use basm_core::checkpoint::{load_model_dir, load_model_file, save_model_dir, save_model_file};
 use basm_core::model::CtrModel;
 use basm_data::WorldConfig;
-use basm_tensor::packstore;
-use basm_tensor::Graph;
+use basm_tensor::nn::embedding::{EmbeddingStore, TableId};
+use basm_tensor::packstore::{self, set_emb_store, StoreMode};
+use basm_tensor::{Graph, Var};
 use serde::Serialize;
 
+/// One embedding data path, RAM vs pack.
 #[derive(Serialize)]
-struct CacheReport {
-    /// Lookups driven through the cached gather path.
-    lookups: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    hit_rate: f64,
+struct PathCost {
+    /// Ids per timed rep (summed over tables).
+    ids_per_rep: usize,
+    ram_ns_per_id: f64,
+    pack_ns_per_id: f64,
+    /// Interleaved samples; `speedup` is RAM time / pack time per pair.
+    comparison: timing::Comparison,
+}
+
+impl PathCost {
+    fn new(ids_per_rep: usize, ram: Vec<f64>, pack: Vec<f64>) -> Self {
+        let comparison = timing::summarize(("ram", "pack"), ram, pack);
+        let ns = |secs: f64| secs * 1e9 / ids_per_rep as f64;
+        Self {
+            ids_per_rep,
+            ram_ns_per_id: ns(comparison.baseline.median_secs),
+            pack_ns_per_id: ns(comparison.candidate.median_secs),
+            comparison,
+        }
+    }
 }
 
 #[derive(Serialize)]
@@ -50,7 +69,8 @@ struct SizeReport {
     /// Embedding heap bytes resident immediately after the warm attach
     /// (the zero-deserialize claim, in numbers).
     resident_after_attach_bytes: usize,
-    cache: CacheReport,
+    gather: PathCost,
+    sparse_update: PathCost,
 }
 
 #[derive(Serialize)]
@@ -74,42 +94,78 @@ fn dir_bytes(dir: &std::path::Path) -> u64 {
     total
 }
 
-/// Drive a Zipf-ish id stream through every table's cached gather path and
-/// return the aggregate cache accounting.
-fn cache_workload(model: &mut dyn CtrModel, batches: usize) -> CacheReport {
-    let store = &mut model.embedder().emb;
-    let specs: Vec<(String, usize)> =
-        store.tables().map(|t| (t.name().to_string(), t.rows())).collect();
-    let mut state: u64 = 0x5EED;
-    let mut lookups = 0u64;
-    for _ in 0..batches {
-        for (name, rows) in &specs {
-            let id = store.id_of(name).expect("table exists");
-            let ids: Vec<u32> = (0..32)
+/// Ids per table per rep.
+const IDS_PER_TABLE: usize = 4096;
+
+/// One rep's ids for every table: a head-heavy stream (a cubed uniform
+/// draw, like real uid/item traffic), padding row 0 included.
+fn draw_ids(rows: &[usize], state: &mut u64) -> Vec<Vec<u32>> {
+    rows.iter()
+        .map(|&n| {
+            (0..IDS_PER_TABLE)
                 .map(|_| {
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    // Cube a uniform draw: ~Zipf-ish head-heavy skew, like
-                    // real uid/item traffic.
-                    let u = (state >> 11) as f64 / (1u64 << 53) as f64;
-                    ((u * u * u * *rows as f64) as u32).min(*rows as u32 - 1)
+                    *state =
+                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let u = (*state >> 11) as f64 / (1u64 << 53) as f64;
+                    ((u * u * u * n as f64) as u32).min(n as u32 - 1)
                 })
-                .collect();
-            let mut g = Graph::new();
-            std::hint::black_box(store.lookup(&mut g, id, &ids));
-            store.clear_journal();
-            lookups += ids.len() as u64;
-        }
+                .collect()
+        })
+        .collect()
+}
+
+/// One rep on one arm: look every table's ids up on a fresh tape, backprop
+/// their sum, and apply the sparse update; returns (gather, update) seconds.
+fn step(store: &mut EmbeddingStore, ids: &[Vec<u32>]) -> (f64, f64) {
+    let mut g = Graph::new();
+    let tables: Vec<TableId> =
+        store.tables().map(|t| store.id_of(t.name()).expect("registered table")).collect();
+    let (leaves, gather_secs) = timing::timed(|| {
+        tables.iter().zip(ids).map(|(&t, ids)| store.lookup(&mut g, t, ids)).collect::<Vec<Var>>()
+    });
+    let mut loss = g.sum_all(leaves[0]);
+    for &v in &leaves[1..] {
+        let s = g.sum_all(v);
+        loss = g.add(loss, s);
     }
-    let s = store.cache_stats();
-    CacheReport {
-        lookups,
-        hits: s.hits,
-        misses: s.misses,
-        evictions: s.evictions,
-        hit_rate: s.hit_rate(),
+    g.backward(loss);
+    let ((), update_secs) = timing::timed(|| store.apply_grads(&g, 0.01));
+    (gather_secs, update_secs)
+}
+
+/// Time gather and sparse update on the RAM and pack restores of one
+/// checkpoint, alternating the two arms rep by rep.
+fn data_paths(
+    ram: &mut dyn CtrModel,
+    pack: &mut dyn CtrModel,
+    reps: usize,
+) -> (PathCost, PathCost) {
+    let rows: Vec<usize> = ram.embedder().emb.tables().map(|t| t.rows()).collect();
+    let mut state: u64 = 0x5EED;
+    for _ in 0..3 {
+        let ids = draw_ids(&rows, &mut state);
+        step(&mut ram.embedder().emb, &ids);
+        step(&mut pack.embedder().emb, &ids);
     }
+    let (mut gr, mut gp, mut ur, mut up) = (vec![], vec![], vec![], vec![]);
+    for _ in 0..reps {
+        let ids = draw_ids(&rows, &mut state);
+        let (g, u) = step(&mut ram.embedder().emb, &ids);
+        gr.push(g);
+        ur.push(u);
+        let (g, u) = step(&mut pack.embedder().emb, &ids);
+        gp.push(g);
+        up.push(u);
+    }
+    for (a, b) in ram.embedder().emb.tables().zip(pack.embedder().emb.tables()) {
+        assert!(b.is_pack() && !a.is_pack(), "arms must be RAM and pack");
+        let (aw, aa) = a.snapshot();
+        let (bw, ba) = b.snapshot();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(bits(&aw) == bits(&bw) && bits(&aa) == bits(&ba), "{} diverged", a.name());
+    }
+    let n = rows.len() * IDS_PER_TABLE;
+    (PathCost::new(n, gr, gp), PathCost::new(n, ur, up))
 }
 
 fn bench_config(cfg: &WorldConfig, reps: usize) -> SizeReport {
@@ -140,7 +196,9 @@ fn bench_config(cfg: &WorldConfig, reps: usize) -> SizeReport {
     }
 
     // Cross-check: both restore paths must land on the same bits.
+    set_emb_store(Some(StoreMode::Ram)); // the RAM arm, whatever BASM_EMB_STORE says
     let mut cold = basm_baselines::build_model("Wide&Deep", cfg, 2);
+    set_emb_store(None);
     load_model_file(cold.as_mut(), &flat_path).expect("cold load");
     let mut warm = basm_baselines::build_model("Wide&Deep", cfg, 2);
     load_model_dir(warm.as_mut(), &dir_path).expect("warm attach");
@@ -155,7 +213,7 @@ fn bench_config(cfg: &WorldConfig, reps: usize) -> SizeReport {
         }
     }
 
-    let cache = cache_workload(warm.as_mut(), 200);
+    let (gather, sparse_update) = data_paths(cold.as_mut(), warm.as_mut(), 41);
     let cold_load_secs = timing::median(cold_samples);
     let warm_attach_secs = timing::median(warm_samples);
     let report = SizeReport {
@@ -168,15 +226,20 @@ fn bench_config(cfg: &WorldConfig, reps: usize) -> SizeReport {
         warm_attach_secs,
         speedup: cold_load_secs / warm_attach_secs,
         resident_after_attach_bytes: resident,
-        cache,
+        gather,
+        sparse_update,
     };
     eprintln!(
-        "[bench_embstore] {}: cold {:.2}ms vs warm {:.3}ms ({:.0}x), cache hit rate {:.1}%",
+        "[bench_embstore] {}: cold {:.2}ms vs warm {:.3}ms ({:.0}x); gather {:.1} vs {:.1} ns/id, \
+         update {:.1} vs {:.1} ns/id (ram vs pack)",
         report.config,
         report.cold_load_secs * 1e3,
         report.warm_attach_secs * 1e3,
         report.speedup,
-        report.cache.hit_rate * 100.0
+        report.gather.ram_ns_per_id,
+        report.gather.pack_ns_per_id,
+        report.sparse_update.ram_ns_per_id,
+        report.sparse_update.pack_ns_per_id,
     );
     let _ = std::fs::remove_dir_all(&scratch);
     report
@@ -193,9 +256,12 @@ fn main() {
     let report = EmbstoreBench {
         note: "cold = flat sealed checkpoint, every embedding row deserialized; \
                warm = checkpoint directory, shards mmap'd at attach (no per-row \
-               deserialize — resident_after_attach_bytes counts overlay+cache \
-               rows only). Cache stats from a head-heavy (u^3) id stream, \
-               32 ids/table/batch over 200 batches."
+               deserialize — resident_after_attach_bytes counts overlay rows \
+               only). gather / sparse_update: ns per id of EmbeddingStore::lookup \
+               and apply_grads on the cold (RAM) and warm (pack) restores, \
+               4096 head-heavy (u^3) ids per table per rep, 41 reps after 3 \
+               warmups, arms interleaved rep by rep; rows checked bitwise equal \
+               after."
             .to_string(),
         sizes,
     };

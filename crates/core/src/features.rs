@@ -168,22 +168,27 @@ impl FeatureEmbedder {
     /// Candidate-item field: item ⊕ category ⊕ brand ⊕ position embeddings
     /// ⊕ item dense statistics.
     pub fn candidate_field(&mut self, g: &mut Graph, b: &Batch) -> Var {
-        let ie = self.emb.lookup(g, self.t_item, &b.item_ids);
-        let ce = self.emb.lookup(g, self.t_cat, &b.cat_ids);
-        let be = self.emb.lookup(g, self.t_brand, &b.brand_ids);
-        let pe = self.emb.lookup(g, self.t_pos, &b.pos_ids);
+        let parts = [
+            (self.t_item, &b.item_ids[..]),
+            (self.t_cat, &b.cat_ids[..]),
+            (self.t_brand, &b.brand_ids[..]),
+            (self.t_pos, &b.pos_ids[..]),
+        ];
+        let emb = self.emb.lookup_concat(g, &parts, b.size);
         let dense = self.dense_input(g, b);
         let id = g.slice_cols(dense, ITEM_DENSE.0, ITEM_DENSE.1);
-        g.concat_cols(&[ie, ce, be, pe, id])
+        g.concat_cols(&[emb, id])
     }
 
     /// Spatiotemporal context field: time-period ⊕ hour ⊕ city ⊕ geohash.
     pub fn context_field(&mut self, g: &mut Graph, b: &Batch) -> Var {
-        let tpe = self.emb.lookup(g, self.t_tp, &b.tp_ids);
-        let he = self.emb.lookup(g, self.t_hour, &b.hour_ids);
-        let cye = self.emb.lookup(g, self.t_city, &b.city_ids);
-        let ge = self.emb.lookup(g, self.t_geo, &b.geo_ids);
-        g.concat_cols(&[tpe, he, cye, ge])
+        let parts = [
+            (self.t_tp, &b.tp_ids[..]),
+            (self.t_hour, &b.hour_ids[..]),
+            (self.t_city, &b.city_ids[..]),
+            (self.t_geo, &b.geo_ids[..]),
+        ];
+        self.emb.lookup_concat(g, &parts, b.size)
     }
 
     /// Width of [`FeatureEmbedder::context_direct`] (5 time-period one-hots,
@@ -221,22 +226,24 @@ impl FeatureEmbedder {
     /// Attention query matching the sequence layout: candidate item ⊕
     /// candidate category ⊕ current time-period.
     pub fn query_emb(&mut self, g: &mut Graph, b: &Batch) -> Var {
-        let ie = self.emb.lookup(g, self.t_item, &b.item_ids);
-        let ce = self.emb.lookup(g, self.t_cat, &b.cat_ids);
-        let te = self.emb.lookup(g, self.t_tp, &b.tp_ids);
-        g.concat_cols(&[ie, ce, te])
+        let parts = [
+            (self.t_item, &b.item_ids[..]),
+            (self.t_cat, &b.cat_ids[..]),
+            (self.t_tp, &b.tp_ids[..]),
+        ];
+        self.emb.lookup_concat(g, &parts, b.size)
     }
 
     /// Behavior-sequence embeddings `[B, T * seq_dim]` (item ⊕ category ⊕
-    /// time-period per position; padded positions embed to zero via row 0).
+    /// time-period per position; padded positions embed to zero via row 0),
+    /// gathered straight into the `[B, T·seq_dim]` leaf.
     pub fn seq_embs(&mut self, g: &mut Graph, b: &Batch) -> Var {
-        let bt = b.size * b.seq_len;
-        let ie = self.emb.lookup(g, self.t_item, &b.seq_item); // [B*T, di]
-        let ce = self.emb.lookup(g, self.t_cat, &b.seq_cat);
-        let te = self.emb.lookup(g, self.t_tp, &b.seq_tp);
-        let per_pos = g.concat_cols(&[ie, ce, te]); // [B*T, seq_dim]
-        debug_assert_eq!(g.value(per_pos).rows(), bt);
-        g.reshape(per_pos, b.size, b.seq_len * self.dims.seq_dim())
+        let parts = [
+            (self.t_item, &b.seq_item[..]),
+            (self.t_cat, &b.seq_cat[..]),
+            (self.t_tp, &b.seq_tp[..]),
+        ];
+        self.emb.lookup_concat(g, &parts, b.size)
     }
 
     /// Masked mean pooling of a sequence `[B, T*d]` with a host-side mask

@@ -152,7 +152,7 @@ pub fn train_step_checked(
 ///
 /// Marks the graph as inference-mode, which lets dense layers route through
 /// the int8 serve kernels when `BASM_QUANT=int8` and the store holds prepared
-/// [`basm_tensor::QuantMatrix`] copies (see `ParamStore::prepare_quant`).
+/// [`basm_tensor::quant::QuantMatrix`] copies (see `ParamStore::prepare_quant`).
 /// Training steps never set this flag, so quantization can never leak into
 /// gradients.
 pub fn predict(model: &mut dyn CtrModel, batch: &Batch) -> Vec<f32> {

@@ -321,7 +321,7 @@ impl Graph {
 
     /// `a · dequant(qw)` through the int8 GEMM (`crate::quant`) — the opt-in
     /// quantized serve path. `w` must be the f32 parameter node `qw` was
-    /// derived from: the tape records a plain [`Op::Matmul`] on it, so in
+    /// derived from: the tape records a plain `Op::Matmul` on it, so in
     /// the (unreachable in practice) event backward runs on an inference
     /// tape, gradients are the straight-through f32 ones.
     pub fn matmul_quant(&mut self, a: Var, w: Var, qw: &QuantMatrix) -> Var {

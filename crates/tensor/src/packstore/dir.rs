@@ -1,41 +1,25 @@
 //! Pack directories and tables: the writer (shards + index + manifest), the
-//! reader ([`PackTable`]: mmap'd base, overlay, hot-row cache, delta replay),
-//! delta flushing, compaction, and full verification.
+//! reader ([`PackTable`]: mmap'd base under an in-place overlay, delta
+//! replay), delta flushing, compaction, and full verification.
 
 use super::format::{
     crc32, key_byte, name_hash, put_u32, put_u64, record_bytes, record_f32s, Cursor, IndexFile,
     PackError, ShardHeader, ShardMeta, DELTA_CHUNK_MAGIC, FANOUT, MANIFEST_MAGIC, PACK_VERSION,
     SHARD_HEADER_LEN,
 };
-use super::lru::{CacheStats, HotRowCache};
 use super::mapping::ShardData;
-use super::{atomic_write, crash};
-use std::collections::{BTreeMap, HashMap};
+use super::{atomic_write, crash, RowMap};
+use std::collections::BTreeSet;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 
-/// Tuning knobs for writing/opening a pack table.
-#[derive(Debug, Clone, Copy)]
+/// Layout knob for writing/opening a pack table.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PackOptions {
     /// Rows per shard; 0 selects the automatic policy (≤ [`FANOUT`] shards,
     /// at least 1024 rows each, so tiny tables stay single-file and an
     /// 81M-row table lands on exactly 256 shards).
     pub shard_rows: usize,
-    /// Hot-row cache capacity in rows (`BASM_PACK_CACHE`, default 4096).
-    pub cache_rows: usize,
-}
-
-impl Default for PackOptions {
-    fn default() -> Self {
-        Self { shard_rows: 0, cache_rows: default_cache_rows() }
-    }
-}
-
-fn default_cache_rows() -> usize {
-    static CACHE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("BASM_PACK_CACHE").ok().and_then(|v| v.parse().ok()).unwrap_or(4096)
-    })
 }
 
 /// The automatic rows-per-shard policy for a table of `rows` rows.
@@ -306,10 +290,41 @@ struct LoadedShard {
     data: ShardData,
 }
 
+/// Rows patched over the base: one flat arena of records plus a row → slot
+/// map, so a write updates its record in place and allocates nothing once
+/// the row has a slot.
+#[derive(Default)]
+struct Overlay {
+    slots: RowMap<usize>,
+    data: Vec<f32>,
+}
+
+impl Overlay {
+    fn get(&self, row: u32, nf: usize) -> Option<&[f32]> {
+        self.slots.get(&row).map(|&s| &self.data[s * nf..(s + 1) * nf])
+    }
+
+    /// The record of `row`, given a slot filled by `init` on first touch.
+    fn slot_mut(&mut self, row: u32, nf: usize, init: impl FnOnce(&mut Vec<f32>)) -> &mut [f32] {
+        let next = self.slots.len();
+        let s = *self.slots.entry(row).or_insert_with(|| {
+            init(&mut self.data);
+            next
+        });
+        debug_assert_eq!(self.data.len(), self.slots.len() * nf);
+        &mut self.data[s * nf..(s + 1) * nf]
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.data.clear();
+    }
+}
+
 /// One pack-backed table: mmap'd (or heap-decoded) base shards, an overlay of
-/// rows written since open, an LRU hot-row cache, and a buffer of updates not
-/// yet flushed to the delta file. See the module docs for the read/write
-/// paths and the durability story.
+/// rows written since open, and the set of overlay rows not yet flushed to
+/// the delta file. See the module docs for the read/write paths and the
+/// durability story.
 pub struct PackTable {
     name: String,
     rows: usize,
@@ -318,10 +333,10 @@ pub struct PackTable {
     index: IndexFile,
     shards: Vec<LoadedShard>,
     shard_starts: Vec<u64>,
-    overlay: HashMap<u32, Box<[f32]>>,
-    cache: HotRowCache,
-    pending: BTreeMap<u32, Box<[f32]>>,
-    cache_rows: usize,
+    overlay: Overlay,
+    /// Rows written since the last durable flush; their records are the
+    /// overlay's. Ascending order is the delta chunk's record order.
+    pending: BTreeSet<u32>,
     /// Bytes of the delta file known to hold complete, durable chunks (set
     /// by replay, advanced by successful flushes). A failed append leaves
     /// the file longer than this; the next flush truncates back before
@@ -339,7 +354,6 @@ impl PackTable {
         name: &str,
         expect_rows: usize,
         expect_dim: usize,
-        opts: PackOptions,
     ) -> Result<Self, PackError> {
         let ipath = idx_path(dir, name);
         let ibytes = std::fs::read(&ipath).map_err(|e| PackError::io(&ipath, &e))?;
@@ -391,10 +405,8 @@ impl PackTable {
             index,
             shards,
             shard_starts,
-            overlay: HashMap::new(),
-            cache: HotRowCache::new(opts.cache_rows),
-            pending: BTreeMap::new(),
-            cache_rows: opts.cache_rows,
+            overlay: Overlay::default(),
+            pending: BTreeSet::new(),
             delta_valid_len: 0,
         };
         table.replay_deltas()?;
@@ -425,7 +437,7 @@ impl PackTable {
     /// Rows currently patched over the base (written since open or replayed
     /// from the delta file).
     pub fn overlay_len(&self) -> usize {
-        self.overlay.len()
+        self.overlay.slots.len()
     }
 
     /// Updates not yet flushed to the delta file.
@@ -433,81 +445,63 @@ impl PackTable {
         self.pending.len()
     }
 
-    /// Hot-row cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
     /// Shards the base pack is split into.
     pub fn n_shards(&self) -> usize {
         self.shards.len()
     }
 
-    /// Heap bytes held for this table beyond the mappings: overlay + pending
-    /// deltas + cached rows (the mmap'd base is the page cache's business).
+    /// Heap bytes held for this table beyond the mappings: the overlay
+    /// records (the mmap'd base is the page cache's business; pending rows
+    /// are overlay rows).
     pub fn resident_bytes(&self) -> usize {
-        (self.overlay.len() + self.pending.len() + self.cache.len()) * record_bytes(self.dim)
+        self.overlay.data.len() * std::mem::size_of::<f32>()
     }
 
-    /// The shard holding `row` (rows are dense, shards contiguous — the
+    /// The base record of `row` (rows are dense, shards contiguous — the
     /// fan-out pins the geometry on disk; in memory a partition point over
-    /// the shard starts is the same lookup).
-    fn shard_of(&self, row: u32) -> &LoadedShard {
-        debug_assert!((row as usize) < self.rows);
-        let i = self.shard_starts.partition_point(|&s| s <= row as u64) - 1;
-        &self.shards[i]
-    }
-
-    fn base_record(&self, row: u32) -> &[f32] {
-        let shard = self.shard_of(row);
+    /// the shard starts is the same lookup). A free function over the shard
+    /// fields so a write can read the base while it fills an overlay slot.
+    fn base_record<'a>(
+        shards: &'a [LoadedShard],
+        starts: &[u64],
+        nf: usize,
+        row: u32,
+    ) -> &'a [f32] {
+        let shard = &shards[starts.partition_point(|&s| s <= row as u64) - 1];
         let local = (row as u64 - shard.meta.start_row) as usize;
-        shard.data.f32s(local * record_f32s(self.dim), record_f32s(self.dim))
+        shard.data.f32s(local * nf, nf)
     }
 
-    /// The `2*dim` record of a row — overlay first, then the base. Does not
-    /// touch the cache (used by `&self` readers: snapshots, checkpoint save,
-    /// direct `row()` accessors).
+    /// The `2*dim` record of a row — overlay first, then the base. This is
+    /// the whole read path: a gather copies straight out of it.
     pub fn record(&self, row: u32) -> &[f32] {
-        match self.overlay.get(&row) {
+        debug_assert!((row as usize) < self.rows);
+        let nf = record_f32s(self.dim);
+        match self.overlay.get(row, nf) {
             Some(r) => r,
-            None => self.base_record(row),
+            None => Self::base_record(&self.shards, &self.shard_starts, nf, row),
         }
     }
 
-    /// The record of a row through the hot-row cache: overlay → cache → base
-    /// (inserting on miss). This is the serving/training gather path.
-    pub fn record_cached(&mut self, row: u32) -> &[f32] {
-        if let Some(r) = self.overlay.get(&row) {
-            basm_obs::counter_add("packstore.overlay_hit", 1);
-            return r;
-        }
-        // Probe without borrowing across the miss path (the early-return
-        // borrow would otherwise pin `self` for the whole function).
-        if self.cache.contains(row) {
-            basm_obs::counter_add("packstore.cache_hit", 1);
-            return self.cache.get(row).expect("probed above");
-        }
-        let _ = self.cache.get(row); // count the miss in CacheStats
-        basm_obs::counter_add("packstore.cache_miss", 1);
-        let shard = {
-            let i = self.shard_starts.partition_point(|&s| s <= row as u64) - 1;
-            &self.shards[i]
-        };
-        let local = (row as u64 - shard.meta.start_row) as usize;
-        let rec = shard.data.f32s(local * record_f32s(self.dim), record_f32s(self.dim));
-        let boxed: Box<[f32]> = rec.into();
-        self.cache.insert(row, boxed)
+    /// Update a row's record in place: `f` gets the current record (copied
+    /// from the base on the row's first write) and the row joins the pending
+    /// set the next [`PackTable::flush_deltas`] writes out. The overlay stays
+    /// authoritative until compaction.
+    pub fn update_record(&mut self, row: u32, f: impl FnOnce(&mut [f32])) {
+        assert!((row as usize) < self.rows, "update_record: row {row} out of {}", self.rows);
+        let nf = record_f32s(self.dim);
+        let (shards, starts) = (&self.shards, &self.shard_starts);
+        f(self.overlay.slot_mut(row, nf, |data| {
+            data.extend_from_slice(Self::base_record(shards, starts, nf, row))
+        }));
+        self.pending.insert(row);
     }
 
-    /// Overwrite a row's record: lands in the overlay (authoritative until
-    /// compaction) and the pending delta buffer; any cached copy is dropped.
+    /// Overwrite a row's record (an [`PackTable::update_record`] that
+    /// ignores the old value).
     pub fn write_record(&mut self, row: u32, rec: &[f32]) {
         assert_eq!(rec.len(), record_f32s(self.dim), "write_record: record width");
-        assert!((row as usize) < self.rows, "write_record: row {row} out of {}", self.rows);
-        let boxed: Box<[f32]> = rec.into();
-        self.cache.remove(row);
-        self.pending.insert(row, boxed.clone());
-        self.overlay.insert(row, boxed);
+        self.update_record(row, |r| r.copy_from_slice(rec));
     }
 
     // ---- deltas ------------------------------------------------------------
@@ -531,6 +525,7 @@ impl PackTable {
         };
         let what = path.display().to_string();
         let rec_bytes = record_bytes(self.dim);
+        let nf = record_f32s(self.dim);
         let mut at = 0usize;
         while at < bytes.len() {
             let Some(header) = bytes.get(at..at + 12) else {
@@ -558,11 +553,12 @@ impl PackTable {
                 if row >= self.rows as u64 {
                     return Err(PackError::Corrupt(format!("{what}: delta row {row} out of range")));
                 }
-                let mut vals = Vec::with_capacity(record_f32s(self.dim));
-                for c in rec[8..].chunks_exact(4) {
-                    vals.push(f32::from_le_bytes(c.try_into().expect("4 bytes")));
+                let slot = self.overlay.slot_mut(row as u32, nf, |data| {
+                    data.resize(data.len() + nf, 0.0)
+                });
+                for (v, c) in slot.iter_mut().zip(rec[8..].chunks_exact(4)) {
+                    *v = f32::from_le_bytes(c.try_into().expect("4 bytes"));
                 }
-                self.overlay.insert(row as u32, vals.into_boxed_slice());
             }
             at += 12 + body_len;
         }
@@ -583,21 +579,24 @@ impl PackTable {
         }
     }
 
-    /// Append buffered updates to the delta file as one CRC'd chunk, fsynced
-    /// before returning. Returns the number of records written (0 when
-    /// nothing was pending). Once this returns `Ok`, a crash loses nothing —
-    /// open replays the file. On error (including an injected kill) the
-    /// pending buffer is **retained** for retry, never dropped; the at-most
-    /// partially-appended chunk on disk is a torn tail the next open drops.
+    /// Append the pending rows' overlay records to the delta file as one
+    /// CRC'd chunk (rows ascending), fsynced before returning. Returns the
+    /// number of records written (0 when nothing was pending). Once this
+    /// returns `Ok`, a crash loses nothing — open replays the file. On error
+    /// (including an injected kill) the pending set is **retained** for
+    /// retry, never dropped; the at-most partially-appended chunk on disk is
+    /// a torn tail the next open drops.
     pub fn flush_deltas(&mut self) -> std::io::Result<usize> {
         if self.pending.is_empty() {
             return Ok(0);
         }
         let rec_bytes = record_bytes(self.dim);
+        let nf = record_f32s(self.dim);
         let mut body = Vec::with_capacity(self.pending.len() * (8 + rec_bytes));
-        for (row, rec) in &self.pending {
-            body.extend_from_slice(&(*row as u64).to_le_bytes());
-            for v in rec.iter() {
+        for &row in &self.pending {
+            let rec = self.overlay.get(row, nf).expect("pending rows live in the overlay");
+            body.extend_from_slice(&(row as u64).to_le_bytes());
+            for v in rec {
                 body.extend_from_slice(&v.to_le_bytes());
             }
         }
@@ -644,7 +643,7 @@ impl PackTable {
     /// old-epoch shards + the old delta file: reopen sees the exact
     /// pre-compaction state. Clean shards keep their files and mappings.
     pub fn compact(&mut self) -> Result<(), PackError> {
-        if self.overlay.is_empty() && !self.has_delta_file() {
+        if self.overlay.slots.is_empty() && !self.has_delta_file() {
             self.pending.clear();
             return Ok(());
         }
@@ -662,17 +661,15 @@ impl PackTable {
                 let m = &self.shards[s].meta;
                 (m.start_row, m.n_rows)
             };
-            let dirty = self
-                .overlay
-                .keys()
-                .any(|&r| (r as u64) >= start && (r as u64) < start + n_rows);
+            let rows = start..start + n_rows;
+            let dirty = self.overlay.slots.keys().any(|&r| rows.contains(&(r as u64)));
             if !dirty {
                 continue;
             }
             let mut payload = Vec::with_capacity(n_rows as usize * record_bytes(dim));
             for r in start..start + n_rows {
-                let rec = match self.overlay.get(&(r as u32)) {
-                    Some(o) => &o[..],
+                let rec = match self.overlay.get(r as u32, nf) {
+                    Some(o) => o,
                     None => {
                         let local = (r - start) as usize;
                         self.shards[s].data.f32s(local * nf, nf)
@@ -703,21 +700,18 @@ impl PackTable {
         self.index = new_index;
         self.overlay.clear();
         self.pending.clear();
-        self.cache.clear();
         self.delta_valid_len = 0; // the new epoch has no delta file yet
         clean_stale_files(&self.dir, &self.name, &self.index);
         Ok(())
     }
 
     /// Rewrite the whole base from flat buffers (checkpoint restore into a
-    /// pack-backed table): fresh shards + index, overlay/deltas/cache gone.
+    /// pack-backed table): fresh shards + index, overlay and deltas gone.
     pub fn rewrite(&mut self, weights: &[f32], accum: &[f32]) -> Result<(), PackError> {
-        let opts = PackOptions {
-            shard_rows: self.shards.first().map_or(0, |s| s.meta.n_rows as usize),
-            cache_rows: self.cache_rows,
-        };
+        let opts =
+            PackOptions { shard_rows: self.shards.first().map_or(0, |s| s.meta.n_rows as usize) };
         write_table(&self.dir, &self.name, self.rows, self.dim, weights, accum, opts)?;
-        *self = PackTable::open(&self.dir, &self.name, self.rows, self.dim, opts)?;
+        *self = PackTable::open(&self.dir, &self.name, self.rows, self.dim)?;
         Ok(())
     }
 
@@ -778,10 +772,8 @@ impl PackTable {
             index: self.index.clone(),
             shards: Vec::new(),
             shard_starts: Vec::new(),
-            overlay: HashMap::new(),
-            cache: HotRowCache::new(0),
-            pending: BTreeMap::new(),
-            cache_rows: 0,
+            overlay: Overlay::default(),
+            pending: BTreeSet::new(),
             delta_valid_len: 0,
         };
         scratch.replay_deltas()?;

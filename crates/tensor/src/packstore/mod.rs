@@ -39,20 +39,20 @@
 //!
 //! ## Read path
 //!
-//! [`PackTable`] serves a row from (in order) the **overlay** of rows written
-//! since open, the **LRU hot-row cache**, or the **base** shard bytes (mmap'd
-//! when possible, decoded to the heap under `BASM_PACK_MMAP=0` or when the
-//! mapping is unusable). Cache hits and misses are counted locally
-//! ([`CacheStats`]) and mirrored to the `packstore.cache_hit` /
-//! `packstore.cache_miss` telemetry counters.
+//! [`PackTable::record`] serves a row from the **overlay** of rows written
+//! since open, else from the **base** shard bytes (mmap'd when possible,
+//! decoded to the heap under `BASM_PACK_MMAP=0` or when the mapping is
+//! unusable). There is no cache tier: the mapping already serves rows
+//! zero-copy, so a gather is one hash probe plus a row copy.
 //!
 //! ## Write path
 //!
-//! Online updates land in the overlay and an in-memory delta buffer;
-//! [`PackTable::flush_deltas`] appends them to the current delta file as a
-//! CRC'd chunk and fsyncs before returning — once a flush returns `Ok`, a
-//! crash loses nothing (and on error the pending buffer is retained for
-//! retry, not dropped). [`PackTable::compact`] folds overlay + deltas back
+//! [`PackTable::update_record`] updates a row's overlay record in place (the
+//! first write copies it from the base) and marks the row dirty.
+//! [`PackTable::flush_deltas`] appends the dirty rows' records, ascending, to
+//! the current delta file as a CRC'd chunk and fsyncs before returning —
+//! once a flush returns `Ok`, a crash loses nothing (and on error the dirty
+//! set is retained for retry, not dropped). [`PackTable::compact`] folds overlay + deltas back
 //! into rebuilt shards under a new epoch and retires the delta file. Opening
 //! a table replays its delta file into the overlay; an incomplete final
 //! chunk — the signature of a crash mid-append — is dropped as a torn tail,
@@ -78,13 +78,13 @@
 //! write_table(&dir, "emb", rows, dim, &weights, &accum, PackOptions::default()).unwrap();
 //!
 //! // A warm open validates headers and the index CRC but reads no payload.
-//! let mut t = PackTable::open(&dir, "emb", rows, dim, PackOptions::default()).unwrap();
+//! let mut t = PackTable::open(&dir, "emb", rows, dim).unwrap();
 //! assert_eq!(&t.record(3)[..dim], &weights[3 * dim..]); // weights half of row 3
 //!
 //! // Online update -> durable delta chunk -> replayed on the next open.
 //! t.write_record(3, &[9.0, 9.0, 1.0, 1.0]);
 //! t.flush_deltas().unwrap();
-//! let reopened = PackTable::open(&dir, "emb", rows, dim, PackOptions::default()).unwrap();
+//! let reopened = PackTable::open(&dir, "emb", rows, dim).unwrap();
 //! assert_eq!(&reopened.record(3)[..dim], &[9.0, 9.0]);
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
@@ -92,7 +92,6 @@
 pub mod crash;
 mod dir;
 mod format;
-mod lru;
 mod mapping;
 
 pub use crash::{set_crash_plan, CrashPlan};
@@ -104,9 +103,10 @@ pub use format::{
     crc32, IndexFile, PackError, ShardHeader, ShardMeta, DELTA_CHUNK_MAGIC, FANOUT, IDX_MAGIC,
     PACK_MAGIC, PACK_VERSION, SHARD_HEADER_LEN,
 };
-pub use lru::{CacheStats, HotRowCache};
 pub use mapping::{mmap_allowed, ShardData};
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicI8, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -116,9 +116,34 @@ use std::sync::OnceLock;
 pub enum StoreMode {
     /// Tables live in RAM `Vec<f32>`s (the seed behavior; default).
     Ram,
-    /// Tables live in a pack directory: mmap'd base shards + overlay + LRU.
+    /// Tables live in a pack directory: mmap'd base shards + overlay.
     Pack,
 }
+
+/// A row-id hasher: one multiplicative (Fibonacci) step. Row ids are dense
+/// small integers, not attacker-chosen keys, so SipHash's flood resistance
+/// buys nothing on the per-id overlay and gradient-dedupe probes.
+#[derive(Default)]
+pub(crate) struct RowHasher(u64);
+
+impl Hasher for RowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u32(self.0 as u32 ^ b as u32));
+    }
+
+    fn write_u32(&mut self, row: u32) {
+        let h = (row as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // Fold the well-mixed high half down: the table indexes by low bits.
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by embedding row id under [`RowHasher`].
+pub(crate) type RowMap<V> = HashMap<u32, V, BuildHasherDefault<RowHasher>>;
 
 /// `-1` = follow the environment, `0` = force RAM, `1` = force pack.
 static MODE_OVERRIDE: AtomicI8 = AtomicI8::new(-1);

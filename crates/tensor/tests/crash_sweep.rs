@@ -26,8 +26,8 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-fn snapshot_bits(dir: &std::path::Path, rows: usize, dim: usize, opts: PackOptions) -> (Vec<u32>, Vec<u32>) {
-    let t = PackTable::open(dir, "t", rows, dim, opts).expect("reopen after simulated crash");
+fn snapshot_bits(dir: &std::path::Path, rows: usize, dim: usize) -> (Vec<u32>, Vec<u32>) {
+    let t = PackTable::open(dir, "t", rows, dim).expect("reopen after simulated crash");
     t.verify().expect("verify after simulated crash");
     let (w, a) = t.snapshot();
     (bits(&w), bits(&a))
@@ -36,7 +36,7 @@ fn snapshot_bits(dir: &std::path::Path, rows: usize, dim: usize, opts: PackOptio
 /// Run `op` (over a fresh scenario from `setup`) once per kill point and
 /// assert old-or-new recovery. `op` returns `Ok` on a run that completes;
 /// a killed run must surface the injected error.
-fn sweep_old_or_new<S, O>(label: &str, rows: usize, dim: usize, opts: PackOptions, setup: S, op: O)
+fn sweep_old_or_new<S, O>(label: &str, rows: usize, dim: usize, setup: S, op: O)
 where
     S: Fn(&std::path::Path),
     O: Fn(&std::path::Path) -> std::io::Result<()>,
@@ -44,12 +44,12 @@ where
     // Dry run: measure the op count and capture the old/new states.
     let dir = basm_tensor::packstore::fresh_temp_dir();
     setup(&dir);
-    let old_state = snapshot_bits(&dir, rows, dim, opts);
+    let old_state = snapshot_bits(&dir, rows, dim);
     set_crash_plan(None);
     op(&dir).expect("dry run must succeed");
     let n_ops = crash::ops_executed();
     assert!(n_ops > 0, "{label}: op performed no guarded IO");
-    let new_state = snapshot_bits(&dir, rows, dim, opts);
+    let new_state = snapshot_bits(&dir, rows, dim);
     let _ = std::fs::remove_dir_all(&dir);
 
     for kill_at in 0..n_ops {
@@ -66,7 +66,7 @@ where
                 "{label} kill_at={kill_at}: plan did not fire (result {res:?})"
             );
             set_crash_plan(None);
-            let got = snapshot_bits(&dir, rows, dim, opts);
+            let got = snapshot_bits(&dir, rows, dim);
             assert!(
                 got == old_state || got == new_state,
                 "{label} kill_at={kill_at} tear={tear}: reopened to a third state"
@@ -79,14 +79,14 @@ where
 
 const ROWS: usize = 40;
 const DIM: usize = 3;
-const OPTS: PackOptions = PackOptions { shard_rows: 16, cache_rows: 4 };
+const OPTS: PackOptions = PackOptions { shard_rows: 16 };
 
 /// Base table every scenario starts from: 3 shards, a flushed delta chunk.
 fn seeded_table(dir: &std::path::Path) {
     set_crash_plan(None);
     write_table(dir, "t", ROWS, DIM, &lcg_f32s(1, ROWS * DIM), &lcg_f32s(2, ROWS * DIM), OPTS)
         .unwrap();
-    let mut t = PackTable::open(dir, "t", ROWS, DIM, OPTS).unwrap();
+    let mut t = PackTable::open(dir, "t", ROWS, DIM).unwrap();
     t.write_record(2, &lcg_f32s(3, 2 * DIM));
     t.write_record(33, &lcg_f32s(4, 2 * DIM));
     t.flush_deltas().unwrap();
@@ -94,8 +94,8 @@ fn seeded_table(dir: &std::path::Path) {
 
 #[test]
 fn flush_deltas_crash_yields_old_or_new() {
-    sweep_old_or_new("flush_deltas", ROWS, DIM, OPTS, seeded_table, |dir| {
-        let mut t = PackTable::open(dir, "t", ROWS, DIM, OPTS).expect("pre-crash open");
+    sweep_old_or_new("flush_deltas", ROWS, DIM, seeded_table, |dir| {
+        let mut t = PackTable::open(dir, "t", ROWS, DIM).expect("pre-crash open");
         t.write_record(7, &lcg_f32s(5, 2 * DIM));
         t.write_record(21, &lcg_f32s(6, 2 * DIM));
         t.flush_deltas().map(|_| ())
@@ -104,8 +104,8 @@ fn flush_deltas_crash_yields_old_or_new() {
 
 #[test]
 fn compact_crash_yields_old_or_new() {
-    sweep_old_or_new("compact", ROWS, DIM, OPTS, seeded_table, |dir| {
-        let mut t = PackTable::open(dir, "t", ROWS, DIM, OPTS).expect("pre-crash open");
+    sweep_old_or_new("compact", ROWS, DIM, seeded_table, |dir| {
+        let mut t = PackTable::open(dir, "t", ROWS, DIM).expect("pre-crash open");
         t.write_record(18, &lcg_f32s(7, 2 * DIM));
         t.compact().map_err(|e| std::io::Error::other(e.to_string())).map(|_| {
             assert!(!t.has_delta_file(), "compact retired the delta");
@@ -117,7 +117,7 @@ fn compact_crash_yields_old_or_new() {
 fn rewrite_base_crash_yields_old_or_new() {
     // A fresh base over an existing table (checkpoint restore / export):
     // must be old-or-new even though it rewrites every shard + the index.
-    sweep_old_or_new("write_table over existing", ROWS, DIM, OPTS, seeded_table, |dir| {
+    sweep_old_or_new("write_table over existing", ROWS, DIM, seeded_table, |dir| {
         write_table(
             dir,
             "t",
@@ -138,7 +138,7 @@ fn compact_crash_then_retry_completes() {
     // compacting again lands the new state.
     let dir = basm_tensor::packstore::fresh_temp_dir();
     seeded_table(&dir);
-    let mut t = PackTable::open(&dir, "t", ROWS, DIM, OPTS).unwrap();
+    let mut t = PackTable::open(&dir, "t", ROWS, DIM).unwrap();
     t.write_record(9, &lcg_f32s(11, 2 * DIM));
     let expect = {
         let (w, a) = t.snapshot();
@@ -151,7 +151,7 @@ fn compact_crash_then_retry_completes() {
     set_crash_plan(None);
     drop(t);
     // The "restarted process" replays the deltas and retries the compaction.
-    let mut t2 = PackTable::open(&dir, "t", ROWS, DIM, OPTS).unwrap();
+    let mut t2 = PackTable::open(&dir, "t", ROWS, DIM).unwrap();
     t2.write_record(9, &lcg_f32s(11, 2 * DIM));
     t2.compact().unwrap();
     assert!(!t2.has_delta_file());
@@ -169,7 +169,7 @@ fn flush_error_retains_pending_for_retry() {
     // the same records.
     let dir = basm_tensor::packstore::fresh_temp_dir();
     seeded_table(&dir);
-    let mut t = PackTable::open(&dir, "t", ROWS, DIM, OPTS).unwrap();
+    let mut t = PackTable::open(&dir, "t", ROWS, DIM).unwrap();
     let rec = lcg_f32s(12, 2 * DIM);
     t.write_record(13, &rec);
     assert_eq!(t.pending_len(), 1);
@@ -182,7 +182,7 @@ fn flush_error_retains_pending_for_retry() {
     assert_eq!(t.flush_deltas().unwrap(), 1);
     assert_eq!(t.pending_len(), 0);
     drop(t);
-    let reopened = PackTable::open(&dir, "t", ROWS, DIM, OPTS).unwrap();
+    let reopened = PackTable::open(&dir, "t", ROWS, DIM).unwrap();
     assert_eq!(bits(reopened.record(13)), bits(&rec));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,15 +1,18 @@
 //! Integration tests for the pack-file embedding store: property-based
 //! round-trips (random tables → pack → mmap read == RAM bits), corruption and
-//! truncation rejection, delta-append → reopen → compaction equivalence,
-//! hot-row-cache accounting, and RAM-vs-pack training equivalence through the
-//! full [`EmbeddingStore`] lookup/backward/apply cycle.
+//! truncation rejection, delta-append → reopen → compaction equivalence, the
+//! in-place write path against a RAM twin (delta bytes and crash retry
+//! included), and RAM-vs-pack training equivalence through the full
+//! [`EmbeddingStore`] lookup/backward/apply cycle.
 
-use basm_tensor::nn::embedding::EmbeddingStore;
+use basm_tensor::nn::embedding::{EmbeddingStore, EmbeddingTable};
 use basm_tensor::packstore::{
-    self, set_emb_store, write_table, PackError, PackOptions, PackTable, StoreMode,
+    self, crc32, set_crash_plan, set_emb_store, write_table, CrashPlan, PackError, PackOptions,
+    PackTable, StoreMode, DELTA_CHUNK_MAGIC,
 };
-use basm_tensor::{Graph, Prng};
+use basm_tensor::{Graph, Prng, Tensor};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::{Mutex, OnceLock};
 
 /// The backend override is process-global; serialize the tests that touch it
@@ -54,9 +57,9 @@ proptest! {
         let dir = scratch_dir();
         let w = lcg_f32s(seed, rows * dim);
         let a = lcg_f32s(seed ^ 0xA5A5, rows * dim);
-        let opts = PackOptions { shard_rows, cache_rows: 4 };
+        let opts = PackOptions { shard_rows };
         write_table(&dir, "t", rows, dim, &w, &a, opts).unwrap();
-        let table = PackTable::open(&dir, "t", rows, dim, opts).unwrap();
+        let table = PackTable::open(&dir, "t", rows, dim).unwrap();
         prop_assert!(table.verify().is_ok());
         for r in 0..rows as u32 {
             let rec = table.record(r);
@@ -87,7 +90,7 @@ fn corrupted_and_truncated_packs_are_rejected() {
     let dim = 4;
     let w = lcg_f32s(1, rows * dim);
     let a = lcg_f32s(2, rows * dim);
-    let opts = PackOptions { shard_rows: 16, cache_rows: 4 };
+    let opts = PackOptions { shard_rows: 16 };
     write_table(&dir, "t", rows, dim, &w, &a, opts).unwrap();
 
     // A payload bit flip passes the (lazy) open but fails verify().
@@ -97,7 +100,7 @@ fn corrupted_and_truncated_packs_are_rejected() {
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x20;
     std::fs::write(&shard0, &flipped).unwrap();
-    let table = PackTable::open(&dir, "t", rows, dim, opts).unwrap();
+    let table = PackTable::open(&dir, "t", rows, dim).unwrap();
     assert!(
         matches!(table.verify(), Err(PackError::ChecksumMismatch { .. })),
         "bit flip must fail verification"
@@ -107,7 +110,7 @@ fn corrupted_and_truncated_packs_are_rejected() {
     // Truncation is caught at open (exact length check, no payload read).
     std::fs::write(&shard0, &pristine[..pristine.len() - 3]).unwrap();
     assert!(matches!(
-        PackTable::open(&dir, "t", rows, dim, opts),
+        PackTable::open(&dir, "t", rows, dim),
         Err(PackError::Truncated(_))
     ));
 
@@ -116,7 +119,7 @@ fn corrupted_and_truncated_packs_are_rejected() {
     padded.extend_from_slice(b"xx");
     std::fs::write(&shard0, &padded).unwrap();
     assert!(matches!(
-        PackTable::open(&dir, "t", rows, dim, opts),
+        PackTable::open(&dir, "t", rows, dim),
         Err(PackError::TrailingBytes(_))
     ));
     std::fs::write(&shard0, &pristine).unwrap();
@@ -128,13 +131,13 @@ fn corrupted_and_truncated_packs_are_rejected() {
     iflipped[30] ^= 0x04;
     std::fs::write(&idx, &iflipped).unwrap();
     assert!(matches!(
-        PackTable::open(&dir, "t", rows, dim, opts),
+        PackTable::open(&dir, "t", rows, dim),
         Err(PackError::ChecksumMismatch { .. })
     ));
     std::fs::write(&idx, &ipristine).unwrap();
 
     // And the repaired directory opens + verifies clean again.
-    let table = PackTable::open(&dir, "t", rows, dim, opts).unwrap();
+    let table = PackTable::open(&dir, "t", rows, dim).unwrap();
     assert!(table.verify().is_ok());
     drop(table);
     let _ = std::fs::remove_dir_all(&dir);
@@ -147,11 +150,11 @@ fn delta_flush_reopen_and_compaction_are_equivalent() {
     let dim = 3;
     let w = lcg_f32s(7, rows * dim);
     let a = lcg_f32s(8, rows * dim);
-    let opts = PackOptions { shard_rows: 8, cache_rows: 4 };
+    let opts = PackOptions { shard_rows: 8 };
     write_table(&dir, "t", rows, dim, &w, &a, opts).unwrap();
 
     // Write two generations of updates to overlapping rows; flush each.
-    let mut table = PackTable::open(&dir, "t", rows, dim, opts).unwrap();
+    let mut table = PackTable::open(&dir, "t", rows, dim).unwrap();
     let gen1 = lcg_f32s(100, 2 * dim);
     let gen2 = lcg_f32s(200, 2 * dim);
     table.write_record(5, &gen1);
@@ -164,7 +167,7 @@ fn delta_flush_reopen_and_compaction_are_equivalent() {
     drop(table);
 
     // Reopen: replay must apply chunks in order (later generations win).
-    let mut reopened = PackTable::open(&dir, "t", rows, dim, opts).unwrap();
+    let mut reopened = PackTable::open(&dir, "t", rows, dim).unwrap();
     assert!(reopened.has_delta_file());
     assert_eq!(reopened.overlay_len(), 3, "rows 5, 17, 29 patched");
     let replayed = reopened.snapshot();
@@ -187,7 +190,7 @@ fn delta_flush_reopen_and_compaction_are_equivalent() {
     drop(reopened);
 
     // A fresh open of the compacted pack still serves the same bits.
-    let fresh = PackTable::open(&dir, "t", rows, dim, opts).unwrap();
+    let fresh = PackTable::open(&dir, "t", rows, dim).unwrap();
     assert_eq!(fresh.overlay_len(), 0);
     let cold = fresh.snapshot();
     assert_eq!(
@@ -203,10 +206,10 @@ fn torn_delta_tail_is_dropped_and_truncated() {
     let dir = scratch_dir();
     let rows = 10;
     let dim = 2;
-    let opts = PackOptions { shard_rows: 0, cache_rows: 2 };
+    let opts = PackOptions { shard_rows: 0 };
     write_table(&dir, "t", rows, dim, &lcg_f32s(3, rows * dim), &lcg_f32s(4, rows * dim), opts)
         .unwrap();
-    let mut table = PackTable::open(&dir, "t", rows, dim, opts).unwrap();
+    let mut table = PackTable::open(&dir, "t", rows, dim).unwrap();
     let rec = lcg_f32s(5, 2 * dim);
     table.write_record(3, &rec);
     table.flush_deltas().unwrap();
@@ -221,7 +224,7 @@ fn torn_delta_tail_is_dropped_and_truncated() {
     let mut torn = bytes.clone();
     torn.extend_from_slice(&bytes[..7]);
     std::fs::write(&delta, &torn).unwrap();
-    let reopened = PackTable::open(&dir, "t", rows, dim, opts).unwrap();
+    let reopened = PackTable::open(&dir, "t", rows, dim).unwrap();
     assert_eq!(reopened.overlay_len(), 1, "complete chunk still replays");
     let bits: Vec<u32> = reopened.record(3).iter().map(|v| v.to_bits()).collect();
     assert_eq!(bits, rec.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
@@ -239,55 +242,109 @@ fn torn_delta_tail_is_dropped_and_truncated() {
     corrupt[last] ^= 0xff;
     std::fs::write(&delta, &corrupt).unwrap();
     assert!(matches!(
-        PackTable::open(&dir, "t", rows, dim, opts),
+        PackTable::open(&dir, "t", rows, dim),
         Err(PackError::ChecksumMismatch { .. })
     ));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn hot_row_cache_counters_reconcile() {
-    let dir = scratch_dir();
-    let rows = 64;
-    let dim = 4;
-    let opts = PackOptions { shard_rows: 16, cache_rows: 8 };
-    write_table(&dir, "t", rows, dim, &lcg_f32s(9, rows * dim), &lcg_f32s(10, rows * dim), opts)
-        .unwrap();
-    let mut table = PackTable::open(&dir, "t", rows, dim, opts).unwrap();
+/// The bytes of every delta file in `dir` (a table has at most one live
+/// delta file; compaction retires it and the next flush starts a new epoch's).
+fn delta_bytes(dir: &std::path::Path) -> Vec<u8> {
+    let paths = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+    let deltas = paths.filter(|p| p.extension().is_some_and(|x| x == "delta"));
+    deltas.flat_map(|p| std::fs::read(p).unwrap()).collect()
+}
 
-    // A Zipf-ish access pattern: a small hot set plus a cold scan.
-    let mut lookups = 0u64;
-    for round in 0..20u32 {
-        for hot in 1..=4u32 {
-            let _ = table.record_cached(hot);
-            lookups += 1;
+/// The delta chunk a flush of `rows` must append: magic, count, CRC, then
+/// each row id and its current record, rows ascending.
+fn expected_chunk(table: &EmbeddingTable, rows: &BTreeSet<u32>) -> Vec<u8> {
+    let mut body = Vec::new();
+    for &r in rows {
+        body.extend_from_slice(&(r as u64).to_le_bytes());
+        for v in table.row(r).iter().chain(table.accum_row(r)) {
+            body.extend_from_slice(&v.to_le_bytes());
         }
-        let cold = 10 + (round % 50);
-        let _ = table.record_cached(cold);
-        lookups += 1;
     }
-    let stats = table.cache_stats();
-    // Every cached lookup is exactly one hit or one miss...
-    assert_eq!(stats.hits + stats.misses, lookups, "{stats:?}");
-    // ...the hot set almost always hits...
-    assert!(stats.hit_rate() > 0.5, "hot-set pattern should mostly hit: {stats:?}");
-    // ...and an 8-slot cache under a >8-row working set must have evicted.
-    assert!(stats.evictions > 0);
+    let mut chunk = DELTA_CHUNK_MAGIC.to_vec();
+    chunk.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    chunk.extend_from_slice(&crc32(&body).to_le_bytes());
+    chunk.extend_from_slice(&body);
+    chunk
+}
 
-    // With telemetry compiled in *and* runtime-enabled (BASM_OBS), the
-    // basm-obs counters mirror the same accounting (across all tables in
-    // the process, so >=). CacheStats above is always-on regardless.
-    #[cfg(feature = "obs")]
-    if basm_obs::enabled() {
-        let report = basm_obs::report();
-        let counter = |name: &str| {
-            report.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or(0)
-        };
-        assert!(counter("packstore.cache_hit") >= stats.hits);
-        assert!(counter("packstore.cache_miss") >= stats.misses);
+fn table_bits(t: &EmbeddingTable) -> Vec<u32> {
+    let (w, a) = t.snapshot();
+    w.iter().chain(&a).map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The pack write path against its RAM twin over a random sequence of
+    /// `apply_grad` (duplicate ids and padding included), `flush_deltas`
+    /// (some killed by the crash plan first), `compact` and flush + reopen:
+    /// after every op the two tables hold the same bits, every flush appends
+    /// exactly the chunk encoded from the dirty rows' overlay records in
+    /// ascending order, and a killed flush keeps the dirty set for the retry.
+    #[test]
+    fn pack_write_path_matches_ram_twin(
+        ops in prop::collection::vec(
+            (0u32..6, prop::collection::vec(0u32..24, 1..9), 0u64..1_000_000),
+            1..28,
+        ),
+    ) {
+        let (rows, dim) = (24usize, 3usize);
+        let mut ram = EmbeddingTable::new(&mut Prng::seeded(3), "t", rows, dim, 0.1);
+        let mut pack = EmbeddingTable::new(&mut Prng::seeded(3), "t", rows, dim, 0.1);
+        let dir = scratch_dir();
+        pack.to_pack(&dir, PackOptions { shard_rows: 8 }).unwrap();
+        let mut dirty = BTreeSet::new();
+        for (kind, ids, seed) in ops {
+            match kind {
+                0..=2 => {
+                    let grad = Tensor::from_vec(ids.len(), dim, lcg_f32s(seed, ids.len() * dim));
+                    ram.apply_grad(&ids, &grad, 0.05, 1e-6);
+                    pack.apply_grad(&ids, &grad, 0.05, 1e-6);
+                    dirty.extend(ids.iter().copied().filter(|&id| id != 0));
+                }
+                3 | 4 => {
+                    let before = delta_bytes(&dir);
+                    // An empty flush does no IO, so there is nothing to kill.
+                    if kind == 4 && !dirty.is_empty() {
+                        let tear_bytes = seed as usize % 40;
+                        set_crash_plan(Some(CrashPlan { kill_at_op: 0, tear_bytes }));
+                        prop_assert!(pack.pack_mut().unwrap().flush_deltas().is_err());
+                        set_crash_plan(None);
+                        prop_assert_eq!(pack.pack().unwrap().pending_len(), dirty.len());
+                    }
+                    let chunk = expected_chunk(&pack, &dirty);
+                    let n = pack.pack_mut().unwrap().flush_deltas().unwrap();
+                    prop_assert_eq!(n, dirty.len());
+                    let after = delta_bytes(&dir);
+                    prop_assert_eq!(&after[..before.len()], &before[..]);
+                    let appended = if dirty.is_empty() { Vec::new() } else { chunk };
+                    prop_assert_eq!(&after[before.len()..], &appended[..]);
+                    dirty.clear();
+                }
+                _ if seed % 2 == 0 => {
+                    pack.pack_mut().unwrap().compact().unwrap();
+                    prop_assert!(delta_bytes(&dir).is_empty());
+                    dirty.clear();
+                }
+                _ => {
+                    pack.pack_mut().unwrap().flush_deltas().unwrap();
+                    dirty.clear();
+                    pack.attach_pack(&dir).unwrap();
+                }
+            }
+            prop_assert_eq!(pack.pack().unwrap().pending_len(), dirty.len());
+            prop_assert_eq!(table_bits(&pack), table_bits(&ram));
+        }
+        pack.pack().unwrap().verify().unwrap();
+        drop(pack);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    drop(table);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Run a few lookup → backward → apply cycles through a full
