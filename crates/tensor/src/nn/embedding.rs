@@ -113,15 +113,6 @@ impl EmbeddingTable {
         }
     }
 
-    /// Mutable access to the pack table (delta flushes and compaction of a
-    /// single table; the store-level entry points cover every table).
-    pub fn pack_mut(&mut self) -> Option<&mut PackTable> {
-        match &mut self.backing {
-            Backing::Pack(p) => Some(p),
-            Backing::Ram { .. } => None,
-        }
-    }
-
     fn check_id(&self, id: u32) {
         assert!(
             (id as usize) < self.rows,
@@ -431,8 +422,9 @@ impl EmbeddingStore {
     /// the same `n` ids; id row `r` of the leaf is the concatenation of the
     /// parts' rows for their `r`-th id, and the leaf is that `[n, W]` buffer
     /// viewed as `[rows, n / rows · W]` (`rows = n` for one row per id,
-    /// `rows = n / T` for a `[B, T·W]` sequence). Bitwise the
-    /// `lookup → concat_cols → reshape` composite, forward and update.
+    /// `rows = n / T` for a `[B, T·W]` sequence; no ids in `rows = 0` give
+    /// an empty `[0, W]` leaf). Bitwise the `lookup → concat_cols → reshape`
+    /// composite, forward and update.
     pub fn lookup_concat(
         &mut self,
         g: &mut Graph,
@@ -442,10 +434,12 @@ impl EmbeddingStore {
         assert!(!parts.is_empty(), "lookup_concat: no parts");
         let n = parts[0].1.len();
         assert!(parts.iter().all(|(_, ids)| ids.len() == n), "lookup_concat: id count mismatch");
-        assert!(rows > 0 && n.is_multiple_of(rows), "lookup_concat: {n} ids in {rows} rows");
+        // `0.is_multiple_of(0)` holds: no ids in no rows is the `[0, W]` leaf.
+        assert!(n.is_multiple_of(rows), "lookup_concat: {n} ids in {rows} rows");
         let stride: usize = parts.iter().map(|&(t, _)| self.tables[t.0].dim).sum();
+        let cols = n.checked_div(rows).map_or(stride, |per_row| per_row * stride);
         // Every element is written by exactly one part: no memset needed.
-        let mut out = Tensor::scratch_pooled(rows, n / rows * stride);
+        let mut out = Tensor::scratch_pooled(rows, cols);
         let mut col = 0;
         for &(t, ids) in parts {
             self.tables[t.0].gather_into(ids, out.data_mut(), stride, col);
@@ -682,6 +676,45 @@ mod tests {
         let t = EmbeddingTable::new(&mut rng, "t", 4, 2, 0.1);
         let r = std::panic::catch_unwind(|| t.gather(&[4]));
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn empty_lookup_is_an_empty_leaf() {
+        let mut rng = Prng::seeded(9);
+        let mut store = EmbeddingStore::new();
+        let tid = store.add_table(&mut rng, "t", 5, 3, 0.1);
+        let mut g = Graph::new();
+        let e = store.lookup(&mut g, tid, &[]);
+        assert_eq!(g.value(e).shape(), (0, 3));
+    }
+
+    #[test]
+    fn pack_conversion_serves_identical_rows() {
+        let mut rng = Prng::seeded(7);
+        let mut ram = EmbeddingTable::new(&mut rng, "conv", 50, 6, 0.1);
+        let mut rng2 = Prng::seeded(7);
+        let mut packed = EmbeddingTable::new(&mut rng2, "conv", 50, 6, 0.1);
+        let dir = packstore::fresh_temp_dir();
+        packed.to_pack(&dir, PackOptions::default()).unwrap();
+        assert!(packed.is_pack());
+        for id in 0..50u32 {
+            let a: Vec<u32> = ram.row(id).iter().map(|v| v.to_bits()).collect();
+            let b: Vec<u32> = packed.row(id).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(a, b, "row {id}");
+        }
+        // Same update on both backings stays bitwise identical.
+        let grad = Tensor::from_vec(2, 6, (0..12).map(|i| 0.1 * i as f32).collect());
+        ram.apply_grad(&[3, 9], &grad, 0.05, 1e-6);
+        packed.apply_grad(&[3, 9], &grad, 0.05, 1e-6);
+        for id in [3u32, 9] {
+            let a: Vec<u32> = ram.row(id).iter().map(|v| v.to_bits()).collect();
+            let b: Vec<u32> = packed.row(id).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(a, b, "updated row {id}");
+            let aa: Vec<u32> = ram.accum_row(id).iter().map(|v| v.to_bits()).collect();
+            let ba: Vec<u32> = packed.accum_row(id).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(aa, ba, "accum row {id}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! included), and RAM-vs-pack training equivalence through the full
 //! [`EmbeddingStore`] lookup/backward/apply cycle.
 
-use basm_tensor::nn::embedding::{EmbeddingStore, EmbeddingTable};
+use basm_tensor::nn::embedding::{EmbeddingStore, EmbeddingTable, TableId};
 use basm_tensor::packstore::{
-    self, crc32, set_crash_plan, set_emb_store, write_table, CrashPlan, PackError, PackOptions,
-    PackTable, StoreMode, DELTA_CHUNK_MAGIC,
+    self, crc32, set_crash_plan, set_emb_store, write_manifest, write_table, CrashPlan,
+    ManifestEntry, PackError, PackOptions, PackTable, StoreMode, DELTA_CHUNK_MAGIC,
 };
 use basm_tensor::{Graph, Prng, Tensor};
 use proptest::prelude::*;
@@ -278,15 +278,28 @@ fn table_bits(t: &EmbeddingTable) -> Vec<u32> {
     w.iter().chain(&a).map(|v| v.to_bits()).collect()
 }
 
+/// One sparse update through the store: look `ids` up and back-propagate
+/// `sum(e ⊙ grad)`, so the leaf's gradient is exactly `grad`.
+fn grad_step(store: &mut EmbeddingStore, t: TableId, ids: &[u32], grad: &Tensor) {
+    let mut g = Graph::new();
+    let e = store.lookup(&mut g, t, ids);
+    let c = g.input(grad.clone());
+    let p = g.mul(e, c);
+    let loss = g.sum_all(p);
+    g.backward(loss);
+    store.apply_grads(&g, 0.05);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The pack write path against its RAM twin over a random sequence of
-    /// `apply_grad` (duplicate ids and padding included), `flush_deltas`
-    /// (some killed by the crash plan first), `compact` and flush + reopen:
-    /// after every op the two tables hold the same bits, every flush appends
-    /// exactly the chunk encoded from the dirty rows' overlay records in
-    /// ascending order, and a killed flush keeps the dirty set for the retry.
+    /// The pack write path against its RAM twin, each a one-table store,
+    /// over a random sequence of sparse updates (duplicate ids and padding
+    /// included), `flush_deltas` (some killed by the crash plan first),
+    /// `compact_packs` and flush + reopen: after every op the two tables
+    /// hold the same bits, every flush appends exactly the chunk encoded
+    /// from the dirty rows' overlay records in ascending order, and a killed
+    /// flush keeps the dirty set for the retry.
     #[test]
     fn pack_write_path_matches_ram_twin(
         ops in prop::collection::vec(
@@ -295,17 +308,34 @@ proptest! {
         ),
     ) {
         let (rows, dim) = (24usize, 3usize);
-        let mut ram = EmbeddingTable::new(&mut Prng::seeded(3), "t", rows, dim, 0.1);
-        let mut pack = EmbeddingTable::new(&mut Prng::seeded(3), "t", rows, dim, 0.1);
+        let guard = mode_lock();
+        set_emb_store(Some(StoreMode::Ram));
+        let mut ram = EmbeddingStore::new();
+        let t = ram.add_table(&mut Prng::seeded(3), "t", rows, dim, 0.1);
+        let mut pack = EmbeddingStore::new();
+        pack.add_table(&mut Prng::seeded(3), "t", rows, dim, 0.1);
+        set_emb_store(None);
+        drop(guard);
+        // Three 8-row shards, so updates and flushes cross shard bounds.
         let dir = scratch_dir();
-        pack.to_pack(&dir, PackOptions { shard_rows: 8 }).unwrap();
+        let (w, a) = ram.table(t).snapshot();
+        let opts = PackOptions { shard_rows: 8 };
+        let metas = write_table(&dir, "t", rows, dim, &w, &a, opts).unwrap();
+        let entry = ManifestEntry {
+            name: "t".into(),
+            rows: rows as u64,
+            dim: dim as u32,
+            n_shards: metas.len() as u32,
+        };
+        write_manifest(&dir, &[entry]).unwrap();
+        pack.attach_pack_dir(&dir).unwrap();
         let mut dirty = BTreeSet::new();
         for (kind, ids, seed) in ops {
             match kind {
                 0..=2 => {
                     let grad = Tensor::from_vec(ids.len(), dim, lcg_f32s(seed, ids.len() * dim));
-                    ram.apply_grad(&ids, &grad, 0.05, 1e-6);
-                    pack.apply_grad(&ids, &grad, 0.05, 1e-6);
+                    grad_step(&mut ram, t, &ids, &grad);
+                    grad_step(&mut pack, t, &ids, &grad);
                     dirty.extend(ids.iter().copied().filter(|&id| id != 0));
                 }
                 3 | 4 => {
@@ -314,12 +344,12 @@ proptest! {
                     if kind == 4 && !dirty.is_empty() {
                         let tear_bytes = seed as usize % 40;
                         set_crash_plan(Some(CrashPlan { kill_at_op: 0, tear_bytes }));
-                        prop_assert!(pack.pack_mut().unwrap().flush_deltas().is_err());
+                        prop_assert!(pack.flush_deltas().is_err());
                         set_crash_plan(None);
-                        prop_assert_eq!(pack.pack().unwrap().pending_len(), dirty.len());
+                        prop_assert_eq!(pack.table(t).pack().unwrap().pending_len(), dirty.len());
                     }
-                    let chunk = expected_chunk(&pack, &dirty);
-                    let n = pack.pack_mut().unwrap().flush_deltas().unwrap();
+                    let chunk = expected_chunk(pack.table(t), &dirty);
+                    let n = pack.flush_deltas().unwrap();
                     prop_assert_eq!(n, dirty.len());
                     let after = delta_bytes(&dir);
                     prop_assert_eq!(&after[..before.len()], &before[..]);
@@ -328,20 +358,20 @@ proptest! {
                     dirty.clear();
                 }
                 _ if seed % 2 == 0 => {
-                    pack.pack_mut().unwrap().compact().unwrap();
+                    pack.compact_packs().unwrap();
                     prop_assert!(delta_bytes(&dir).is_empty());
                     dirty.clear();
                 }
                 _ => {
-                    pack.pack_mut().unwrap().flush_deltas().unwrap();
+                    pack.flush_deltas().unwrap();
                     dirty.clear();
-                    pack.attach_pack(&dir).unwrap();
+                    pack.attach_pack_dir(&dir).unwrap();
                 }
             }
-            prop_assert_eq!(pack.pack().unwrap().pending_len(), dirty.len());
-            prop_assert_eq!(table_bits(&pack), table_bits(&ram));
+            prop_assert_eq!(pack.table(t).pack().unwrap().pending_len(), dirty.len());
+            prop_assert_eq!(table_bits(pack.table(t)), table_bits(ram.table(t)));
         }
-        pack.pack().unwrap().verify().unwrap();
+        pack.table(t).pack().unwrap().verify().unwrap();
         drop(pack);
         let _ = std::fs::remove_dir_all(&dir);
     }
