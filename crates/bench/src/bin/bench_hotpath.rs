@@ -15,7 +15,7 @@ use basm_bench::timing::{self, ModeStat};
 use basm_bench::BenchEnv;
 use basm_core::model::{predict, train_step, CtrModel};
 use basm_data::{generate_dataset, Context, StatCounters, TimePeriod, WorldConfig};
-use basm_serving::scorer::score_candidates;
+use basm_serving::{score_microbatch, ScoreJob};
 use basm_tensor::bufpool;
 use basm_tensor::optim::AdagradDecay;
 use serde::Serialize;
@@ -120,21 +120,14 @@ fn main() {
     };
     let candidates: Vec<u32> = (1..=ncand).collect();
     let history = VecDeque::new();
+    let job = [ScoreJob { uid: 0, candidates: &candidates, ctx, history: &history }];
     let mut serve_models: Vec<Box<dyn CtrModel>> = vec![
         basm_baselines::build_model("BASM", &cfg, 1),
         basm_baselines::build_model("BASM", &cfg, 1),
     ];
     let serve = compare(&format!("serve request (BASM, {ncand} candidates)"), 300, 30, |pooled| {
         let model = &mut serve_models[pooled as usize];
-        std::hint::black_box(score_candidates(
-            model.as_mut(),
-            world,
-            0,
-            &candidates,
-            ctx,
-            &history,
-            &counters,
-        ));
+        std::hint::black_box(score_microbatch(model.as_mut(), world, &job, &counters));
     });
 
     // --- training steps/sec ----------------------------------------------

@@ -1,27 +1,24 @@
 //! **BENCH_simd**: wall-clock effect of the explicit-SIMD kernel layer
 //! (`BASM_SIMD`, DESIGN.md §14) on the two loops that matter — steady-state
-//! training steps and per-request serving — plus the opt-in int8 serve path
-//! (`BASM_QUANT=int8`) stacked on top for the serve loop.
+//! training steps and per-request serving.
 //!
-//! All arms run in one process via the programmatic overrides, interleaved
+//! Both arms run in one process via the programmatic override, interleaved
 //! rep by rep with pairwise-ratio-median speedups (`basm_bench::timing`).
 //! Before any timing, the binary re-asserts the SIMD contract end to end:
 //! scalar and SIMD predictions must be **bitwise identical** (the full pin
-//! lives in `crates/tensor/tests/`), and the int8 scorer must stay finite
-//! and within the quantization error budget of the f32 scores (the AUC/CTR
-//! cost is measured separately by `bench_quant`).
+//! lives in `crates/tensor/tests/`).
 
 use basm_bench::{timing, BenchEnv};
 use basm_core::model::{predict, train_step, CtrModel};
 use basm_data::{generate_dataset, Context, StatCounters, TimePeriod, WorldConfig};
-use basm_serving::scorer::score_candidates;
+use basm_serving::{score_microbatch, ScoreJob};
 use basm_tensor::optim::AdagradDecay;
-use basm_tensor::{quant, simd};
+use basm_tensor::simd;
 use serde::Serialize;
 use std::cell::RefCell;
 
 #[derive(Serialize)]
-struct TrainComparison {
+struct Comparison {
     workload: String,
     scalar: timing::ModeStat,
     simd: timing::ModeStat,
@@ -30,40 +27,40 @@ struct TrainComparison {
 }
 
 #[derive(Serialize)]
-struct ServeComparison {
-    workload: String,
-    scalar: timing::ModeStat,
-    simd: timing::ModeStat,
-    simd_int8: timing::ModeStat,
-    /// Median of per-pair `scalar/simd` ratios.
-    speedup_simd: f64,
-    /// Median of per-pair `scalar/simd_int8` ratios.
-    speedup_simd_int8: f64,
-}
-
-#[derive(Serialize)]
 struct SimdBench {
     host_threads: usize,
     /// f32 lanes the host dispatches (8 = AVX, 4 = SSE2, 1 = scalar-only).
     detected_lanes: usize,
     note: String,
-    train_step: TrainComparison,
-    serve_request: ServeComparison,
+    train_step: Comparison,
+    serve_request: Comparison,
 }
 
-/// One rep of a mode-toggling workload: arms share `f`, each arm sets its
-/// own SIMD/quant state before running.
-fn arm<'a>(
-    f: &'a RefCell<impl FnMut(usize)>,
-    mode: usize,
-    simd_on: bool,
-    quant_on: bool,
-) -> impl FnMut() + 'a {
-    move || {
-        simd::set_simd(Some(simd_on));
-        quant::set_quant(Some(quant_on));
-        f.borrow_mut()(mode);
-    }
+/// Interleaved scalar/SIMD comparison of one workload: both arms share `f`
+/// (one model per arm, indexed by the arm), each sets its SIMD state first.
+fn compare(workload: String, reps: usize, warmup: usize, f: impl FnMut(usize)) -> Comparison {
+    let f = RefCell::new(f);
+    let run = timing::interleave(
+        ("scalar", "simd"),
+        reps,
+        warmup,
+        || {
+            simd::set_simd(Some(false));
+            f.borrow_mut()(0);
+        },
+        || {
+            simd::set_simd(Some(true));
+            f.borrow_mut()(1);
+        },
+    );
+    simd::set_simd(None);
+    eprintln!(
+        "[bench_simd] {workload}: scalar {:.1}µs, simd {:.1}µs ({:.2}x)",
+        run.baseline.median_secs * 1e6,
+        run.candidate.median_secs * 1e6,
+        run.speedup,
+    );
+    Comparison { workload, scalar: run.baseline, simd: run.candidate, speedup: run.speedup }
 }
 
 fn main() {
@@ -75,7 +72,7 @@ fn main() {
     let ds = &data.dataset;
     let world = &data.world;
 
-    // --- contract cross-checks before any clock starts --------------------
+    // --- contract cross-check before any clock starts ---------------------
     let probe = ds.batch(&(0..32).collect::<Vec<_>>());
     let bits_for = |on: bool| -> Vec<u32> {
         simd::set_simd(Some(on));
@@ -89,26 +86,11 @@ fn main() {
         bits_for(true),
         "scalar and SIMD predictions diverged — determinism contract broken"
     );
-    {
-        let mut m = basm_baselines::build_model("BASM", &cfg, 1);
-        let f32_probs = predict(m.as_mut(), &probe);
-        quant::set_quant(Some(true));
-        assert!(m.params().prepare_quant() > 0, "no weight matrix quantized");
-        let q_probs = predict(m.as_mut(), &probe);
-        quant::set_quant(None);
-        for (f, q) in f32_probs.iter().zip(q_probs.iter()) {
-            assert!(q.is_finite(), "int8 scorer emitted a non-finite probability");
-            assert!((f - q).abs() < 0.05, "int8 probability {q} drifted from f32 {f}");
-        }
-    }
 
     let ncand: u32 = std::env::var("SIMD_CANDS").ok().and_then(|v| v.parse().ok()).unwrap_or(30);
     let bsz: usize = std::env::var("SIMD_BATCH").ok().and_then(|v| v.parse().ok()).unwrap_or(1024);
 
-    // --- per-request serving: scalar vs SIMD vs SIMD+int8 ------------------
-    // One model per arm so each keeps its own BN/journals; the int8 arm
-    // additionally carries prepared QuantMatrix copies (built once, as a
-    // checkpoint attach would).
+    // --- per-request serving ----------------------------------------------
     let counters = StatCounters::new(cfg.n_users, cfg.n_items);
     let ctx = Context {
         day: 0,
@@ -120,102 +102,32 @@ fn main() {
     };
     let candidates: Vec<u32> = (1..=ncand).collect();
     let history = std::collections::VecDeque::new();
-    let mut serve_models: Vec<Box<dyn CtrModel>> = (0..3)
-        .map(|_| basm_baselines::build_model("BASM", &cfg, 1))
-        .collect();
-    quant::set_quant(Some(true));
-    serve_models[2].params().prepare_quant();
-    quant::set_quant(None);
-    let serve_f = RefCell::new(|mode: usize| {
-        let model = &mut serve_models[mode];
-        std::hint::black_box(score_candidates(
-            model.as_mut(),
-            world,
-            0,
-            &candidates,
-            ctx,
-            &history,
-            &counters,
-        ));
+    let job = [ScoreJob { uid: 0, candidates: &candidates, ctx, history: &history }];
+    let mut serve_models: Vec<Box<dyn CtrModel>> =
+        (0..2).map(|_| basm_baselines::build_model("BASM", &cfg, 1)).collect();
+    let serve = compare(format!("serve request (BASM, {ncand} candidates)"), 300, 30, |arm| {
+        let model = &mut serve_models[arm];
+        std::hint::black_box(score_microbatch(model.as_mut(), world, &job, &counters));
     });
-    let (reps, warmup) = (300, 30);
-    for _ in 0..warmup {
-        arm(&serve_f, 0, false, false)();
-        arm(&serve_f, 1, true, false)();
-        arm(&serve_f, 2, true, true)();
-    }
-    let mut scalar_s = Vec::with_capacity(reps);
-    let mut simd_s = Vec::with_capacity(reps);
-    let mut int8_s = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        scalar_s.push(timing::timed(arm(&serve_f, 0, false, false)).1);
-        simd_s.push(timing::timed(arm(&serve_f, 1, true, false)).1);
-        int8_s.push(timing::timed(arm(&serve_f, 2, true, true)).1);
-    }
-    simd::set_simd(None);
-    quant::set_quant(None);
-    let serve = ServeComparison {
-        workload: format!("serve request (BASM, {ncand} candidates)"),
-        speedup_simd: timing::pairwise_speedup(&scalar_s, &simd_s),
-        speedup_simd_int8: timing::pairwise_speedup(&scalar_s, &int8_s),
-        scalar: timing::ModeStat::from_samples("scalar", scalar_s),
-        simd: timing::ModeStat::from_samples("simd", simd_s),
-        simd_int8: timing::ModeStat::from_samples("simd+int8", int8_s),
-    };
-    eprintln!(
-        "[bench_simd] {}: scalar {:.1}µs, simd {:.1}µs ({:.2}x), simd+int8 {:.1}µs ({:.2}x)",
-        serve.workload,
-        serve.scalar.median_secs * 1e6,
-        serve.simd.median_secs * 1e6,
-        serve.speedup_simd,
-        serve.simd_int8.median_secs * 1e6,
-        serve.speedup_simd_int8,
-    );
 
-    // --- training steps: scalar vs SIMD ------------------------------------
-    // int8 never trains (inference-only by construction), so the train loop
-    // has exactly two arms.
+    // --- training steps ----------------------------------------------------
     let train_idx = ds.train_indices();
     let batch_idx: Vec<usize> = (0..bsz).map(|i| train_idx[i % train_idx.len()]).collect();
     let batch = ds.batch(&batch_idx);
     let mut train_models: Vec<(Box<dyn CtrModel>, AdagradDecay)> = (0..2)
         .map(|_| (basm_baselines::build_model("BASM", &cfg, 1), AdagradDecay::paper_default()))
         .collect();
-    let train_f = RefCell::new(|mode: usize| {
-        let (model, opt) = &mut train_models[mode];
+    let train = compare(format!("train step (BASM, batch {bsz})"), 40, 5, |arm| {
+        let (model, opt) = &mut train_models[arm];
         std::hint::black_box(train_step(model.as_mut(), &batch, opt, 0.05, Some(10.0)));
     });
-    let run = timing::interleave(
-        ("scalar", "simd"),
-        40,
-        5,
-        arm(&train_f, 0, false, false),
-        arm(&train_f, 1, true, false),
-    );
-    simd::set_simd(None);
-    quant::set_quant(None);
-    let train = TrainComparison {
-        workload: format!("train step (BASM, batch {bsz})"),
-        scalar: run.baseline,
-        simd: run.candidate,
-        speedup: run.speedup,
-    };
-    eprintln!(
-        "[bench_simd] {}: scalar {:.1}ms, simd {:.1}ms ({:.2}x)",
-        train.workload,
-        train.scalar.median_secs * 1e3,
-        train.simd.median_secs * 1e3,
-        train.speedup,
-    );
 
     let note = format!(
         "measured on a {host_threads}-core host dispatching {detected_lanes} f32 lanes. \
          Arms interleave rep by rep; speedups are medians of per-pair ratios \
          (basm_bench::timing). scalar = BASM_SIMD=0, simd = BASM_SIMD=1 (default \
-         when the host supports it), simd+int8 adds BASM_QUANT=int8 prepared \
-         weights on the serve path only. Scalar and SIMD results are bitwise \
-         identical (asserted before timing); int8 moves bits by design and its \
-         accuracy cost is measured in BENCH_quant.json.",
+         when the host supports it). Scalar and SIMD results are bitwise \
+         identical (asserted before timing).",
     );
     let report = SimdBench {
         host_threads,

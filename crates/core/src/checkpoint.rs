@@ -164,12 +164,7 @@ pub fn load_model(model: &mut dyn CtrModel, bytes: &[u8]) -> Result<(), Checkpoi
     let consumed = parsed.consumed();
     parsed.apply_params(model.params())?;
     parsed.apply_embeddings(&mut model.embedder().emb)?;
-    load_bn_section(model, &bytes[consumed..])?;
-    // Attach time is when a model transitions to read-mostly scoring — the
-    // one place the opt-in int8 serve copies are built (no-op unless
-    // `BASM_QUANT=int8`; see DESIGN.md §14).
-    model.params().prepare_quant();
-    Ok(())
+    load_bn_section(model, &bytes[consumed..])
 }
 
 /// Write a checkpoint to disk **atomically**: the bytes land in a temp file
@@ -306,11 +301,7 @@ pub fn load_model_dir(
         .embedder()
         .emb
         .attach_pack_dir(&dir.join(EMB_DIR))
-        .map_err(|e| to_io(e.to_string()))?;
-    // Same attach-time hook as `load_model`: build the int8 serve copies when
-    // `BASM_QUANT=int8` requests them (embeddings stay f32).
-    model.params().prepare_quant();
-    Ok(())
+        .map_err(|e| to_io(e.to_string()))
 }
 
 #[cfg(test)]

@@ -150,11 +150,7 @@ pub fn train_step_checked(
 
 /// Inference: predicted click probabilities for a batch.
 ///
-/// Marks the graph as inference-mode, which lets dense layers route through
-/// the int8 serve kernels when `BASM_QUANT=int8` and the store holds prepared
-/// [`basm_tensor::quant::QuantMatrix`] copies (see `ParamStore::prepare_quant`).
-/// Training steps never set this flag, so quantization can never leak into
-/// gradients.
+/// Marks the graph as inference-mode, so fused ops keep no backward context.
 pub fn predict(model: &mut dyn CtrModel, batch: &Batch) -> Vec<f32> {
     let probs = with_graph(|g| {
         g.set_inference(true);

@@ -455,217 +455,6 @@ pub fn append_example(
     }
 }
 
-/// The user/context-side half of an assembled serving example: every column
-/// of [`append_example`] that depends only on `(uid, ctx, history, user
-/// counters)` — never on the candidate item.
-///
-/// This is the unit the serving memo tier (`basm-serving`'s `memo` module)
-/// caches: within a session the tuple `(uid, geohash cell, hour)` repeats
-/// while the behavior sequence stays put, so the expensive part of assembly
-/// (the 7-column sequence encoding plus the spatiotemporal-match flags) can
-/// be built once and replayed. Item-side columns (item/category/brand/combine
-/// ids, distance, and the item statistics that change on **every** exposure
-/// write-back) are recomputed per candidate by
-/// [`append_example_from_block`] — that split is what lets a cached block
-/// survive the request's own exposure recording.
-///
-/// Bitwise contract: [`append_example_from_block`] over a block built by
-/// [`UserBlock::build`] pushes exactly the bytes [`append_example`] pushes
-/// for the same inputs (pinned by `block_path_matches_append_example`).
-#[derive(Debug, Clone)]
-pub struct UserBlock {
-    /// Requesting user.
-    pub uid: u32,
-    /// Request context the block was built under (position forced to 0, the
-    /// serving convention of `score_candidates`).
-    pub ctx: Context,
-    /// Global geohash id of `ctx`'s cell.
-    pub geohash: u32,
-    /// The three user-side dense statistics, exactly as [`append_example`]
-    /// computes them: `ln_1p(user_clicks)/5`, `ln_1p(user_orders)/5`,
-    /// `activity/2`.
-    pub dense_user: [f32; 3],
-    /// The position dense feature (`position / candidates_per_session`;
-    /// always `0.0` at serving time).
-    pub dense_pos: f32,
-    /// Sequence item ids (`+1`, 0 = pad), length `seq_len`.
-    pub seq_item: Vec<u32>,
-    /// Sequence category ids (`+1`, 0 = pad).
-    pub seq_cat: Vec<u16>,
-    /// Sequence brand ids (`+1`, 0 = pad).
-    pub seq_brand: Vec<u16>,
-    /// Sequence time-period ids (`+1`, 0 = pad).
-    pub seq_tp: Vec<u8>,
-    /// Sequence hour ids (`+1`, 0 = pad).
-    pub seq_hour: Vec<u8>,
-    /// Sequence city ids (`+1`, 0 = pad).
-    pub seq_city: Vec<u16>,
-    /// Sequence geohash ids (`+1`, 0 = pad).
-    pub seq_geo: Vec<u32>,
-    /// Per-position spatiotemporal-match flag (StSTL's filter).
-    pub seq_st_flag: Vec<u8>,
-    /// Valid prefix length of the sequence.
-    pub seq_used: u8,
-}
-
-impl UserBlock {
-    /// Build the user/context half of a serving example — the same
-    /// computation [`append_example`] performs for these columns, hoisted
-    /// out of the per-candidate loop.
-    pub fn build(
-        world: &World,
-        uid: usize,
-        ctx: Context,
-        history: &VecDeque<BehaviorEvent>,
-        counters: &StatCounters,
-    ) -> Self {
-        let cfg = &world.config;
-        let user = &world.users[uid];
-        let t = cfg.seq_len;
-        let ctx = Context { position: 0, ..ctx };
-
-        let mut block = Self {
-            uid: uid as u32,
-            ctx,
-            geohash: world.geohash_id(ctx.city, ctx.geo),
-            dense_user: [
-                (counters.user_clicks[uid] as f32).ln_1p() / 5.0,
-                (counters.user_orders[uid] as f32).ln_1p() / 5.0,
-                user.activity / 2.0,
-            ],
-            dense_pos: ctx.position as f32 / cfg.candidates_per_session as f32,
-            seq_item: Vec::with_capacity(t),
-            seq_cat: Vec::with_capacity(t),
-            seq_brand: Vec::with_capacity(t),
-            seq_tp: Vec::with_capacity(t),
-            seq_hour: Vec::with_capacity(t),
-            seq_city: Vec::with_capacity(t),
-            seq_geo: Vec::with_capacity(t),
-            seq_st_flag: Vec::with_capacity(t),
-            seq_used: 0,
-        };
-
-        // Behavior sequence: most recent first, padded with 0 — byte-for-byte
-        // the loop in `append_example`.
-        let used = history.len().min(t);
-        block.seq_used = used as u8;
-        let mut wrote = 0usize;
-        for ev in history.iter().rev().take(used) {
-            block.seq_item.push(ev.item + 1);
-            block.seq_cat.push(ev.cat + 1);
-            block.seq_brand.push(ev.brand + 1);
-            block.seq_tp.push(ev.tp + 1);
-            block.seq_hour.push(ev.hour + 1);
-            block.seq_city.push(ev.city + 1);
-            block.seq_geo.push(world.geohash_id(ev.city, (ev.gx, ev.gy)) + 1);
-            let same_tp = ev.tp as usize == ctx.tp.index();
-            let nearby = ev.city == ctx.city
-                && (ev.gx as i32 - ctx.geo.0 as i32).abs() <= 2
-                && (ev.gy as i32 - ctx.geo.1 as i32).abs() <= 2;
-            block.seq_st_flag.push(u8::from(same_tp && nearby));
-            wrote += 1;
-        }
-        for _ in wrote..t {
-            block.seq_item.push(0);
-            block.seq_cat.push(0);
-            block.seq_brand.push(0);
-            block.seq_tp.push(0);
-            block.seq_hour.push(0);
-            block.seq_city.push(0);
-            block.seq_geo.push(0);
-            block.seq_st_flag.push(0);
-        }
-        block
-    }
-
-    /// Approximate heap footprint of one block (capacity accounting for the
-    /// memo tier).
-    pub fn heap_bytes(&self) -> usize {
-        self.seq_item.capacity() * 4
-            + self.seq_cat.capacity() * 2
-            + self.seq_brand.capacity() * 2
-            + self.seq_tp.capacity()
-            + self.seq_hour.capacity()
-            + self.seq_city.capacity() * 2
-            + self.seq_geo.capacity() * 4
-            + self.seq_st_flag.capacity()
-    }
-}
-
-/// Materialize one *serving* impression from a cached [`UserBlock`] plus a
-/// candidate item: the user/context columns are replayed from the block and
-/// the item-side columns (ids, combine cross feature, distance, and the
-/// exposure/click statistics that move on every request) are computed fresh
-/// against the **current** `counters`.
-///
-/// Serving constants match [`append_example`] as `score_candidates` calls
-/// it: `label = false`, `true_prob = 0.0`, `session = 0`, `position = 0`.
-pub fn append_example_from_block(
-    ds: &mut Dataset,
-    world: &World,
-    block: &UserBlock,
-    iid: u32,
-    counters: &StatCounters,
-) {
-    let user = &world.users[block.uid as usize];
-    let item = &world.items[iid as usize];
-    let ctx = block.ctx;
-
-    ds.label.push(0.0);
-    ds.true_prob.push(0.0);
-    ds.day.push(ctx.day);
-    ds.session.push(0);
-    ds.hour.push(ctx.hour);
-    ds.tp.push(ctx.tp.index() as u8);
-    ds.city.push(ctx.city);
-    ds.geohash.push(block.geohash);
-    ds.position.push(ctx.position);
-    ds.user.push(block.uid);
-    ds.item.push(iid);
-    ds.category.push(item.category);
-    ds.brand.push(item.brand);
-
-    // Combine cross feature — identical arithmetic to `append_example`.
-    let cat_rel: u16 = if item.category == user.fav_category {
-        2
-    } else if item.category == user.alt_category {
-        1
-    } else {
-        0
-    };
-    let price_bucket = ((user.price_pref - item.price_tier).abs() as u16).min(4);
-    let city_tier: u16 = u16::from(world.cities[ctx.city as usize].user_share <= 0.15);
-    let combine = cat_rel * 10 + price_bucket * 2 + city_tier;
-    debug_assert!((combine as usize) < Dataset::COMBINE_CARD);
-    ds.combine.push(combine);
-
-    // Dense row: cached user-side values + fresh item-side statistics.
-    let dist = world.geo_distance(ctx.geo, item.geo);
-    let exposures = counters.item_exposures[iid as usize];
-    let item_ctr = counters.item_clicks[iid as usize] as f32 / (exposures as f32 + 10.0);
-    ds.dense.extend_from_slice(&[
-        block.dense_user[0],
-        block.dense_user[1],
-        block.dense_user[2],
-        item_ctr * 10.0,
-        (counters.item_clicks[iid as usize] as f32).ln_1p() / 6.0,
-        item.price_tier / 4.0,
-        dist,
-        block.dense_pos,
-    ]);
-    debug_assert_eq!(ds.dense.len(), ds.label.len() * DENSE_FEATURES);
-
-    ds.seq_used.push(block.seq_used);
-    ds.seq_item.extend_from_slice(&block.seq_item);
-    ds.seq_cat.extend_from_slice(&block.seq_cat);
-    ds.seq_brand.extend_from_slice(&block.seq_brand);
-    ds.seq_tp.extend_from_slice(&block.seq_tp);
-    ds.seq_hour.extend_from_slice(&block.seq_hour);
-    ds.seq_city.extend_from_slice(&block.seq_city);
-    ds.seq_geo.extend_from_slice(&block.seq_geo);
-    ds.seq_st_flag.extend_from_slice(&block.seq_st_flag);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,90 +540,6 @@ mod tests {
                 .filter(|(&l, _)| l == label)
                 .fold((0f64, 0usize), |(s, n), (_, &p)| (s + p as f64, n + 1));
             sum / n.max(1) as f64
-        }
-    }
-
-    /// The memo tier's correctness root: assembling a serving example from a
-    /// cached [`UserBlock`] must push exactly the bytes `append_example`
-    /// pushes — every column, every f32 bit — across histories of every
-    /// length (empty, short, overflowing `seq_len`) and non-trivial counters.
-    #[test]
-    fn block_path_matches_append_example() {
-        let cfg = WorldConfig::tiny();
-        let world = World::generate(cfg.clone());
-        let mut counters = StatCounters::new(cfg.n_users, cfg.n_items);
-        for u in 0..cfg.n_users {
-            counters.user_clicks[u] = (u as u32 * 13) % 37;
-            counters.user_orders[u] = (u as u32 * 5) % 11;
-        }
-        for i in 0..cfg.n_items {
-            counters.item_clicks[i] = (i as u32 * 7) % 23;
-            counters.item_exposures[i] = (i as u32 * 11) % 101;
-        }
-        let mut rng = Prng::seeded(77);
-        let ev = |rng: &mut Prng| BehaviorEvent {
-            item: rng.below(cfg.n_items) as u32,
-            cat: rng.below(cfg.n_categories) as u16,
-            brand: rng.below(cfg.n_brands) as u16,
-            tp: rng.below(5) as u8,
-            hour: rng.below(24) as u8,
-            city: rng.below(cfg.n_cities) as u16,
-            gx: rng.below(cfg.geo_grid) as u8,
-            gy: rng.below(cfg.geo_grid) as u8,
-        };
-        for hist_len in [0usize, 1, 3, cfg.seq_len, 3 * cfg.seq_len] {
-            let uid = rng.below(cfg.n_users);
-            let history: VecDeque<BehaviorEvent> =
-                (0..hist_len).map(|_| ev(&mut rng)).collect();
-            let hour = rng.below(24) as u8;
-            let ctx = Context {
-                day: rng.below(7) as u16,
-                hour,
-                tp: TimePeriod::from_hour(hour),
-                city: world.users[uid].city,
-                geo: (rng.below(cfg.geo_grid) as u8, rng.below(cfg.geo_grid) as u8),
-                position: 0,
-            };
-            let candidates: Vec<u32> =
-                (0..8).map(|_| rng.below(cfg.n_items) as u32).collect();
-
-            let mut direct = Dataset::empty(cfg.clone());
-            for &iid in &candidates {
-                append_example(
-                    &mut direct, &world, uid, iid, ctx, 0, false, 0.0, &history, &counters,
-                );
-            }
-            let block = UserBlock::build(&world, uid, ctx, &history, &counters);
-            let mut via_block = Dataset::empty(cfg.clone());
-            for &iid in &candidates {
-                append_example_from_block(&mut via_block, &world, &block, iid, &counters);
-            }
-
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-            assert_eq!(bits(&direct.label), bits(&via_block.label));
-            assert_eq!(bits(&direct.true_prob), bits(&via_block.true_prob));
-            assert_eq!(direct.day, via_block.day);
-            assert_eq!(direct.session, via_block.session);
-            assert_eq!(direct.hour, via_block.hour);
-            assert_eq!(direct.tp, via_block.tp);
-            assert_eq!(direct.city, via_block.city);
-            assert_eq!(direct.geohash, via_block.geohash);
-            assert_eq!(direct.position, via_block.position);
-            assert_eq!(direct.user, via_block.user);
-            assert_eq!(direct.item, via_block.item);
-            assert_eq!(direct.category, via_block.category);
-            assert_eq!(direct.brand, via_block.brand);
-            assert_eq!(direct.combine, via_block.combine);
-            assert_eq!(bits(&direct.dense), bits(&via_block.dense), "dense @ len {hist_len}");
-            assert_eq!(direct.seq_item, via_block.seq_item);
-            assert_eq!(direct.seq_cat, via_block.seq_cat);
-            assert_eq!(direct.seq_brand, via_block.seq_brand);
-            assert_eq!(direct.seq_tp, via_block.seq_tp);
-            assert_eq!(direct.seq_hour, via_block.seq_hour);
-            assert_eq!(direct.seq_city, via_block.seq_city);
-            assert_eq!(direct.seq_geo, via_block.seq_geo);
-            assert_eq!(direct.seq_st_flag, via_block.seq_st_flag);
-            assert_eq!(direct.seq_used, via_block.seq_used);
         }
     }
 

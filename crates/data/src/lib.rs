@@ -30,8 +30,7 @@ pub mod world;
 pub use config::WorldConfig;
 pub use dataset::{Batch, Dataset};
 pub use generate::{
-    append_example, append_example_from_block, generate_dataset, BehaviorEvent, GeneratedData,
-    StatCounters, UserBlock,
+    append_example, generate_dataset, BehaviorEvent, GeneratedData, StatCounters,
 };
 pub use io::{export_tsv, import_tsv, TsvError, TSV_HEADER};
 pub use schema::{Field, TimePeriod, DENSE_FEATURES, FIELDS, SEQ_FEATURES, TIME_PERIODS};

@@ -34,16 +34,11 @@ use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 struct State {
     history: Vec<VecDeque<BehaviorEvent>>,
     counters: StatCounters,
-    /// Per-user write version: bumped by every write that can change the
-    /// user-side feature block — `record_click` (history + user counters)
-    /// and `seed_history`. The memo tier keys cached blocks on this;
-    /// invalidation is therefore driven by writes, never TTLs (DESIGN.md
-    /// §12). `record_exposure` deliberately does **not** bump it: exposure
-    /// counters feed only item-side features, which are assembled fresh per
-    /// candidate.
+    /// Per-user write count: bumped by `record_click` and `seed_history`
+    /// (never by exposures). Persisted in WAL snapshots.
     history_version: Vec<u64>,
-    /// Global click-write version: bumped by every `record_click`. Guards
-    /// products derived from `item_clicks` (city-popularity recall).
+    /// Global click-write count: bumped by every `record_click`. Persisted
+    /// in WAL snapshots.
     clicks_version: u64,
 }
 
@@ -120,37 +115,15 @@ impl FeatureServer {
         }
     }
 
-    /// Current write version of a user's feature block inputs (history +
-    /// user-side counters). Monotonic; any equal reading proves the inputs
-    /// have not changed since.
+    /// A user's write count (see the `history_version` field). WAL replay
+    /// must restore it; `tests/crash_recovery.rs` compares it.
     pub fn history_version(&self, uid: usize) -> u64 {
         self.read_state().history_version[uid]
     }
 
-    /// Current global click-write version (see `clicks_version` above).
+    /// The global click-write count (see the `clicks_version` field).
     pub fn clicks_version(&self) -> u64 {
         self.read_state().clicks_version
-    }
-
-    /// Run `f` with the user's history version, behavior sequence and the
-    /// counters under **one** read guard — the memo tier's cold-path builder
-    /// uses this so a cached block's stamped version exactly matches the
-    /// state it was derived from (no torn read between version and content).
-    pub fn with_versioned_state<R>(
-        &self,
-        uid: usize,
-        f: impl FnOnce(u64, &VecDeque<BehaviorEvent>, &StatCounters) -> R,
-    ) -> R {
-        let s = self.read_state();
-        f(s.history_version[uid], &s.history[uid], &s.counters)
-    }
-
-    /// Run `f` with the global click version and the counters under **one**
-    /// read guard — the popularity-recall memo's cold-path builder (same
-    /// torn-read argument as [`FeatureServer::with_versioned_state`]).
-    pub fn with_clicks_version<R>(&self, f: impl FnOnce(u64, &StatCounters) -> R) -> R {
-        let s = self.read_state();
-        f(s.clicks_version, &s.counters)
     }
 
     /// Snapshot a user's behavior sequence (most recent last, as stored).
@@ -371,9 +344,9 @@ mod tests {
         fs.with_counters(|c| assert_eq!(c.item_exposures[7], 2));
     }
 
-    /// Version semantics the memo tier depends on: clicks and seeds bump,
-    /// exposures don't (item-side features are never cached), and the
-    /// combined read hands out a version consistent with its content.
+    /// Write-count semantics (persisted in WAL snapshots and read by
+    /// `has_state`): clicks and seeds bump, exposures don't, and the
+    /// history count is per user.
     #[test]
     fn versions_track_writes_not_exposures() {
         let fs = FeatureServer::new(2, 10, 4);
@@ -382,7 +355,7 @@ mod tests {
 
         fs.record_exposure(3);
         fs.record_exposure(4);
-        assert_eq!(fs.history_version(0), 0, "exposures must not invalidate blocks");
+        assert_eq!(fs.history_version(0), 0, "exposures must not bump the write count");
         assert_eq!(fs.clicks_version(), 0);
 
         fs.record_click(0, ev(3), true);
@@ -393,12 +366,6 @@ mod tests {
         fs.seed_history(1, (0..2).map(ev));
         assert_eq!(fs.history_version(1), 1);
         assert_eq!(fs.clicks_version(), 1, "seeding touches no counters");
-
-        fs.with_versioned_state(0, |v, h, c| {
-            assert_eq!(v, 1);
-            assert_eq!(h.len(), 1);
-            assert_eq!(c.user_clicks[0], 1);
-        });
     }
 
     #[test]

@@ -28,12 +28,8 @@
 //! simulated schedule (and therefore batch composition) is identical in
 //! both modes, so per-request exposures must agree to the bit; the
 //! wall-clock difference between the modes is what `bench_load` measures.
-//!
-//! The memo tier (DESIGN.md §12) follows the same snapshot discipline:
-//! input versions are synced once per drained microbatch, so every request
-//! in a batch sees one consistent cache view, and cached feature blocks
-//! feed the block-shaped microbatch scorer
-//! ([`crate::scorer::score_microbatch_blocks`]).
+//! Both run the one scorer, [`score_microbatch`]: all of the batch's jobs in
+//! one call, or one job per call.
 //!
 //! ## Admission control & shedding
 //!
@@ -57,18 +53,14 @@
 //! exercises under a hot profile.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use basm_data::{BehaviorEvent, Context, UserBlock, World};
+use basm_data::{BehaviorEvent, Context, World};
 use basm_tensor::Prng;
 
 use crate::arrivals::Arrival;
 #[allow(unused_imports)] // DeadlinePolicy: doc links only
 use crate::pipeline::{request_context, DeadlinePolicy, Exposure, Request, ServingPipeline};
-use crate::scorer::{
-    score_block, score_candidates, score_microbatch, score_microbatch_blocks, BlockScoreJob,
-    ScoreJob,
-};
+use crate::scorer::{score_microbatch, ScoreJob};
 
 #[cfg(feature = "faults")]
 use crate::pipeline::stale_keep_len;
@@ -188,16 +180,12 @@ pub struct LoadOutcome {
 }
 
 /// One drained request after admission/triage, waiting for its scores.
-/// With the memo tier on, `block` carries the (possibly cached) user feature
-/// block and `history` stays empty; with the tier off it is the reverse —
-/// the two score bitwise-identically (`tests/memo_equivalence.rs`).
 struct Prep {
     arrival: usize,
     uid: usize,
     queue_wait_ns: u64,
     candidates: Vec<u32>,
     history: VecDeque<BehaviorEvent>,
-    block: Option<Arc<UserBlock>>,
     ctx: Context,
     shed: ShedReason,
 }
@@ -283,7 +271,6 @@ impl LoadEngine {
         cfg: &FrontendConfig,
     ) {
         let budget_ns = pipe.policy.budget_ns;
-        let memo_on = pipe.memo.enabled();
         // Take the injector out for the batch (like `serve_degraded`) so
         // fault draws can interleave with mutable pipeline access.
         #[cfg(feature = "faults")]
@@ -323,12 +310,6 @@ impl LoadEngine {
         let summary = &mut self.summary;
         summary.batches += 1;
         basm_obs::record_hist("serving.batch_size", take as u64);
-        // Snapshot input versions once per drained microbatch (DESIGN.md
-        // §12): every batch-mate sees the same embedding version, mirroring
-        // the single counter snapshot phase 2 scores against.
-        if memo_on {
-            pipe.sync_memo_model_version();
-        }
 
         // --- phase 1: per-request recall/features + shed triage, in
         // admission order ---------------------------------------------------
@@ -365,52 +346,34 @@ impl LoadEngine {
             // straight to the fallback rung).
             #[allow(unused_mut)]
             let mut scorer_fault = false;
-            // Healthy fetch: cached block (memo on) or raw history (memo
-            // off). The memo tier and the legacy path score bitwise-equal.
-            let healthy_fetch = |pipe: &mut ServingPipeline| {
-                if memo_on {
-                    (VecDeque::new(), Some(pipe.cached_block(world, a.uid, ctx)))
-                } else {
-                    (pipe.features.history_snapshot(a.uid), None)
-                }
+            let healthy = |pipe: &ServingPipeline, rng: &mut Prng| {
+                let history = pipe.features.history_snapshot(a.uid);
+                (history, pipe.recall.candidates(city, a.geo, pipe.pool, rng))
             };
             #[cfg(feature = "faults")]
-            let (history, block, candidates) = match injector.as_mut() {
+            let (history, candidates) = match injector.as_mut() {
                 Some(inj) => {
                     let profile = inj.profile().clone();
-                    let (history, block) = match inj.feature_fetch() {
-                        FeatureFault::Ok => healthy_fetch(pipe),
+                    let history = match inj.feature_fetch() {
+                        FeatureFault::Ok => pipe.features.history_snapshot(a.uid),
                         FeatureFault::Stale => {
                             basm_obs::counter_add("serving.fault.feature_stale", 1);
                             let mut h = pipe.features.history_snapshot(a.uid);
                             h.truncate(stale_keep_len(h.len()));
-                            if memo_on {
-                                // Ladder bypass: degraded state never enters
-                                // (or reads) the memo.
-                                let b = pipe.uncached_block(world, a.uid, ctx, &h);
-                                (VecDeque::new(), Some(b))
-                            } else {
-                                (h, None)
-                            }
+                            h
                         }
                         FeatureFault::Timeout => {
                             basm_obs::counter_add("serving.fault.feature_timeout", 1);
                             basm_obs::counter_add("serving.fallback.history", 1);
                             now += profile.hop_timeout_ns;
-                            let empty = VecDeque::new();
-                            if memo_on {
-                                let b = pipe.uncached_block(world, a.uid, ctx, &empty);
-                                (empty, Some(b))
-                            } else {
-                                (empty, None)
-                            }
+                            VecDeque::new()
                         }
                     };
                     let candidates = match inj.recall() {
-                        RecallFault::Ok => pipe.ladder_recall(city, a.geo, &mut rng),
+                        RecallFault::Ok => pipe.recall.candidates(city, a.geo, pipe.pool, &mut rng),
                         RecallFault::Partial => {
                             basm_obs::counter_add("serving.fault.recall_partial", 1);
-                            let mut c = pipe.ladder_recall(city, a.geo, &mut rng);
+                            let mut c = pipe.recall.candidates(city, a.geo, pipe.pool, &mut rng);
                             c.truncate(c.len().div_ceil(2));
                             c
                         }
@@ -418,7 +381,7 @@ impl LoadEngine {
                             basm_obs::counter_add("serving.fault.recall_empty", 1);
                             basm_obs::counter_add("serving.fallback.recall", 1);
                             now += profile.hop_timeout_ns;
-                            pipe.popularity_with_memo(city)
+                            pipe.popularity_candidates(city)
                         }
                     };
                     match inj.score() {
@@ -434,28 +397,12 @@ impl LoadEngine {
                             scorer_fault = true;
                         }
                     }
-                    (history, block, candidates)
+                    (history, candidates)
                 }
-                None => {
-                    let (history, block) = healthy_fetch(pipe);
-                    let candidates = if memo_on {
-                        pipe.recall_with_memo(city, a.geo, &mut rng)
-                    } else {
-                        pipe.recall.candidates(city, a.geo, pipe.pool, &mut rng)
-                    };
-                    (history, block, candidates)
-                }
+                None => healthy(pipe, &mut rng),
             };
             #[cfg(not(feature = "faults"))]
-            let (history, block, candidates) = {
-                let (history, block) = healthy_fetch(pipe);
-                let candidates = if memo_on {
-                    pipe.recall_with_memo(city, a.geo, &mut rng)
-                } else {
-                    pipe.recall.candidates(city, a.geo, pipe.pool, &mut rng)
-                };
-                (history, block, candidates)
-            };
+            let (history, candidates) = healthy(pipe, &mut rng);
 
             // Shed triage: would this request's own nominal scoring cost,
             // on top of its queue wait, overrun the budget?
@@ -479,7 +426,6 @@ impl LoadEngine {
                 queue_wait_ns,
                 candidates,
                 history,
-                block,
                 ctx,
                 shed,
             });
@@ -501,57 +447,27 @@ impl LoadEngine {
         }
         let mut scores: Vec<Vec<f32>> = preps.iter().map(|_| Vec::new()).collect();
         if !model_idx.is_empty() {
-            let results: Vec<Vec<f32>> = if cfg.coalesce && memo_on {
-                let jobs: Vec<BlockScoreJob<'_>> = model_idx
-                    .iter()
-                    .map(|&i| {
-                        let p = &preps[i];
-                        BlockScoreJob {
-                            block: p.block.as_deref().expect("memo-on preps carry blocks"),
-                            candidates: &p.candidates,
-                        }
-                    })
-                    .collect();
-                pipe.features.with_counters(|c| {
-                    score_microbatch_blocks(pipe.model.as_mut(), world, &jobs, c)
+            let jobs: Vec<ScoreJob<'_>> = model_idx
+                .iter()
+                .map(|&i| {
+                    let p = &preps[i];
+                    ScoreJob {
+                        uid: p.uid,
+                        candidates: &p.candidates,
+                        ctx: p.ctx,
+                        history: &p.history,
+                    }
                 })
-            } else if cfg.coalesce {
-                let jobs: Vec<ScoreJob<'_>> = model_idx
-                    .iter()
-                    .map(|&i| {
-                        let p = &preps[i];
-                        ScoreJob {
-                            uid: p.uid,
-                            candidates: &p.candidates,
-                            ctx: p.ctx,
-                            history: &p.history,
-                        }
-                    })
-                    .collect();
-                pipe.features
-                    .with_counters(|c| score_microbatch(pipe.model.as_mut(), world, &jobs, c))
-            } else {
-                model_idx
-                    .iter()
-                    .map(|&i| {
-                        let p = &preps[i];
-                        pipe.features.with_counters(|c| match p.block.as_deref() {
-                            Some(b) => {
-                                score_block(pipe.model.as_mut(), world, b, &p.candidates, c)
-                            }
-                            None => score_candidates(
-                                pipe.model.as_mut(),
-                                world,
-                                p.uid,
-                                &p.candidates,
-                                p.ctx,
-                                &p.history,
-                                c,
-                            ),
-                        })
-                    })
+                .collect();
+            // Coalesced: the whole batch in one pass; otherwise one pass per
+            // request. Same scorer, same counter snapshot either way.
+            let per_pass = if cfg.coalesce { jobs.len() } else { 1 };
+            let model = pipe.model.as_mut();
+            let results: Vec<Vec<f32>> = pipe.features.with_counters(|c| {
+                jobs.chunks(per_pass)
+                    .flat_map(|pass| score_microbatch(&mut *model, world, pass, c))
                     .collect()
-            };
+            });
             summary.model_served += model_idx.len();
             for (i, s) in model_idx.into_iter().zip(results) {
                 scores[i] = s;
@@ -682,9 +598,8 @@ pub struct SupervisedOutcome {
 /// online feature state, and a panic anywhere in a batch — including a
 /// `BASM_CRASH`-injected death inside a WAL append — triggers the restart
 /// path: rebuild the replica, replay the WAL into a fresh feature server,
-/// reset the memo tier (a hit is bitwise the cold path, so cold restart is
-/// safe), re-enqueue the in-flight microbatch in admission order, and
-/// continue on the *same* simulated clock.
+/// re-enqueue the in-flight microbatch in admission order, and continue on
+/// the *same* simulated clock.
 ///
 /// Determinism: the sim clock does not advance during recovery, per-request
 /// rngs are schedule-seeded, and the killed batch never committed its
@@ -739,7 +654,6 @@ pub fn run_load_supervised(
         let replayed = attach(&mut pipe)?;
         recovery.replayed_records += replayed;
         basm_obs::counter_add("serving.recovery.replayed_records", replayed);
-        pipe.reset_memo();
     }
     Ok(SupervisedOutcome { load: engine.finish(), recovery })
 }

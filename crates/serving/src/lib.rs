@@ -5,7 +5,9 @@
 //!
 //! * [`FeatureServer`] — the ABFS role: behavior sequences + statistics.
 //! * [`LbsRecall`] — geohash-ring candidate recall.
-//! * [`scorer`] — RTP-style feature assembly + model inference.
+//! * [`scorer`] — RTP-style feature assembly + model inference, through
+//!   one entry point ([`score_microbatch`]; a single request is a batch of
+//!   one).
 //! * [`ServingPipeline`] — TPP orchestration: recall → score → top-k.
 //! * [`ab_test`] — the closed-loop 7-day A/B experiment against the
 //!   ground-truth click model, with per-day and per-segment CTRs.
@@ -28,12 +30,9 @@
 //! wait would breach the deadline budget. Batched execution is pinned
 //! bitwise-equal to sequential per-request scoring.
 //!
-//! The steady-state hot path is additionally served by the [`memo`] tier
-//! (DESIGN.md §12): user feature blocks and recall products are cached under
-//! explicit input versions bumped by feature-server writes and embedding
-//! updates, so a hit is provably the bytes the cold path would produce.
-//! `BASM_MEMO=0|1` is pinned bitwise-equal in tier1.sh; `serving.memo.*`
-//! counters expose hit/miss/invalidate/evict traffic.
+//! Every request, served alone or coalesced, is assembled by
+//! `basm_data::append_example` — the function that builds the training log —
+//! and nothing is cached between requests (DESIGN.md §12).
 //!
 //! Online state is crash-consistent (DESIGN.md §13): with `BASM_WAL=1` (or
 //! an explicitly attached [`Journal`]) every feature-server write lands in a
@@ -64,7 +63,6 @@ pub mod arrivals;
 pub mod feature_server;
 pub mod frontend;
 pub mod journal;
-pub mod memo;
 pub mod pipeline;
 pub mod recall;
 pub mod replay;
@@ -78,11 +76,7 @@ pub use frontend::{
     LoadOutcome, LoadSummary, RecoveryStats, ShedReason, SupervisedOutcome, SupervisorConfig,
 };
 pub use journal::{fresh_wal_path, Journal, WalRecord, WalSnapshot, WalStats};
-pub use memo::{MemoCache, MemoConfig, MemoStats};
 pub use pipeline::{DeadlinePolicy, Exposure, Request, ServeError, ServingPipeline};
 pub use recall::LbsRecall;
 pub use replay::{position_ctr_profile, replay_top1, ReplayReport};
-pub use scorer::{
-    score_block, score_candidates, score_microbatch, score_microbatch_blocks, score_sessions,
-    BlockScoreJob, ScoreJob, SessionRequest,
-};
+pub use scorer::{score_microbatch, score_sessions, ScoreJob, SessionRequest};

@@ -24,26 +24,23 @@
 //! runs and is bitwise identical to a build without the `faults` feature
 //! (pinned by `tests/fault_ladder.rs`).
 //!
-//! ## Memoization (DESIGN.md §12)
+//! ## One path
 //!
-//! The healthy path serves ring recall and the user/context feature block
-//! through [`crate::memo::MemoCache`], keyed on write-driven versions
-//! (per-user history, global clicks, embedding-table sum) — a hit is
-//! provably the cold path's bytes, and `BASM_MEMO=0` restores the literal
-//! uncached code. The ladder's degraded rungs build their blocks *around*
-//! the memo so a truncated response can never be cached.
+//! A request reads its candidates from [`LbsRecall::candidates`] and its
+//! history from a feature-server snapshot, and every model-scored request,
+//! healthy or on a degraded rung, goes through one-job [`score_microbatch`]
+//! against the current counters, which assembles each candidate row with
+//! `append_example`, the function that builds the training log. Nothing is
+//! cached between requests (DESIGN.md §12 says why).
 
 use basm_core::model::CtrModel;
-use basm_data::{Context, TimePeriod, World};
+use basm_data::{BehaviorEvent, Context, TimePeriod, World};
 use basm_tensor::Prng;
 use std::collections::VecDeque;
 
 use crate::feature_server::FeatureServer;
-use crate::memo::{MemoCache, MemoConfig, MemoStats};
 use crate::recall::LbsRecall;
-use crate::scorer::{score_block, score_candidates};
-use basm_data::UserBlock;
-use std::sync::Arc;
+use crate::scorer::{score_microbatch, ScoreJob};
 
 #[cfg(feature = "faults")]
 use basm_faults::{FaultInjector, FeatureFault, RecallFault, ScoreFault};
@@ -170,17 +167,6 @@ pub(crate) fn stale_keep_len(len: usize) -> usize {
     len.saturating_sub((len / 4).max(usize::from(len > 0)))
 }
 
-/// What the ladder's feature-fetch hop produced: a (possibly memo-cached)
-/// user block when the memo tier is on, or the raw history snapshot on the
-/// legacy path. The two score bitwise-identically (`tests/memo_equivalence.rs`).
-#[cfg(feature = "faults")]
-pub(crate) enum FetchedFeatures {
-    /// Block path (memo tier on; degraded rungs build uncached blocks).
-    Block(Arc<UserBlock>),
-    /// Legacy history path (memo tier off).
-    History(VecDeque<basm_data::BehaviorEvent>),
-}
-
 /// One serving arm: a model plus its online state.
 pub struct ServingPipeline {
     /// The ranking model.
@@ -191,7 +177,6 @@ pub struct ServingPipeline {
     pub(crate) top_k: usize,
     pub(crate) pool: usize,
     pub(crate) policy: DeadlinePolicy,
-    pub(crate) memo: MemoCache,
     #[cfg(feature = "faults")]
     pub(crate) faults: Option<FaultInjector>,
 }
@@ -218,13 +203,6 @@ impl ServingPipeline {
                 let _ = features.attach_journal(j);
             }
         }
-        let mut model = model;
-        // BASM_QUANT=int8: build the int8 serve copies of the dense weights up
-        // front (no-op otherwise). Online trainer updates go through
-        // `ParamStore::value_mut`, which invalidates the touched copies —
-        // those layers transparently fall back to f32 until the next
-        // checkpoint attach re-quantizes.
-        model.params().prepare_quant();
         Self {
             model,
             features,
@@ -232,7 +210,6 @@ impl ServingPipeline {
             top_k,
             pool,
             policy: DeadlinePolicy::default(),
-            memo: MemoCache::from_env(),
             #[cfg(feature = "faults")]
             faults: FaultInjector::from_env(),
         }
@@ -242,93 +219,6 @@ impl ServingPipeline {
     /// [`DeadlinePolicy::default`]).
     pub fn set_deadline_policy(&mut self, policy: DeadlinePolicy) {
         self.policy = policy;
-    }
-
-    /// Replace the memoization tier, overriding whatever `BASM_MEMO` /
-    /// `BASM_MEMO_CAP` selected at construction (tests use this for
-    /// env-independence; the cache starts empty).
-    pub fn set_memo(&mut self, config: MemoConfig) {
-        self.memo = MemoCache::new(config);
-    }
-
-    /// The memo tier's lifetime counters (DESIGN.md §12).
-    pub fn memo_stats(&self) -> MemoStats {
-        self.memo.stats()
-    }
-
-    /// Drop every cached memo product, keeping the tier's shape. The
-    /// supervised restart path calls this on a rebuilt replica: a hit is
-    /// bitwise the cold path's product, so an empty cache is always safe.
-    pub fn reset_memo(&mut self) {
-        self.memo = MemoCache::new(self.memo.config());
-    }
-
-    /// Live memo entries across all product caches.
-    pub fn memo_entries(&self) -> usize {
-        self.memo.entries()
-    }
-
-    /// Snapshot the model's embedding version sum into the memo tier. Called
-    /// once per `serve` (and once per drained front-end microbatch); an
-    /// online weight write — trainer `flush_deltas`, checkpoint restore —
-    /// flushes every versioned memo product on the next snapshot.
-    pub(crate) fn sync_memo_model_version(&mut self) {
-        let v = self.model.embedder().emb.version_sum();
-        self.memo.sync_model_version(v);
-    }
-
-    /// Memo-aware LBS recall: the rng-free ring walk is served from the
-    /// version-free ring cache, then the stochastic city pad replays against
-    /// the request rng — so a hit consumes the identical rng stream (and
-    /// yields the identical candidates) as the cold path.
-    pub(crate) fn recall_with_memo(
-        &mut self,
-        city: u16,
-        geo: (u8, u8),
-        rng: &mut Prng,
-    ) -> Vec<u32> {
-        let limit = self.pool;
-        let recall = &self.recall;
-        let ring =
-            self.memo.ring((city, geo, limit as u32), || recall.ring_candidates(city, geo, limit));
-        let mut out = (*ring).clone();
-        recall.pad_from_city(city, &mut out, limit, rng);
-        out
-    }
-
-    /// Memo-aware user-block fetch: keyed on the session tuple, stamped with
-    /// the user's history version. The cold-path builder reads version,
-    /// history and counters under one feature-server guard, so the stamp can
-    /// never disagree with the cached bytes.
-    pub(crate) fn cached_block(
-        &mut self,
-        world: &World,
-        uid: usize,
-        ctx: Context,
-    ) -> Arc<UserBlock> {
-        let key = (uid as u32, ctx.geo, ctx.hour);
-        let current = self.features.history_version(uid);
-        let features = &self.features;
-        self.memo.user_block(key, current, || {
-            features
-                .with_versioned_state(uid, |v, h, c| (v, UserBlock::build(world, uid, ctx, h, c)))
-        })
-    }
-
-    /// Build a user block **around** the memo — the degradation ladder's
-    /// stale/empty-history rungs serve deliberately truncated state that
-    /// must never be cached (and must never shadow a fresh cached block).
-    #[cfg_attr(not(feature = "faults"), allow(dead_code))]
-    pub(crate) fn uncached_block(
-        &self,
-        world: &World,
-        uid: usize,
-        ctx: Context,
-        history: &VecDeque<basm_data::BehaviorEvent>,
-    ) -> Arc<UserBlock> {
-        Arc::new(
-            self.features.with_counters(|c| UserBlock::build(world, uid, ctx, history, c)),
-        )
     }
 
     /// Attach (or detach, with `None`) a fault injector, overriding whatever
@@ -364,31 +254,16 @@ impl ServingPipeline {
         Ok(self.serve_fast(world, req, rng))
     }
 
-    /// The fault-free serving path — exactly the pre-ladder pipeline. With
-    /// the memo tier enabled, ring recall and the user feature block are
-    /// served version-checked from cache; `BASM_MEMO=0` runs the literal
-    /// pre-memo code, and tier1.sh pins the two bitwise-equal.
+    /// The fault-free serving path — exactly the pre-ladder pipeline.
     fn serve_fast(&mut self, world: &World, req: Request, rng: &mut Prng) -> Vec<Exposure> {
-        let user = &world.users[req.uid];
-        if !self.memo.enabled() {
-            let candidates = self.recall.candidates(user.city, req.geo, self.pool, rng);
-            if candidates.is_empty() {
-                return Vec::new();
-            }
-            let ctx = request_context(user.city, req);
-            let history = self.features.history_snapshot(req.uid);
-            let scores = self.model_scores(world, req.uid, &candidates, ctx, &history);
-            return self.rank_and_expose(scores, candidates);
-        }
-        self.sync_memo_model_version();
-        let city = user.city;
-        let candidates = self.recall_with_memo(city, req.geo, rng);
+        let city = world.users[req.uid].city;
+        let candidates = self.recall.candidates(city, req.geo, self.pool, rng);
         if candidates.is_empty() {
             return Vec::new();
         }
         let ctx = request_context(city, req);
-        let block = self.cached_block(world, req.uid, ctx);
-        let scores = self.block_scores(world, &block, &candidates);
+        let history = self.features.history_snapshot(req.uid);
+        let scores = self.model_scores(world, req.uid, &candidates, ctx, &history);
         self.rank_and_expose(scores, candidates)
     }
 
@@ -423,37 +298,20 @@ impl ServingPipeline {
         };
         let user_city = world.users[req.uid].city;
         let ctx = request_context(user_city, req);
-        let memo_on = self.memo.enabled();
-        if memo_on {
-            self.sync_memo_model_version();
-        }
 
         // --- ABFS feature fetch: retry timeouts, degrade to stale/empty ---
-        // Memo interaction (DESIGN.md §12): only the healthy rung touches the
-        // cache; the stale/empty fallbacks serve deliberately degraded state
-        // that must neither be read from nor written into the memo.
         let mut attempts = 0u32;
-        let fetched = loop {
+        let history = loop {
             inj.clock().advance(profile.feature_cost_ns);
             match inj.feature_fetch() {
-                FeatureFault::Ok => {
-                    break if memo_on {
-                        FetchedFeatures::Block(self.cached_block(world, req.uid, ctx))
-                    } else {
-                        FetchedFeatures::History(self.features.history_snapshot(req.uid))
-                    }
-                }
+                FeatureFault::Ok => break self.features.history_snapshot(req.uid),
                 FeatureFault::Stale => {
                     // A lagging replica answered: the newest quarter of the
                     // sequence hasn't replicated yet. Serve what it has.
                     basm_obs::counter_add("serving.fault.feature_stale", 1);
                     let mut h = self.features.history_snapshot(req.uid);
                     h.truncate(stale_keep_len(h.len()));
-                    break if memo_on {
-                        FetchedFeatures::Block(self.uncached_block(world, req.uid, ctx, &h))
-                    } else {
-                        FetchedFeatures::History(h)
-                    };
+                    break h;
                 }
                 FeatureFault::Timeout => {
                     basm_obs::counter_add("serving.fault.feature_timeout", 1);
@@ -466,12 +324,7 @@ impl ServingPipeline {
                     }
                     // Ladder rung: serve with an empty behavior sequence.
                     basm_obs::counter_add("serving.fallback.history", 1);
-                    break if memo_on {
-                        let empty = VecDeque::new();
-                        FetchedFeatures::Block(self.uncached_block(world, req.uid, ctx, &empty))
-                    } else {
-                        FetchedFeatures::History(VecDeque::new())
-                    };
+                    break VecDeque::new();
                 }
             }
         };
@@ -481,12 +334,14 @@ impl ServingPipeline {
         let candidates = loop {
             inj.clock().advance(profile.recall_cost_ns);
             match inj.recall() {
-                RecallFault::Ok => break self.ladder_recall(user_city, req.geo, rng),
+                RecallFault::Ok => {
+                    break self.recall.candidates(user_city, req.geo, self.pool, rng)
+                }
                 RecallFault::Partial => {
                     // A shard answered, the rest timed out: serve the half
                     // that arrived.
                     basm_obs::counter_add("serving.fault.recall_partial", 1);
-                    let mut c = self.ladder_recall(user_city, req.geo, rng);
+                    let mut c = self.recall.candidates(user_city, req.geo, self.pool, rng);
                     c.truncate(c.len().div_ceil(2));
                     break c;
                 }
@@ -500,7 +355,7 @@ impl ServingPipeline {
                     }
                     // Ladder rung: most-clicked items of the user's city.
                     basm_obs::counter_add("serving.fallback.recall", 1);
-                    break self.popularity_with_memo(user_city);
+                    break self.popularity_candidates(user_city);
                 }
             }
         };
@@ -518,7 +373,7 @@ impl ServingPipeline {
             inj.clock().advance(profile.scorer_cost_ns);
             match inj.score() {
                 ScoreFault::Ok => {
-                    break self.ladder_scores(world, req.uid, &candidates, ctx, &fetched)
+                    break self.model_scores(world, req.uid, &candidates, ctx, &history)
                 }
                 ScoreFault::Stall => {
                     basm_obs::counter_add("serving.fault.scorer_stall", 1);
@@ -527,7 +382,7 @@ impl ServingPipeline {
                         break self.breach_to_prior(&candidates);
                     }
                     // The stalled answer arrived inside the budget after all.
-                    break self.ladder_scores(world, req.uid, &candidates, ctx, &fetched);
+                    break self.model_scores(world, req.uid, &candidates, ctx, &history);
                 }
                 ScoreFault::Error => {
                     basm_obs::counter_add("serving.fault.scorer_error", 1);
@@ -543,34 +398,6 @@ impl ServingPipeline {
             }
         };
         self.rank_and_expose(scores, candidates)
-    }
-
-    /// LBS recall inside the ladder: memo-aware when the tier is on, the
-    /// literal cold call otherwise.
-    #[cfg(feature = "faults")]
-    pub(crate) fn ladder_recall(&mut self, city: u16, geo: (u8, u8), rng: &mut Prng) -> Vec<u32> {
-        if self.memo.enabled() {
-            self.recall_with_memo(city, geo, rng)
-        } else {
-            self.recall.candidates(city, geo, self.pool, rng)
-        }
-    }
-
-    /// Model scoring over whichever feature representation the fetch hop
-    /// produced (block when the memo tier is on, raw history otherwise).
-    #[cfg(feature = "faults")]
-    fn ladder_scores(
-        &mut self,
-        world: &World,
-        uid: usize,
-        candidates: &[u32],
-        ctx: Context,
-        fetched: &FetchedFeatures,
-    ) -> Vec<f32> {
-        match fetched {
-            FetchedFeatures::Block(b) => self.block_scores(world, b, candidates),
-            FetchedFeatures::History(h) => self.model_scores(world, uid, candidates, ctx, h),
-        }
     }
 
     /// Deadline breached mid-request: count it and fall back to the prior.
@@ -610,51 +437,20 @@ impl ServingPipeline {
         })
     }
 
-    /// Memo-aware city-popularity recall: keyed on the city, stamped with
-    /// the global click version — the pool only moves when a click lands.
-    /// The cold-path builder reads version and counters under one guard
-    /// ([`FeatureServer::with_clicks_version`]).
-    #[cfg(feature = "faults")]
-    pub(crate) fn popularity_with_memo(&mut self, city: u16) -> Vec<u32> {
-        if !self.memo.enabled() {
-            return self.popularity_candidates(city);
-        }
-        let current = self.features.clicks_version();
-        let features = &self.features;
-        let recall = &self.recall;
-        let depth = self.pool;
-        let pool = self.memo.popularity(city, current, || {
-            features.with_clicks_version(|v, c| {
-                let mut pool = recall.city_pool(city).to_vec();
-                pool.sort_by_key(|&iid| (std::cmp::Reverse(c.item_clicks[iid as usize]), iid));
-                pool.truncate(depth);
-                (v, pool)
-            })
-        });
-        (*pool).clone()
-    }
-
-    /// Score candidates from a (possibly cached) user block against the
-    /// feature server's **current** counters — item-side statistics are
-    /// always fresh, which is why exposure write-back never invalidates.
-    fn block_scores(&mut self, world: &World, block: &UserBlock, candidates: &[u32]) -> Vec<f32> {
-        self.features.with_counters(|counters| {
-            score_block(self.model.as_mut(), world, block, candidates, counters)
-        })
-    }
-
-    /// Score candidates against the feature server's counters.
+    /// Score one request's candidates — a one-job microbatch — against the
+    /// feature server's current counters.
     fn model_scores(
         &mut self,
         world: &World,
         uid: usize,
         candidates: &[u32],
         ctx: Context,
-        history: &VecDeque<basm_data::BehaviorEvent>,
+        history: &VecDeque<BehaviorEvent>,
     ) -> Vec<f32> {
-        self.features.with_counters(|counters| {
-            score_candidates(self.model.as_mut(), world, uid, candidates, ctx, history, counters)
-        })
+        let job = ScoreJob { uid, candidates, ctx, history };
+        self.features
+            .with_counters(|c| score_microbatch(self.model.as_mut(), world, &[job], c))
+            .remove(0)
     }
 
     /// Rank by score (non-finite scores sink — see [`rank_top_k`]), take the
@@ -689,7 +485,7 @@ impl ServingPipeline {
 }
 
 /// The serving-time context for a request (position 0 by production
-/// convention — see [`score_candidates`]).
+/// convention — see [`score_microbatch`]).
 pub(crate) fn request_context(city: u16, req: Request) -> Context {
     Context {
         day: req.day,

@@ -39,11 +39,6 @@ impl LbsRecall {
 
     /// Recall up to `limit` candidates near `(city, geo)`, expanding the
     /// search radius ring by ring; falls back to sampling the whole city.
-    ///
-    /// Composition of the two phases below: [`LbsRecall::ring_candidates`]
-    /// (deterministic, rng-free — the part the memo tier caches) followed by
-    /// [`LbsRecall::pad_from_city`] (draws from `rng` — always re-run per
-    /// request so cached and cold requests consume the identical rng stream).
     pub fn candidates(
         &self,
         city: u16,
@@ -51,18 +46,7 @@ impl LbsRecall {
         limit: usize,
         rng: &mut Prng,
     ) -> Vec<u32> {
-        let mut out = self.ring_candidates(city, geo, limit);
-        self.pad_from_city(city, &mut out, limit, rng);
-        out
-    }
-
-    /// The deterministic ring-walk phase of recall: collect items from
-    /// concentric geohash rings around `geo` until `limit` is reached or the
-    /// grid is exhausted. A pure function of the (static) item index and the
-    /// arguments — no rng, no counters — which is what makes it safe to
-    /// memoize without a version stamp (DESIGN.md §12).
-    pub fn ring_candidates(&self, city: u16, geo: (u8, u8), limit: usize) -> Vec<u32> {
-        let city = city as usize;
+        let cells = &self.cells[city as usize];
         let mut out: Vec<u32> = Vec::with_capacity(limit);
         let g = self.grid as i32;
         for radius in 0..g {
@@ -76,7 +60,7 @@ impl LbsRecall {
                     if x < 0 || y < 0 || x >= g || y >= g {
                         continue;
                     }
-                    for &iid in &self.cells[city][(x * g + y) as usize] {
+                    for &iid in &cells[(x * g + y) as usize] {
                         if out.len() < limit {
                             out.push(iid);
                         }
@@ -87,14 +71,7 @@ impl LbsRecall {
                 break;
             }
         }
-        out
-    }
-
-    /// The stochastic pad phase of recall: top `out` up from the whole city
-    /// pool when the ring walk came up short. Consumes `rng` draws, so it is
-    /// **never** memoized — a request served from the ring cache replays
-    /// this phase and draws the exact same stream as a cold request.
-    pub fn pad_from_city(&self, city: u16, out: &mut Vec<u32>, limit: usize, rng: &mut Prng) {
+        // Radius exhausted: top up from the whole city pool.
         let pool = &self.by_city[city as usize];
         let mut guard = 0;
         while out.len() < limit && !pool.is_empty() && guard < limit * 20 {
@@ -104,6 +81,7 @@ impl LbsRecall {
             }
             guard += 1;
         }
+        out
     }
 }
 

@@ -1,129 +1,12 @@
 //! RTP-like scorer: assembles serving-time features for (user, candidates,
-//! context) through the same materialization path as offline training and
-//! runs model inference.
+//! context) through the same materialization path as offline training
+//! ([`append_example`]) and runs model inference. There is one entry point,
+//! [`score_microbatch`]: a single request is a batch of one job.
 
 use basm_core::model::{predict, CtrModel};
-use basm_data::{
-    append_example, append_example_from_block, BehaviorEvent, Context, Dataset, StatCounters,
-    UserBlock, World,
-};
+use basm_data::{append_example, BehaviorEvent, Context, Dataset, StatCounters, World};
 use basm_tensor::pool;
 use std::collections::VecDeque;
-
-/// Score `candidates` for one request. `position` is unknown at scoring time,
-/// so every candidate is scored at position 0 (production convention); the
-/// position feature only takes real values in logged training data.
-#[allow(clippy::too_many_arguments)]
-pub fn score_candidates(
-    model: &mut dyn CtrModel,
-    world: &World,
-    uid: usize,
-    candidates: &[u32],
-    ctx: Context,
-    history: &VecDeque<BehaviorEvent>,
-    counters: &StatCounters,
-) -> Vec<f32> {
-    if candidates.is_empty() {
-        return Vec::new();
-    }
-    // Per-stage and end-to-end latency distributions (`serving.*_ns`
-    // histograms, p50/p90/p99 via `basm_obs::report`).
-    let _e2e = basm_obs::hist_timer("serving.e2e_ns");
-    let batch = {
-        let _t = basm_obs::hist_timer("serving.assemble_ns");
-        let mut ds = Dataset::empty(world.config.clone());
-        for &iid in candidates {
-            let scoring_ctx = Context { position: 0, ..ctx };
-            append_example(&mut ds, world, uid, iid, scoring_ctx, 0, false, 0.0, history, counters);
-        }
-        let indices: Vec<usize> = (0..candidates.len()).collect();
-        ds.batch(&indices)
-    };
-    let _t = basm_obs::hist_timer("serving.predict_ns");
-    predict(model, &batch)
-}
-
-/// Score `candidates` from a pre-assembled (possibly memo-cached) user
-/// feature block. Row-for-row bitwise identical to [`score_candidates`] for
-/// the history/counters the block was built from: the block replays the
-/// user/context columns and `append_example_from_block` recomputes the
-/// item-side columns (including the exposure statistics that move on every
-/// request) against the **current** `counters`, exactly as the cold path
-/// would. Same latency histograms as the cold path — the memo tier's payoff
-/// shows up inside `serving.assemble_ns`, not as a differently-shaped
-/// metric.
-pub fn score_block(
-    model: &mut dyn CtrModel,
-    world: &World,
-    block: &UserBlock,
-    candidates: &[u32],
-    counters: &StatCounters,
-) -> Vec<f32> {
-    if candidates.is_empty() {
-        return Vec::new();
-    }
-    let _e2e = basm_obs::hist_timer("serving.e2e_ns");
-    let batch = {
-        let _t = basm_obs::hist_timer("serving.assemble_ns");
-        let mut ds = Dataset::empty(world.config.clone());
-        for &iid in candidates {
-            append_example_from_block(&mut ds, world, block, iid, counters);
-        }
-        let indices: Vec<usize> = (0..candidates.len()).collect();
-        ds.batch(&indices)
-    };
-    let _t = basm_obs::hist_timer("serving.predict_ns");
-    predict(model, &batch)
-}
-
-/// One request's slice of a block-path microbatch (the memo-enabled
-/// counterpart of [`ScoreJob`]).
-pub struct BlockScoreJob<'a> {
-    /// The user/context feature block (cached or freshly built).
-    pub block: &'a UserBlock,
-    /// The request's candidate items.
-    pub candidates: &'a [u32],
-}
-
-/// Microbatched counterpart of [`score_block`]: every candidate row from
-/// every job assembled into one batch and one forward pass. Carries the same
-/// per-row bitwise contract as [`score_microbatch`] — coalescing changes
-/// wall-clock, never bits.
-pub fn score_microbatch_blocks(
-    model: &mut dyn CtrModel,
-    world: &World,
-    jobs: &[BlockScoreJob<'_>],
-    counters: &StatCounters,
-) -> Vec<Vec<f32>> {
-    let total: usize = jobs.iter().map(|j| j.candidates.len()).sum();
-    if total == 0 {
-        return jobs.iter().map(|_| Vec::new()).collect();
-    }
-    let _span = basm_obs::span!("serving.microbatch", jobs = jobs.len(), rows = total);
-    let batch = {
-        let _t = basm_obs::hist_timer("serving.assemble_ns");
-        let mut ds = Dataset::empty(world.config.clone());
-        for job in jobs {
-            for &iid in job.candidates {
-                append_example_from_block(&mut ds, world, job.block, iid, counters);
-            }
-        }
-        let indices: Vec<usize> = (0..total).collect();
-        ds.batch(&indices)
-    };
-    let flat = {
-        let _t = basm_obs::hist_timer("serving.predict_ns");
-        predict(model, &batch)
-    };
-    let mut out = Vec::with_capacity(jobs.len());
-    let mut off = 0usize;
-    for job in jobs {
-        let n = job.candidates.len();
-        out.push(flat[off..off + n].to_vec());
-        off += n;
-    }
-    out
-}
 
 /// One request's slice of a cross-request microbatch (borrowed views — the
 /// coalescer owns the data).
@@ -138,13 +21,16 @@ pub struct ScoreJob<'a> {
     pub history: &'a VecDeque<BehaviorEvent>,
 }
 
-/// Score many requests' candidates in **one** model pass: every candidate
-/// row from every job is assembled into a single batch, run through one
-/// forward, and the flat score vector is split back per job.
+/// Score the candidates of one or more requests in **one** model pass: every
+/// candidate row from every job is assembled into a single batch, run
+/// through one forward, and the flat score vector is split back per job.
+/// `position` is unknown at scoring time, so every candidate is scored at
+/// position 0 (production convention); the position feature only takes real
+/// values in logged training data.
 ///
 /// Per-row bitwise contract (pinned by `tests/frontend_determinism.rs`):
-/// each row's score is identical to what [`score_candidates`] produces for
-/// that request alone against the same `counters`. Inference touches no
+/// each row's score is identical to what a one-job call produces for that
+/// request alone against the same `counters`. Inference touches no
 /// cross-row state — matmuls accumulate per output row in a fixed k-order
 /// regardless of batch height, batch norm runs on running statistics, and
 /// the sequence ops reduce within a row — so coalescing changes wall-clock
@@ -161,6 +47,9 @@ pub fn score_microbatch(
         return jobs.iter().map(|_| Vec::new()).collect();
     }
     let _span = basm_obs::span!("serving.microbatch", jobs = jobs.len(), rows = total);
+    // Per-pass and per-stage latency distributions (`serving.*_ns`
+    // histograms, p50/p90/p99 via `basm_obs::report`).
+    let _e2e = basm_obs::hist_timer("serving.e2e_ns");
     let batch = {
         let _t = basm_obs::hist_timer("serving.assemble_ns");
         let mut ds = Dataset::empty(world.config.clone());
@@ -180,14 +69,8 @@ pub fn score_microbatch(
         let _t = basm_obs::hist_timer("serving.predict_ns");
         predict(model, &batch)
     };
-    let mut out = Vec::with_capacity(jobs.len());
-    let mut off = 0usize;
-    for job in jobs {
-        let n = job.candidates.len();
-        out.push(flat[off..off + n].to_vec());
-        off += n;
-    }
-    out
+    let mut flat = flat.into_iter();
+    jobs.iter().map(|job| flat.by_ref().take(job.candidates.len()).collect()).collect()
 }
 
 /// One scoring request: a user, their candidate items and request context.
@@ -203,11 +86,24 @@ pub struct SessionRequest {
     pub history: VecDeque<BehaviorEvent>,
 }
 
+impl SessionRequest {
+    /// This request as a scoring job (borrowed views).
+    pub fn job(&self) -> ScoreJob<'_> {
+        ScoreJob {
+            uid: self.uid,
+            candidates: &self.candidates,
+            ctx: self.ctx,
+            history: &self.history,
+        }
+    }
+}
+
 /// Score many independent sessions, fanning request blocks out across the
-/// thread pool. [`CtrModel::forward`] takes `&mut self`, so each worker
-/// builds its own model instance via `make_model`; with a deterministic
-/// factory (same weights per call) the scores are identical to looping
-/// [`score_candidates`] serially, in request order, for any thread count.
+/// thread pool, one job per [`score_microbatch`] call.
+/// [`CtrModel::forward`] takes `&mut self`, so each worker builds its own
+/// model instance via `make_model`; with a deterministic factory (same
+/// weights per call) the scores are identical to scoring the requests
+/// serially, in request order, for any thread count.
 pub fn score_sessions<F>(
     make_model: F,
     world: &World,
@@ -228,17 +124,7 @@ where
         let mut model = make_model();
         chunk
             .iter()
-            .map(|req| {
-                score_candidates(
-                    model.as_mut(),
-                    world,
-                    req.uid,
-                    &req.candidates,
-                    req.ctx,
-                    &req.history,
-                    counters,
-                )
-            })
+            .map(|req| score_microbatch(model.as_mut(), world, &[req.job()], counters).remove(0))
             .collect::<Vec<Vec<f32>>>()
     });
     parts.into_iter().flatten().collect()
@@ -250,24 +136,36 @@ mod tests {
     use basm_baselines::build_model;
     use basm_data::{TimePeriod, WorldConfig};
 
+    /// Score one request alone: a batch of one job.
+    fn score_one(
+        model: &mut dyn CtrModel,
+        world: &World,
+        req: &SessionRequest,
+        c: &StatCounters,
+    ) -> Vec<f32> {
+        score_microbatch(model, world, &[req.job()], c).remove(0)
+    }
+
     #[test]
     fn scores_match_candidate_count_and_are_probabilities() {
         let cfg = WorldConfig::tiny();
         let world = World::generate(cfg.clone());
         let mut model = build_model("DIN", &cfg, 1);
         let counters = StatCounters::new(cfg.n_users, cfg.n_items);
-        let history = VecDeque::new();
-        let ctx = Context {
-            day: 0,
-            hour: 12,
-            tp: TimePeriod::Lunch,
-            city: world.users[0].city,
-            geo: world.users[0].geo,
-            position: 3, // scoring must override this to 0 internally
+        let req = SessionRequest {
+            uid: 0,
+            candidates: vec![1, 2, 3],
+            ctx: Context {
+                day: 0,
+                hour: 12,
+                tp: TimePeriod::Lunch,
+                city: world.users[0].city,
+                geo: world.users[0].geo,
+                position: 3, // scoring must override this to 0 internally
+            },
+            history: VecDeque::new(),
         };
-        let cands = [1u32, 2, 3];
-        let scores =
-            score_candidates(model.as_mut(), &world, 0, &cands, ctx, &history, &counters);
+        let scores = score_one(model.as_mut(), &world, &req, &counters);
         assert_eq!(scores.len(), 3);
         assert!(scores.iter().all(|&s| (0.0..=1.0).contains(&s)));
     }
@@ -327,18 +225,8 @@ mod tests {
 
         let mut solo_model = build_model("BASM", &cfg, 1);
         let solo: Vec<Vec<f32>> = jobs
-            .iter()
-            .map(|j| {
-                score_candidates(
-                    solo_model.as_mut(),
-                    &world,
-                    j.uid,
-                    j.candidates,
-                    j.ctx,
-                    j.history,
-                    &counters,
-                )
-            })
+            .chunks(1)
+            .flat_map(|j| score_microbatch(solo_model.as_mut(), &world, j, &counters))
             .collect();
 
         let bits =
@@ -346,58 +234,6 @@ mod tests {
                 v.iter().map(|r| r.iter().map(|s| s.to_bits()).collect()).collect()
             };
         assert_eq!(bits(&coalesced), bits(&solo), "coalescing changed a scored row");
-    }
-
-    /// The memo tier's block path must be invisible in the scores: assembling
-    /// from a pre-built `UserBlock` (solo and microbatched) produces the same
-    /// bits as assembling from the raw history.
-    #[test]
-    fn block_scoring_bitwise_matches_history_scoring() {
-        let cfg = WorldConfig::tiny();
-        let world = World::generate(cfg.clone());
-        let mut counters = StatCounters::new(cfg.n_users, cfg.n_items);
-        for i in 0..cfg.n_items {
-            counters.item_exposures[i] = (i as u32 * 5) % 37;
-            counters.item_clicks[i] = (i as u32 * 2) % 9;
-        }
-        counters.user_clicks[1] = 14;
-        counters.user_orders[1] = 3;
-        let history: VecDeque<BehaviorEvent> = (0..7)
-            .map(|i| BehaviorEvent {
-                item: i,
-                cat: (i as usize % cfg.n_categories) as u16,
-                brand: (i as usize % cfg.n_brands) as u16,
-                tp: (i % 5) as u8,
-                hour: (i % 24) as u8,
-                city: world.users[1].city,
-                gx: (i as usize % cfg.geo_grid) as u8,
-                gy: (i as usize % cfg.geo_grid) as u8,
-            })
-            .collect();
-        let ctx = Context {
-            day: 2,
-            hour: 19,
-            tp: TimePeriod::Dinner,
-            city: world.users[1].city,
-            geo: world.users[1].geo,
-            position: 0,
-        };
-        let cands = [2u32, 5, 9, 11];
-        let bits = |v: Vec<f32>| -> Vec<u32> { v.iter().map(|s| s.to_bits()).collect() };
-
-        let mut cold_model = build_model("BASM", &cfg, 1);
-        let cold =
-            bits(score_candidates(cold_model.as_mut(), &world, 1, &cands, ctx, &history, &counters));
-
-        let block = basm_data::UserBlock::build(&world, 1, ctx, &history, &counters);
-        let mut block_model = build_model("BASM", &cfg, 1);
-        let solo = bits(score_block(block_model.as_mut(), &world, &block, &cands, &counters));
-        assert_eq!(cold, solo, "block path changed solo scores");
-
-        let mut mb_model = build_model("BASM", &cfg, 1);
-        let jobs = [BlockScoreJob { block: &block, candidates: &cands }];
-        let mb = score_microbatch_blocks(mb_model.as_mut(), &world, &jobs, &counters);
-        assert_eq!(cold, bits(mb.into_iter().next().unwrap()), "block microbatch changed scores");
     }
 
     #[test]
@@ -424,17 +260,7 @@ mod tests {
         let mut serial_model = make_model();
         let serial: Vec<Vec<f32>> = requests
             .iter()
-            .map(|r| {
-                score_candidates(
-                    serial_model.as_mut(),
-                    &world,
-                    r.uid,
-                    &r.candidates,
-                    r.ctx,
-                    &r.history,
-                    &counters,
-                )
-            })
+            .map(|r| score_one(serial_model.as_mut(), &world, r, &counters))
             .collect();
         basm_tensor::pool::set_threads(4);
         let parallel = score_sessions(make_model, &world, &requests, &counters);
@@ -449,15 +275,19 @@ mod tests {
         let cfg = WorldConfig::tiny();
         let world = World::generate(cfg.clone());
         let counters = StatCounters::new(cfg.n_users, cfg.n_items);
-        let ctx = Context {
-            day: 0,
-            hour: 12,
-            tp: TimePeriod::Lunch,
-            city: world.users[0].city,
-            geo: world.users[0].geo,
-            position: 0,
+        let req = SessionRequest {
+            uid: 0,
+            candidates: vec![1, 2, 3, 4, 5],
+            ctx: Context {
+                day: 0,
+                hour: 12,
+                tp: TimePeriod::Lunch,
+                city: world.users[0].city,
+                geo: world.users[0].geo,
+                position: 0,
+            },
+            history: VecDeque::new(),
         };
-        let cands = [1u32, 2, 3, 4, 5];
         let run = |pooled: bool| {
             basm_tensor::bufpool::set_pooling(Some(pooled));
             let mut model = build_model("BASM", &cfg, 1);
@@ -465,18 +295,10 @@ mod tests {
             // buffer and tape reuse when pooling is on.
             let bits: Vec<Vec<u32>> = (0..2)
                 .map(|_| {
-                    score_candidates(
-                        model.as_mut(),
-                        &world,
-                        0,
-                        &cands,
-                        ctx,
-                        &VecDeque::new(),
-                        &counters,
-                    )
-                    .iter()
-                    .map(|s| s.to_bits())
-                    .collect()
+                    score_one(model.as_mut(), &world, &req, &counters)
+                        .iter()
+                        .map(|s| s.to_bits())
+                        .collect()
                 })
                 .collect();
             basm_tensor::bufpool::set_pooling(None);
@@ -491,23 +313,21 @@ mod tests {
         let world = World::generate(cfg.clone());
         let mut model = build_model("Wide&Deep", &cfg, 1);
         let counters = StatCounters::new(cfg.n_users, cfg.n_items);
-        let ctx = Context {
-            day: 0,
-            hour: 9,
-            tp: TimePeriod::Breakfast,
-            city: 0,
-            geo: (0, 0),
-            position: 0,
+        let req = SessionRequest {
+            uid: 0,
+            candidates: Vec::new(),
+            ctx: Context {
+                day: 0,
+                hour: 9,
+                tp: TimePeriod::Breakfast,
+                city: 0,
+                geo: (0, 0),
+                position: 0,
+            },
+            history: VecDeque::new(),
         };
-        let scores = score_candidates(
-            model.as_mut(),
-            &world,
-            0,
-            &[],
-            ctx,
-            &VecDeque::new(),
-            &counters,
-        );
-        assert!(scores.is_empty());
+        assert!(score_one(model.as_mut(), &world, &req, &counters).is_empty());
+        let jobs = [req.job(), req.job()];
+        assert_eq!(score_microbatch(model.as_mut(), &world, &jobs, &counters).len(), 2);
     }
 }

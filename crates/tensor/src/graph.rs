@@ -20,7 +20,6 @@ use crate::bufpool;
 use crate::linalg;
 use crate::pool;
 use crate::params::{ParamId, ParamStore};
-use crate::quant::QuantMatrix;
 use crate::simd;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
@@ -172,9 +171,8 @@ pub struct Graph {
     pub(crate) nodes: Vec<Node>,
     param_cache: HashMap<ParamId, Var>,
     pub(crate) param_of_node: HashMap<usize, ParamId>,
-    /// Inference-only tape: layers may route through kernels that have no
-    /// training semantics (the int8 quantized GEMM). Set by `predict`,
-    /// never by `train_step`; cleared on [`Graph::reset`].
+    /// Inference-only tape: fused ops drop the buffers only backward reads.
+    /// Set by `predict`, never by `train_step`; cleared on [`Graph::reset`].
     inference: bool,
 }
 
@@ -233,16 +231,11 @@ impl Graph {
         self.inference = false;
     }
 
-    /// Mark (or unmark) this tape inference-only. Inference tapes may use
-    /// serve-path-only kernels — today that is the opt-in int8 GEMM in
-    /// `nn::Linear` — so `train_step` must never see an inference tape.
+    /// Mark (or unmark) this tape inference-only. Inference tapes keep no
+    /// saved backward context (`din_scores` recycles its activations at
+    /// once), so `train_step` must never see an inference tape.
     pub fn set_inference(&mut self, on: bool) {
         self.inference = on;
-    }
-
-    /// Whether this tape is inference-only (see [`Graph::set_inference`]).
-    pub fn inference(&self) -> bool {
-        self.inference
     }
 
     /// The forward value of `v`.
@@ -317,18 +310,6 @@ impl Graph {
         let v = linalg::matmul(self.value(a), self.value(b));
         let rg = self.rg(a.0) || self.rg(b.0);
         self.push(Op::Matmul { a: a.0, b: b.0 }, v, rg)
-    }
-
-    /// `a · dequant(qw)` through the int8 GEMM (`crate::quant`) — the opt-in
-    /// quantized serve path. `w` must be the f32 parameter node `qw` was
-    /// derived from: the tape records a plain `Op::Matmul` on it, so in
-    /// the (unreachable in practice) event backward runs on an inference
-    /// tape, gradients are the straight-through f32 ones.
-    pub fn matmul_quant(&mut self, a: Var, w: Var, qw: &QuantMatrix) -> Var {
-        debug_assert_eq!(self.value(w).shape(), qw.shape(), "matmul_quant: stale QuantMatrix");
-        let v = crate::quant::matmul_quant(self.value(a), qw);
-        let rg = self.rg(a.0) || self.rg(w.0);
-        self.push(Op::Matmul { a: a.0, b: w.0 }, v, rg)
     }
 
     /// Elementwise sum; shapes must match.

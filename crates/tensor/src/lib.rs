@@ -40,7 +40,6 @@ pub mod optim;
 pub mod packstore;
 pub mod params;
 pub mod pool;
-pub mod quant;
 pub mod serialize;
 pub mod rng;
 pub mod simd;

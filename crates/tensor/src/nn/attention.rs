@@ -22,8 +22,7 @@
 //! lane-parallel broadcasts, and the max/sum folds stay serial. `BASM_SIMD`
 //! therefore never moves attention bits — pinned by
 //! `tests/simd_equivalence.rs`, `tests/din_scores.rs` and the composite
-//! forward/backward pin in `tests/parallel_determinism.rs`. The activation
-//! unit always runs in f32, including under `BASM_QUANT=int8`.
+//! forward/backward pin in `tests/parallel_determinism.rs`.
 
 use crate::graph::{Graph, Var};
 use crate::nn::linear::Linear;

@@ -54,13 +54,6 @@ pub struct EmbeddingTable {
     rows: usize,
     dim: usize,
     backing: Backing,
-    /// Monotonic write version: bumped by every operation that can change a
-    /// served row — online-update writes ([`EmbeddingTable::apply_grad`]),
-    /// checkpoint restores ([`EmbeddingTable::overwrite`] /
-    /// [`EmbeddingTable::attach_pack`]) and delta-log flushes. Downstream
-    /// caches (the serving memo tier, DESIGN.md §12) snapshot this to detect
-    /// in-place model mutation without comparing any row bytes.
-    version: u64,
 }
 
 impl EmbeddingTable {
@@ -76,13 +69,7 @@ impl EmbeddingTable {
         }
         weights[..dim].iter_mut().for_each(|w| *w = 0.0);
         let accum = vec![0.0; rows * dim];
-        Self { name: name.into(), rows, dim, backing: Backing::Ram { weights, accum }, version: 0 }
-    }
-
-    /// Current write version (see the field docs). Two equal readings prove
-    /// no row changed in between.
-    pub fn version(&self) -> u64 {
-        self.version
+        Self { name: name.into(), rows, dim, backing: Backing::Ram { weights, accum } }
     }
 
     /// Table name.
@@ -217,7 +204,6 @@ impl EmbeddingTable {
         if order.is_empty() {
             return;
         }
-        self.version += 1;
         // Distinct rows update independent slots, so the order cannot change
         // the final state — and both backings run the same arithmetic.
         let rows = order.iter().zip(sums.chunks_exact(dim));
@@ -269,7 +255,6 @@ impl EmbeddingTable {
     pub fn overwrite(&mut self, weights: &[f32], accum: &[f32]) {
         assert_eq!(weights.len(), self.rows * self.dim, "overwrite: weights size");
         assert_eq!(accum.len(), self.rows * self.dim, "overwrite: accum size");
-        self.version += 1;
         match &mut self.backing {
             Backing::Ram { weights: w, accum: a } => {
                 w.copy_from_slice(weights);
@@ -299,7 +284,6 @@ impl EmbeddingTable {
     /// in-RAM values without reading a single record.
     pub fn attach_pack(&mut self, dir: &Path) -> Result<(), PackError> {
         self.backing = Backing::Pack(PackTable::open(dir, &self.name, self.rows, self.dim)?);
-        self.version += 1;
         Ok(())
     }
 }
@@ -497,36 +481,15 @@ impl EmbeddingStore {
     }
 
     /// Append every table's buffered updates to its delta file (no-op for RAM
-    /// tables). Returns the total records flushed. Tables that flushed
-    /// records get a version bump: the flush is the durability point at which
-    /// a training interval's accumulated writes become visible to
-    /// cross-process readers, so version watchers treat it as a write.
+    /// tables). Returns the total records flushed.
     pub fn flush_deltas(&mut self) -> std::io::Result<usize> {
         let mut n = 0;
         for t in &mut self.tables {
             if let Backing::Pack(p) = &mut t.backing {
-                let flushed = p.flush_deltas()?;
-                if flushed > 0 {
-                    t.version += 1;
-                }
-                n += flushed;
+                n += p.flush_deltas()?;
             }
         }
         Ok(n)
-    }
-
-    /// Sum of all table write versions: a single monotonic counter that
-    /// changes whenever **any** table changes (each per-table version only
-    /// ever grows, so the sum cannot alias two distinct states). The serving
-    /// memo tier snapshots this once per microbatch drain and flushes itself
-    /// when it moves (DESIGN.md §12).
-    pub fn version_sum(&self) -> u64 {
-        self.tables.iter().map(|t| t.version).sum()
-    }
-
-    /// Per-table `(name, version)` pairs, in registration order.
-    pub fn table_versions(&self) -> Vec<(&str, u64)> {
-        self.tables.iter().map(|t| (t.name.as_str(), t.version)).collect()
     }
 
     /// Fold every pack table's overlay + deltas back into its base shards.
@@ -727,41 +690,6 @@ mod tests {
         store.overwrite_table(tid, &weights, &accum);
         assert_eq!(store.table(tid).row(3), &[0.5, 0.5]);
         assert_eq!(store.table(tid).accum_row(3), &[2.0, 2.0]);
-    }
-
-    /// Write-version contract: reads never bump, every mutating entry point
-    /// does, and the store-level sum moves with any table.
-    #[test]
-    fn versions_bump_on_writes_only() {
-        let mut rng = Prng::seeded(11);
-        let mut store = EmbeddingStore::new();
-        let a = store.add_table(&mut rng, "a", 10, 2, 0.1);
-        let b = store.add_table(&mut rng, "b", 10, 2, 0.1);
-        let base = store.version_sum();
-
-        // Reads are free.
-        let _ = store.table(a).row(3);
-        let _ = store.table(a).gather(&[1, 2]);
-        assert_eq!(store.version_sum(), base);
-
-        // A sparse update bumps exactly the touched table.
-        let grad = Tensor::ones(1, 2);
-        store.tables[a.0].apply_grad(&[3], &grad, 0.1, 1e-6);
-        assert_eq!(store.table(a).version(), 1);
-        assert_eq!(store.table(b).version(), 0);
-        assert_eq!(store.version_sum(), base + 1);
-
-        // A padding-only update touches no row: no bump.
-        store.tables[a.0].apply_grad(&[0], &grad, 0.1, 1e-6);
-        assert_eq!(store.table(a).version(), 1);
-
-        // Checkpoint restore is a write.
-        let (w, acc) = store.table(b).snapshot();
-        store.overwrite_table(b, &w, &acc);
-        assert_eq!(store.table(b).version(), 1);
-
-        let names: Vec<&str> = store.table_versions().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, ["a", "b"]);
     }
 
     #[test]

@@ -32,11 +32,6 @@ impl Linear {
     }
 
     /// Apply the layer to `x [batch, in_dim]`.
-    ///
-    /// In inference mode ([`Graph::set_inference`]) with a prepared int8 copy
-    /// of the weight ([`ParamStore::prepare_quant`], `BASM_QUANT=int8`), the
-    /// GEMM routes through the quantized serve kernel; training and the
-    /// default f32 serve path are untouched.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var) -> Var {
         debug_assert_eq!(
             g.value(x).cols(),
@@ -46,14 +41,7 @@ impl Linear {
             self.in_dim
         );
         let w = g.param(store, self.w);
-        let h = if g.inference() {
-            match store.quant(self.w) {
-                Some(qw) => g.matmul_quant(x, w, qw),
-                None => g.matmul(x, w),
-            }
-        } else {
-            g.matmul(x, w)
-        };
+        let h = g.matmul(x, w);
         match self.b {
             Some(b) => {
                 let bv = g.param(store, b);
@@ -102,36 +90,6 @@ mod tests {
         let layer = Linear::new(&mut store, &mut rng, "fc", 4, 2, false);
         assert_eq!(layer.num_params(), 8);
         assert!(layer.b.is_none());
-    }
-
-    #[test]
-    fn quant_path_only_in_inference_mode() {
-        let _guard = crate::quant::tests_force_quant();
-        let mut store = ParamStore::new();
-        let mut rng = Prng::seeded(5);
-        let layer = Linear::new(&mut store, &mut rng, "fc", 8, 3, true);
-        store.prepare_quant();
-        let x = rng.randn(4, 8, 1.0);
-
-        let mut g = Graph::new();
-        let xv = g.input(x.clone());
-        let y = layer.forward(&mut g, &store, xv);
-        let f32_out = g.value(y).clone();
-
-        let mut gi = Graph::new();
-        gi.set_inference(true);
-        let xv = gi.input(x);
-        let y = layer.forward(&mut gi, &store, xv);
-        let q_out = gi.value(y).clone();
-
-        assert_eq!(q_out.shape(), f32_out.shape());
-        let mut differs = false;
-        for (q, f) in q_out.data().iter().zip(f32_out.data().iter()) {
-            assert!(q.is_finite());
-            assert!((q - f).abs() < 0.1, "int8 {q} drifted from f32 {f}");
-            differs |= q != f;
-        }
-        assert!(differs, "quantized forward should not be bit-identical to f32");
     }
 
     #[test]

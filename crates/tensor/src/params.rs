@@ -11,7 +11,6 @@
 //! [`crate::nn::embedding`].
 
 use crate::graph::Graph;
-use crate::quant::{self, QuantMatrix};
 use crate::tensor::Tensor;
 use std::collections::HashMap;
 
@@ -26,18 +25,10 @@ struct Entry {
 }
 
 /// Registry of named dense parameters with accumulated gradients.
-///
-/// When the int8 serve path is enabled (`BASM_QUANT=int8`, see
-/// [`crate::quant`]), the store can additionally carry a per-parameter
-/// [`QuantMatrix`] cache prepared by [`ParamStore::prepare_quant`]. The cache
-/// is derived state: any mutation through [`ParamStore::value_mut`]
-/// invalidates that parameter's quantized copy so a stale scorer can never be
-/// served after an online update.
 #[derive(Default)]
 pub struct ParamStore {
     entries: Vec<Entry>,
     by_name: HashMap<String, ParamId>,
-    quant: HashMap<usize, QuantMatrix>,
 }
 
 impl ParamStore {
@@ -91,10 +82,8 @@ impl ParamStore {
         &self.entries[id.0].value
     }
 
-    /// Mutable value (used by optimizers and tests). Drops any cached
-    /// quantized copy of this parameter — it would be stale after the write.
+    /// Mutable value (used by optimizers and tests).
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        self.quant.remove(&id.0);
         &mut self.entries[id.0].value
     }
 
@@ -151,45 +140,6 @@ impl ParamStore {
     /// Estimated memory footprint in bytes: values + gradients.
     pub fn memory_bytes(&self) -> usize {
         self.num_scalars() * std::mem::size_of::<f32>() * 2
-            + self.quant.values().map(QuantMatrix::memory_bytes).sum::<usize>()
-    }
-
-    /// Quantize every weight matrix (rows ≥ 2; `[1, n]` biases and scalars are
-    /// left in f32) into the int8 cache. No-op unless `BASM_QUANT` enables the
-    /// quantized serve path. Returns the number of parameters quantized.
-    ///
-    /// Call sites: checkpoint attach and serving-pipeline construction —
-    /// anywhere a freshly loaded model transitions to read-mostly scoring.
-    pub fn prepare_quant(&mut self) -> usize {
-        if !quant::quant_enabled() {
-            return 0;
-        }
-        for (idx, e) in self.entries.iter().enumerate() {
-            if e.value.rows() >= 2 && !self.quant.contains_key(&idx) {
-                self.quant.insert(idx, QuantMatrix::quantize(&e.value));
-            }
-        }
-        self.quant.len()
-    }
-
-    /// Drop every cached quantized copy (e.g. before a training phase).
-    pub fn clear_quant(&mut self) {
-        self.quant.clear();
-    }
-
-    /// The cached int8 copy of a parameter, if the quantized serve path is
-    /// enabled and [`ParamStore::prepare_quant`] has run since the last
-    /// mutation of this parameter.
-    pub fn quant(&self, id: ParamId) -> Option<&QuantMatrix> {
-        if !quant::quant_enabled() {
-            return None;
-        }
-        self.quant.get(&id.0)
-    }
-
-    /// Number of parameters currently held in the int8 cache.
-    pub fn num_quantized(&self) -> usize {
-        self.quant.len()
     }
 }
 
@@ -245,24 +195,6 @@ mod tests {
         g.backward(loss);
         s.accumulate_grads(&g);
         assert!((s.grad(w).item() - 4.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn quant_cache_prepared_and_invalidated() {
-        let _guard = crate::quant::tests_force_quant();
-        let mut s = ParamStore::new();
-        let w = s.add("w", Tensor::ones(3, 2));
-        let b = s.add("b", Tensor::ones(1, 2));
-        assert_eq!(s.prepare_quant(), 1, "only the rows>=2 matrix quantizes");
-        assert!(s.quant(w).is_some());
-        assert!(s.quant(b).is_none(), "biases stay f32");
-        // Mutation drops the cached copy; re-preparing restores it.
-        s.value_mut(w).data_mut()[0] = 7.0;
-        assert!(s.quant(w).is_none(), "value_mut must invalidate");
-        assert_eq!(s.prepare_quant(), 1);
-        assert!(s.quant(w).is_some());
-        s.clear_quant();
-        assert_eq!(s.num_quantized(), 0);
     }
 
     #[test]

@@ -59,30 +59,11 @@ done
 echo "== tier1: basm-tensor tests (BASM_EMB_STORE=pack, BASM_PACK_MMAP=0) =="
 BASM_EMB_STORE=pack BASM_PACK_MMAP=0 cargo test -q -p basm-tensor --tests
 
-# The memoization tier (DESIGN.md §12) must be bitwise-invisible: the serving
-# suite — whose equivalence tests pin memo-on exposures and predictions equal
-# to memo-off — has to stay green with the tier disabled and enabled, across
-# the thread and embedding-store dimensions it composes with (a cached block
-# must reproduce the cold path's bytes whichever matmul path or table
-# residency serves the rebuild).
-for memo in 0 1; do
-    for threads in 1 4; do
-        for store in ram pack; do
-            echo "== tier1: basm-serving tests (BASM_MEMO=$memo, BASM_THREADS=$threads, BASM_EMB_STORE=$store) =="
-            BASM_MEMO=$memo BASM_THREADS=$threads BASM_EMB_STORE=$store \
-                cargo test -q -p basm-serving --tests
-        done
-    done
-done
-
 # The SIMD kernel layer (DESIGN.md §14) must be a pure dispatch decision:
 # scalar and vector lanes produce the same bits per element, so the tensor
 # determinism/gradcheck suites and the serving equivalence pins have to stay
 # green — and bitwise identical — with the lanes forced off and on, across
-# the thread and pool dimensions the kernels compose with. The int8 serve
-# path is the one knob that is *allowed* to move bits (opt-in, serve-only):
-# its gate is the quantized-serving suite under BASM_QUANT=int8, which pins
-# finite scores, ranking-head agreement with f32, and write-invalidation.
+# the thread and pool dimensions the kernels compose with.
 for simd in 0 1; do
     for threads in 1 4; do
         echo "== tier1: basm-tensor tests (BASM_SIMD=$simd, BASM_THREADS=$threads) =="
@@ -94,8 +75,6 @@ for simd in 0 1; do
             cargo test -q -p basm-serving --tests
     done
 done
-echo "== tier1: basm-serving int8 smoke (BASM_QUANT=int8) =="
-BASM_QUANT=int8 cargo test -q -p basm-serving --test quant_serving
 
 # The crash-consistency layer (DESIGN.md §13) adds two gates. First the
 # kill-point sweeps: the packstore crash-sweep enumerates "die at IO op k,
