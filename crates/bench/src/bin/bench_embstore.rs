@@ -7,8 +7,10 @@
 //!   is parsed, but the embedding shards are attached via mmap — no record is
 //!   deserialized, so the open cost is independent of table size.
 //!
-//! Then it times the two embedding data paths on the restored models, RAM
-//! table against mmap'd pack table, interleaved rep by rep: a **gather**
+//! Then it times the embedding data path on the two restored models,
+//! interleaved rep by rep: **owned** tables (the cold restore — no directory,
+//! records updated in place) against **attached** ones (the warm restore —
+//! mmap'd base, updates through the overlay). It times a **gather**
 //! (`EmbeddingStore::lookup` over every table) and a **sparse update**
 //! (`apply_grads` of one backward's gradients), each in ns per id, on a
 //! head-heavy id stream, at two embedding scales (tiny and eleme-like
@@ -20,29 +22,29 @@ use basm_core::checkpoint::{load_model_dir, load_model_file, save_model_dir, sav
 use basm_core::model::CtrModel;
 use basm_data::WorldConfig;
 use basm_tensor::nn::embedding::{EmbeddingStore, TableId};
-use basm_tensor::packstore::{self, set_emb_store, StoreMode};
+use basm_tensor::packstore;
 use basm_tensor::{Graph, Var};
 use serde::Serialize;
 
-/// One embedding data path, RAM vs pack.
+/// One embedding data path, owned tables vs attached ones.
 #[derive(Serialize)]
 struct PathCost {
     /// Ids per timed rep (summed over tables).
     ids_per_rep: usize,
-    ram_ns_per_id: f64,
-    pack_ns_per_id: f64,
-    /// Interleaved samples; `speedup` is RAM time / pack time per pair.
+    owned_ns_per_id: f64,
+    attached_ns_per_id: f64,
+    /// Interleaved samples; `speedup` is owned time / attached time per pair.
     comparison: timing::Comparison,
 }
 
 impl PathCost {
-    fn new(ids_per_rep: usize, ram: Vec<f64>, pack: Vec<f64>) -> Self {
-        let comparison = timing::summarize(("ram", "pack"), ram, pack);
+    fn new(ids_per_rep: usize, owned: Vec<f64>, attached: Vec<f64>) -> Self {
+        let comparison = timing::summarize(("owned", "attached"), owned, attached);
         let ns = |secs: f64| secs * 1e9 / ids_per_rep as f64;
         Self {
             ids_per_rep,
-            ram_ns_per_id: ns(comparison.baseline.median_secs),
-            pack_ns_per_id: ns(comparison.candidate.median_secs),
+            owned_ns_per_id: ns(comparison.baseline.median_secs),
+            attached_ns_per_id: ns(comparison.candidate.median_secs),
             comparison,
         }
     }
@@ -133,39 +135,40 @@ fn step(store: &mut EmbeddingStore, ids: &[Vec<u32>]) -> (f64, f64) {
     (gather_secs, update_secs)
 }
 
-/// Time gather and sparse update on the RAM and pack restores of one
-/// checkpoint, alternating the two arms rep by rep.
+/// Time gather and sparse update on the owned (flat) and attached (pack
+/// directory) restores of one checkpoint, alternating the arms rep by rep.
 fn data_paths(
-    ram: &mut dyn CtrModel,
-    pack: &mut dyn CtrModel,
+    owned: &mut dyn CtrModel,
+    attached: &mut dyn CtrModel,
     reps: usize,
 ) -> (PathCost, PathCost) {
-    let rows: Vec<usize> = ram.embedder().emb.tables().map(|t| t.rows()).collect();
+    let rows: Vec<usize> = owned.embedder().emb.tables().map(|t| t.rows()).collect();
     let mut state: u64 = 0x5EED;
     for _ in 0..3 {
         let ids = draw_ids(&rows, &mut state);
-        step(&mut ram.embedder().emb, &ids);
-        step(&mut pack.embedder().emb, &ids);
+        step(&mut owned.embedder().emb, &ids);
+        step(&mut attached.embedder().emb, &ids);
     }
-    let (mut gr, mut gp, mut ur, mut up) = (vec![], vec![], vec![], vec![]);
+    let (mut go, mut ga, mut uo, mut ua) = (vec![], vec![], vec![], vec![]);
     for _ in 0..reps {
         let ids = draw_ids(&rows, &mut state);
-        let (g, u) = step(&mut ram.embedder().emb, &ids);
-        gr.push(g);
-        ur.push(u);
-        let (g, u) = step(&mut pack.embedder().emb, &ids);
-        gp.push(g);
-        up.push(u);
+        let (g, u) = step(&mut owned.embedder().emb, &ids);
+        go.push(g);
+        uo.push(u);
+        let (g, u) = step(&mut attached.embedder().emb, &ids);
+        ga.push(g);
+        ua.push(u);
     }
-    for (a, b) in ram.embedder().emb.tables().zip(pack.embedder().emb.tables()) {
-        assert!(b.is_pack() && !a.is_pack(), "arms must be RAM and pack");
+    for (a, b) in owned.embedder().emb.tables().zip(attached.embedder().emb.tables()) {
+        let arms = a.pack().dir().is_none() && b.pack().dir().is_some();
+        assert!(arms, "arms must be owned and attached");
         let (aw, aa) = a.snapshot();
         let (bw, ba) = b.snapshot();
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert!(bits(&aw) == bits(&bw) && bits(&aa) == bits(&ba), "{} diverged", a.name());
     }
     let n = rows.len() * IDS_PER_TABLE;
-    (PathCost::new(n, gr, gp), PathCost::new(n, ur, up))
+    (PathCost::new(n, go, ga), PathCost::new(n, uo, ua))
 }
 
 fn bench_config(cfg: &WorldConfig, reps: usize) -> SizeReport {
@@ -196,9 +199,7 @@ fn bench_config(cfg: &WorldConfig, reps: usize) -> SizeReport {
     }
 
     // Cross-check: both restore paths must land on the same bits.
-    set_emb_store(Some(StoreMode::Ram)); // the RAM arm, whatever BASM_EMB_STORE says
     let mut cold = basm_baselines::build_model("Wide&Deep", cfg, 2);
-    set_emb_store(None);
     load_model_file(cold.as_mut(), &flat_path).expect("cold load");
     let mut warm = basm_baselines::build_model("Wide&Deep", cfg, 2);
     load_model_dir(warm.as_mut(), &dir_path).expect("warm attach");
@@ -231,15 +232,15 @@ fn bench_config(cfg: &WorldConfig, reps: usize) -> SizeReport {
     };
     eprintln!(
         "[bench_embstore] {}: cold {:.2}ms vs warm {:.3}ms ({:.0}x); gather {:.1} vs {:.1} ns/id, \
-         update {:.1} vs {:.1} ns/id (ram vs pack)",
+         update {:.1} vs {:.1} ns/id (owned vs attached)",
         report.config,
         report.cold_load_secs * 1e3,
         report.warm_attach_secs * 1e3,
         report.speedup,
-        report.gather.ram_ns_per_id,
-        report.gather.pack_ns_per_id,
-        report.sparse_update.ram_ns_per_id,
-        report.sparse_update.pack_ns_per_id,
+        report.gather.owned_ns_per_id,
+        report.gather.attached_ns_per_id,
+        report.sparse_update.owned_ns_per_id,
+        report.sparse_update.attached_ns_per_id,
     );
     let _ = std::fs::remove_dir_all(&scratch);
     report
@@ -258,10 +259,11 @@ fn main() {
                warm = checkpoint directory, shards mmap'd at attach (no per-row \
                deserialize — resident_after_attach_bytes counts overlay rows \
                only). gather / sparse_update: ns per id of EmbeddingStore::lookup \
-               and apply_grads on the cold (RAM) and warm (pack) restores, \
-               4096 head-heavy (u^3) ids per table per rep, 41 reps after 3 \
-               warmups, arms interleaved rep by rep; rows checked bitwise equal \
-               after."
+               and apply_grads on the cold restore (owned: no directory, records \
+               updated in place) and the warm one (attached: mmap'd base, updates \
+               through the overlay), 4096 head-heavy (u^3) ids per table per rep, \
+               41 reps after 3 warmups, arms interleaved rep by rep; rows checked \
+               bitwise equal after."
             .to_string(),
         sizes,
     };

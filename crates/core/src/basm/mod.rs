@@ -1,13 +1,11 @@
 //! The Bottom-up Adaptive Spatiotemporal Model: StAEL + StSTL + StABT.
 
 pub mod model;
-pub mod st_attention;
 pub mod stabt;
 pub mod stael;
 pub mod ststl;
 
 pub use model::{Basm, BasmConfig};
-pub use st_attention::StTargetAttention;
 pub use stabt::{StAbt, StAbtLayer};
 pub use stael::StAel;
 pub use ststl::StStl;

@@ -17,7 +17,6 @@ use basm_data::Batch;
 use basm_tensor::nn::{Activation, Linear, TargetAttention};
 use basm_tensor::{Graph, ParamStore, Prng};
 
-use crate::basm::st_attention::StTargetAttention;
 use crate::basm::stabt::StAbt;
 use crate::basm::stael::StAel;
 use crate::basm::ststl::StStl;
@@ -44,9 +43,6 @@ pub struct BasmConfig {
     pub tower: Vec<usize>,
     /// Hidden width of the behavior target-attention activation unit.
     pub attention_hidden: usize,
-    /// Use the StEN-style spatiotemporal-aware target attention for the
-    /// behavior encoder (extension beyond the paper's BASM; §V-C / \[5\]).
-    pub st_attention: bool,
     /// Parameter-initialization seed.
     pub seed: u64,
 }
@@ -62,19 +58,12 @@ impl Default for BasmConfig {
             ststl_out: 80,
             tower: vec![64, 32],
             attention_hidden: 32,
-            st_attention: false,
             seed: 1,
         }
     }
 }
 
 impl BasmConfig {
-    /// Enable the StEN-style spatiotemporal target attention (extension).
-    pub fn with_st_attention(mut self) -> Self {
-        self.st_attention = true;
-        self
-    }
-
     /// Table V ablation: `w/o StAEL`.
     pub fn without_stael(mut self) -> Self {
         self.use_stael = false;
@@ -94,11 +83,6 @@ impl BasmConfig {
     }
 }
 
-enum BehaviorEncoder {
-    Plain(TargetAttention),
-    Spatiotemporal(StTargetAttention),
-}
-
 enum SemanticLayer {
     Dynamic(StStl),
     Static(Linear),
@@ -115,7 +99,7 @@ pub struct Basm {
     config: BasmConfig,
     store: ParamStore,
     embedder: FeatureEmbedder,
-    attention: BehaviorEncoder,
+    attention: TargetAttention,
     stael: Option<StAel>,
     semantic: SemanticLayer,
     tower: Tower,
@@ -136,24 +120,13 @@ impl Basm {
         let ctx_direct_dim = 5 + world.n_cities + 2;
         let ctx_dim = dims.context_field_dim() + ctx_direct_dim;
 
-        let attention = if config.st_attention {
-            BehaviorEncoder::Spatiotemporal(StTargetAttention::new(
-                &mut store,
-                &mut rng,
-                "basm.st_att",
-                dims.seq_dim(),
-                ctx_dim,
-                config.attention_hidden,
-            ))
-        } else {
-            BehaviorEncoder::Plain(TargetAttention::new(
-                &mut store,
-                &mut rng,
-                "basm.att",
-                dims.seq_dim(),
-                config.attention_hidden,
-            ))
-        };
+        let attention = TargetAttention::new(
+            &mut store,
+            &mut rng,
+            "basm.att",
+            dims.seq_dim(),
+            config.attention_hidden,
+        );
 
         let field_dims = [
             dims.user_field_dim(),
@@ -231,19 +204,12 @@ impl CtrModel for Basm {
         let cand = fe.candidate_field(g, batch);
         let comb = fe.combine_field(g, batch);
 
-        // Behavior field via (optionally spatiotemporal-aware) target
-        // attention over the sequence.
+        // Behavior field via target attention over the sequence.
         let query = fe.query_emb(g, batch);
         let seq = fe.seq_embs(g, batch);
         let mask = g.input(batch.mask.clone());
-        let (behavior, _att_w) = match &self.attention {
-            BehaviorEncoder::Plain(att) => {
-                att.forward(g, store, query, seq, mask, batch.seq_len)
-            }
-            BehaviorEncoder::Spatiotemporal(att) => {
-                att.forward(g, store, query, seq, mask, ctx, batch.seq_len)
-            }
-        };
+        let (behavior, _att_w) =
+            self.attention.forward(g, store, query, seq, mask, batch.seq_len);
 
         // StAEL: field-granular spatiotemporal weight adaptation (Eq. 5/6).
         let fields = [user, behavior, cand, comb];

@@ -217,7 +217,7 @@ fn current_version(dir: &std::path::Path) -> Option<u64> {
 /// Superseded versions (and any pre-versioning flat layout) are swept
 /// best-effort after the commit. A consequence of the always-fresh target:
 /// `export_pack_dir` never takes its in-place compaction branch here, so a
-/// pack-backed store's scratch directory is never the checkpoint.
+/// store's attached directory is never the checkpoint.
 pub fn save_model_dir(
     model: &mut dyn CtrModel,
     dir: impl AsRef<std::path::Path>,
@@ -271,7 +271,7 @@ fn sweep_stale_versions(dir: &std::path::Path, keep: u64) {
 /// [`save_model_dir`]: dense parameters and BN stats are restored from the
 /// sealed envelope, and the embedding store attaches to the pack directory —
 /// shards are opened via mmap and **no embedding record is deserialized**.
-/// The store is pack-backed afterwards regardless of `BASM_EMB_STORE`.
+/// Every table has a directory afterwards.
 ///
 /// Reads the version `CURRENT` points at; a directory without a `CURRENT`
 /// pointer is treated as the pre-versioning flat layout (`dense.ckpt` +
@@ -371,9 +371,12 @@ mod tests {
 
         let mut fresh = Basm::new(&cfg, BasmConfig { seed: 99, ..BasmConfig::default() });
         load_model_dir(&mut fresh, &dir).unwrap();
-        // The attach opened the shards zero-copy: pack-backed, nothing resident.
+        // The attach opened the shards zero-copy: mapped, nothing resident.
         let emb = &fresh.embedder().emb;
-        assert!(emb.tables().all(|t| t.is_pack()), "warm start must attach, not deserialize");
+        assert!(
+            emb.tables().all(|t| t.pack().is_fully_mapped()),
+            "warm start must attach, not deserialize"
+        );
         assert_eq!(emb.memory_bytes(), 0, "no record should be resident after attach");
         let got: Vec<u32> = predict(&mut fresh, &batch).iter().map(|p| p.to_bits()).collect();
         assert_eq!(got, expected);

@@ -185,7 +185,7 @@ fn wal_append_kill_recovers_bitwise() {
             kill_at_prep: None,
         };
         // Arm only after the first replica is fully built: the shim guards
-        // *all* durable IO, so a pack-backed replica (BASM_EMB_STORE=pack)
+        // *all* durable IO, so a replica attached to a pack directory
         // or a BASM_WAL=1 auto-journal would otherwise eat the kill point
         // during construction. Armed this way, op 0 is the first WAL append
         // on every backend. The supervisor disarms the plan when the

@@ -1,16 +1,15 @@
-//! Embedding-backend equivalence through the serving path (DESIGN.md §11):
+//! Embedding-store equivalence through the serving path (DESIGN.md §11):
 //! a pipeline whose model serves its embedding rows out of mmap'd pack files
 //! must produce bitwise identical exposures — item, position, and score bits
-//! — to the same pipeline backed by plain RAM tables, across worker-thread
-//! counts. `scripts/tier1.sh` additionally sweeps this suite under
-//! `BASM_EMB_STORE={ram,pack}` and `BASM_POOL={0,1}` so the ambient-env
+//! — to the same pipeline whose tables own their records (no directory),
+//! across worker-thread counts. `scripts/tier1.sh` additionally sweeps this
+//! suite under `BASM_POOL={0,1}` and `BASM_WAL={0,1}` so the ambient-env
 //! combinations get the same pin.
 
 use basm_baselines::build_model;
 use basm_data::{World, WorldConfig};
 use basm_serving::{generate_arrivals, run_load, ArrivalConfig, FrontendConfig, ServingPipeline};
-use basm_tensor::packstore::{set_emb_store, StoreMode};
-use basm_tensor::pool;
+use basm_tensor::{packstore, pool};
 
 /// Per-request exposure identity down to score bits.
 fn signature(
@@ -28,28 +27,34 @@ fn signature(
         .collect()
 }
 
-/// Build a pipeline with the embedding backend forced to `mode`, run the
-/// shared arrival schedule, and return (signature, was-actually-pack).
-fn run_with_mode(
+/// Build a pipeline whose embedding tables own their records, or are
+/// exported to a fresh pack directory and attached to it (`attached`), run
+/// the shared arrival schedule, and return (signature, was-actually-attached).
+fn run_with_store(
     world: &World,
     arrivals: &[basm_serving::Arrival],
-    mode: StoreMode,
+    attached: bool,
 ) -> (Vec<(usize, usize, Vec<(u32, u16, u32)>)>, bool) {
-    set_emb_store(Some(mode));
-    let model = build_model("Wide&Deep", &world.config, 1);
-    set_emb_store(None);
+    let mut model = build_model("Wide&Deep", &world.config, 1);
+    let dir = packstore::fresh_temp_dir();
+    if attached {
+        let store = &mut model.embedder().emb;
+        store.export_pack_dir(&dir).unwrap();
+        store.attach_pack_dir(&dir).unwrap();
+    }
     #[allow(unused_mut)]
     let mut pipe = ServingPipeline::new(world, model, 16, 6);
     #[cfg(feature = "faults")]
     pipe.set_faults(None);
     let out = run_load(&mut pipe, world, arrivals, &FrontendConfig::default());
-    let store = &pipe.model.embedder().emb;
-    let packed = store.mode() == StoreMode::Pack;
-    (signature(&out), packed)
+    let in_dir = pipe.model.embedder().emb.tables().all(|t| t.pack().dir().is_some());
+    let _ = std::fs::remove_dir_all(&dir);
+    (signature(&out), in_dir)
 }
 
-/// The acceptance pin: pack-backed and RAM-backed serving are the same
-/// function, to the bit, at 1 and 4 worker threads.
+/// The acceptance pin: serving from mmap'd pack files and from tables that
+/// own their records is the same function, to the bit, at 1 and 4 worker
+/// threads.
 #[test]
 fn pack_and_ram_serving_are_bitwise_identical_across_threads() {
     let world = World::generate(WorldConfig::tiny());
@@ -62,17 +67,17 @@ fn pack_and_ram_serving_are_bitwise_identical_across_threads() {
     let mut reference = None;
     for threads in [1usize, 4] {
         pool::set_threads(threads);
-        let (ram_sig, ram_packed) = run_with_mode(&world, &arrivals, StoreMode::Ram);
-        let (pack_sig, pack_packed) = run_with_mode(&world, &arrivals, StoreMode::Pack);
-        assert!(!ram_packed, "ram run must not be pack-backed");
-        assert!(pack_packed, "pack run never engaged the pack backend");
+        let (ram_sig, ram_in_dir) = run_with_store(&world, &arrivals, false);
+        let (pack_sig, pack_in_dir) = run_with_store(&world, &arrivals, true);
+        assert!(!ram_in_dir, "the owned run must have no directory");
+        assert!(pack_in_dir, "the attached run never attached its pack files");
         assert!(
             ram_sig.iter().any(|(_, _, e)| !e.is_empty()),
             "no exposures served; the pin is vacuous"
         );
         assert_eq!(
             ram_sig, pack_sig,
-            "pack-backed serving diverged from RAM at {threads} threads"
+            "mapped serving diverged from owned tables at {threads} threads"
         );
         match &reference {
             None => reference = Some(ram_sig),

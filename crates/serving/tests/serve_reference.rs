@@ -9,40 +9,36 @@
 //! built from the pre-request `history_snapshot` and counters, and
 //! `predict` on the pipeline's own model. Any cache, stale read or second
 //! assembly path between the feature server and the model shows up here as
-//! a score mismatch. The suite runs on RAM-backed and pack-backed embedding
-//! tables, selected in-process.
-
-use std::sync::Mutex;
+//! a score mismatch. The suite runs on embedding tables that own their
+//! records and on the same tables attached to a pack directory, and the two
+//! must serve the same exposures to the bit.
 
 use basm_baselines::build_model;
 use basm_core::model::predict;
 use basm_data::{append_example, BehaviorEvent, Context, Dataset, TimePeriod, World, WorldConfig};
 use basm_serving::{LbsRecall, Request, ServingPipeline};
-use basm_tensor::packstore::{set_emb_store, StoreMode};
-use basm_tensor::Prng;
+use basm_tensor::{packstore, Prng};
 use proptest::prelude::*;
 
 const POOL: usize = 12;
 const TOP_K: usize = 5;
 
-/// The store override is process-global; serialize model construction.
-static STORE: Mutex<()> = Mutex::new(());
-
-/// A BASM pipeline whose embedding tables live in `mode`. Tests must not
-/// inherit an ambient injector from `BASM_FAULTS`.
-fn pipeline(world: &World, mode: StoreMode) -> ServingPipeline {
-    let model = {
-        let _guard = STORE.lock().unwrap_or_else(|e| e.into_inner());
-        set_emb_store(Some(mode));
-        let model = build_model("BASM", &world.config, 1);
-        set_emb_store(None);
-        model
-    };
+/// A BASM pipeline whose embedding tables own their records, or are
+/// exported to `dir` and attached to it. Tests must not inherit an ambient
+/// injector from `BASM_FAULTS`.
+fn pipeline(world: &World, attach_to: Option<&std::path::Path>) -> ServingPipeline {
+    let mut model = build_model("BASM", &world.config, 1);
+    if let Some(dir) = attach_to {
+        let store = &mut model.embedder().emb;
+        store.export_pack_dir(dir).unwrap();
+        store.attach_pack_dir(dir).unwrap();
+    }
     #[allow(unused_mut)]
     let mut pipe = ServingPipeline::new(world, model, POOL, TOP_K);
     #[cfg(feature = "faults")]
     pipe.set_faults(None);
-    assert_eq!(pipe.model.embedder().emb.mode(), mode, "store override not applied");
+    let in_dir = pipe.model.embedder().emb.tables().all(|t| t.pack().dir() == attach_to);
+    assert!(in_dir, "store not attached as asked");
     pipe
 }
 
@@ -97,14 +93,15 @@ fn reference_scores(
 
 /// Serve `req` and check it against the oracle: every exposure's score bits
 /// equal the oracle's score for that item, and the list is the oracle's
-/// top-k (score-descending, ties in candidate order).
+/// top-k (score-descending, ties in candidate order). Returns the served
+/// `(item, score bits)` pairs.
 fn serve_and_check(
     pipe: &mut ServingPipeline,
     recall: &LbsRecall,
     world: &World,
     req: Request,
     seed: u64,
-) -> Result<usize, String> {
+) -> Result<Vec<(u32, u32)>, String> {
     let oracle = reference_scores(pipe, recall, world, req, seed);
     let served = pipe.serve(world, req, &mut Prng::seeded(seed)).expect("in-range request");
     for e in &served {
@@ -123,7 +120,7 @@ fn serve_and_check(
     let want: Vec<u32> = ranked.iter().take(TOP_K).map(|(item, _)| *item).collect();
     let got: Vec<u32> = served.iter().map(|e| e.item).collect();
     prop_assert_eq!(got, want, "exposure list is not the oracle's top-k for {:?}", req);
-    Ok(served.len())
+    Ok(served.iter().map(|e| (e.item, e.score.to_bits())).collect())
 }
 
 /// One step of the op-interleaving property test.
@@ -149,17 +146,34 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
-/// Apply `ops` to a fresh pipeline on `mode`, checking every serve.
-/// Returns the number of exposures served.
-fn run_ops(world: &World, mode: StoreMode, ops: &[Op], seed: u64) -> Result<usize, String> {
-    let mut pipe = pipeline(world, mode);
+/// Every exposure a run served, as `(item, score bits)`, in serve order.
+type Served = Vec<(u32, u32)>;
+
+/// Apply `ops` to a fresh pipeline, attached to a pack directory or not,
+/// checking every serve. Returns every exposure served.
+fn run_ops(world: &World, attached: bool, ops: &[Op], seed: u64) -> Result<Served, String> {
+    let dir = attached.then(packstore::fresh_temp_dir);
+    let served = serve_ops(world, dir.as_deref(), ops, seed);
+    if let Some(dir) = dir {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    served
+}
+
+fn serve_ops(
+    world: &World,
+    attach_to: Option<&std::path::Path>,
+    ops: &[Op],
+    seed: u64,
+) -> Result<Served, String> {
+    let mut pipe = pipeline(world, attach_to);
     let recall = LbsRecall::build(world);
-    let mut served = 0;
+    let mut served = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         match *op {
             Op::Serve { uid, hour } => {
                 let req = Request { uid, day: 0, hour, geo: world.users[uid].geo };
-                served += serve_and_check(&mut pipe, &recall, world, req, seed ^ i as u64)?;
+                served.extend(serve_and_check(&mut pipe, &recall, world, req, seed ^ i as u64)?);
             }
             Op::Click { uid, item, ordered } => {
                 let event = click_event(world, item, (item % 24) as u8);
@@ -178,16 +192,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Writes land on the very next request, and a served score is never
-    /// anything but the from-scratch score — on both embedding stores.
+    /// anything but the from-scratch score — on owned and attached tables
+    /// alike, which serve the same exposures.
     #[test]
     fn served_scores_equal_the_reference_under_interleaved_writes(
         ops in proptest::collection::vec(op_strategy(), 1..30),
         seed in 0u64..1_000,
     ) {
         let world = World::generate(WorldConfig::tiny());
-        for mode in [StoreMode::Ram, StoreMode::Pack] {
-            run_ops(&world, mode, &ops, seed)?;
-        }
+        let owned = run_ops(&world, false, &ops, seed)?;
+        let attached = run_ops(&world, true, &ops, seed)?;
+        prop_assert_eq!(owned, attached, "attached tables served other exposures");
     }
 }
 
@@ -204,8 +219,8 @@ fn repeat_requests_after_clicks_match_the_reference() {
             ops.push(Op::Serve { uid, hour: 12 + uid as u8 });
         }
     }
-    for mode in [StoreMode::Ram, StoreMode::Pack] {
-        let served = run_ops(&world, mode, &ops, 5).expect("reference pin");
-        assert!(served > 0, "no exposures served; the pin is vacuous");
-    }
+    let owned = run_ops(&world, false, &ops, 5).expect("reference pin");
+    assert!(!owned.is_empty(), "no exposures served; the pin is vacuous");
+    let attached = run_ops(&world, true, &ops, 5).expect("reference pin");
+    assert_eq!(owned, attached, "attached tables served other exposures");
 }

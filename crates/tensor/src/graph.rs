@@ -1198,7 +1198,7 @@ mod tests {
         let y = g.input(Tensor::from_vec(2, 1, vec![1.0, 0.0]));
         let l = g.bce_with_logits(z, y);
         // -ln(0.5) for both.
-        assert!((g.value(l).item() - 0.6931472).abs() < 1e-5);
+        assert!((g.value(l).item() - std::f32::consts::LN_2).abs() < 1e-5);
     }
 
     #[test]

@@ -14,149 +14,122 @@
 //! Row 0 of every table is the padding/OOV row: it stays frozen at zero so
 //! padded sequence positions contribute nothing even without masking.
 //!
-//! ## Backends
+//! ## One backend
 //!
-//! A table's rows live either in RAM `Vec<f32>`s (the default) or in an
-//! mmap-backed pack directory ([`crate::packstore`]), selected per store by
-//! `BASM_EMB_STORE=ram|pack` at creation time. A pack gather copies from the
-//! in-place overlay or straight from the mapping; a pack update rewrites the
-//! row's overlay record in place. Records round-trip f32 bits exactly, and
-//! both backends run the same update arithmetic in the same order, so the
-//! choice is invisible to results — training trajectories and predictions
-//! are bitwise identical (pinned by `tests/packstore_backend.rs`,
-//! `tests/lookup_concat.rs` and the serving equivalence suite).
+//! Every table's records — `dim` weights then `dim` Adagrad accumulators per
+//! row — live in a [`PackTable`] (see [`crate::packstore`]), under one
+//! copy-on-write rule:
+//!
+//! * **A table with a directory** (attached with
+//!   [`EmbeddingStore::attach_pack_dir`]) never writes its base, mapped or
+//!   heap-decoded: an update rewrites the row's overlay record in place and
+//!   marks it for the next [`EmbeddingStore::flush_deltas`].
+//! * **A table without a directory** (fresh from [`EmbeddingTable::new`], or
+//!   restored from a flat checkpoint) owns one heap run of records and
+//!   updates them in place; it has no overlay, no pending set, and flushing
+//!   or compacting it does nothing.
+//!
+//! Records round-trip f32 bits exactly and both kinds run the same update
+//! arithmetic in the same order, so whether a table has a directory is
+//! invisible to results — training trajectories and predictions are bitwise
+//! identical before and after `export_pack_dir` + `attach_pack_dir` (pinned
+//! by `tests/packstore_backend.rs`, `tests/lookup_concat.rs` and the serving
+//! equivalence suite).
 
 use crate::graph::{Graph, Var};
 use crate::packstore::{
-    self, emb_store_mode, write_manifest, ManifestEntry, PackError, PackOptions, PackTable,
-    RowMap, StoreMode,
+    self, write_manifest, ManifestEntry, PackError, PackOptions, PackTable, RowMap,
 };
 use crate::rng::Prng;
 use crate::tensor::Tensor;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Identifier of a table inside an [`EmbeddingStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TableId(usize);
 
-/// Where a table's records live.
-enum Backing {
-    /// Flat RAM buffers (the seed behavior).
-    Ram { weights: Vec<f32>, accum: Vec<f32> },
-    /// Pack directory: mmap'd base shards + in-place overlay.
-    Pack(PackTable),
-}
-
 /// A single embedding matrix `[rows, dim]` with Adagrad accumulators.
 pub struct EmbeddingTable {
-    name: String,
-    rows: usize,
-    dim: usize,
-    backing: Backing,
+    pack: PackTable,
 }
 
 impl EmbeddingTable {
     /// Create a table with `N(0, init_std²)` entries; row 0 is zeroed
-    /// (padding). Always starts RAM-backed so the RNG draws are identical
-    /// whatever backend the store later selects; see
-    /// [`EmbeddingTable::to_pack`].
+    /// (padding). The table has no directory. Weights are drawn row-major,
+    /// accumulators start at zero.
     pub fn new(rng: &mut Prng, name: impl Into<String>, rows: usize, dim: usize, init_std: f32) -> Self {
         assert!(rows >= 1 && dim >= 1, "EmbeddingTable: empty shape");
-        let mut weights = Vec::with_capacity(rows * dim);
-        for _ in 0..rows * dim {
-            weights.push(rng.normal() * init_std);
+        let mut records = vec![0.0; rows * 2 * dim];
+        for rec in records.chunks_exact_mut(2 * dim) {
+            rec[..dim].iter_mut().for_each(|w| *w = rng.normal() * init_std);
         }
-        weights[..dim].iter_mut().for_each(|w| *w = 0.0);
-        let accum = vec![0.0; rows * dim];
-        Self { name: name.into(), rows, dim, backing: Backing::Ram { weights, accum } }
+        records[..dim].iter_mut().for_each(|w| *w = 0.0);
+        Self { pack: PackTable::owned(&name.into(), rows, dim, records) }
     }
 
     /// Table name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.pack.name()
     }
 
     /// Vocabulary size (including the padding row).
     pub fn rows(&self) -> usize {
-        self.rows
+        self.pack.rows()
     }
 
     /// Embedding dimension.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.pack.dim()
     }
 
-    /// Whether the rows live in a pack directory rather than RAM.
-    pub fn is_pack(&self) -> bool {
-        matches!(self.backing, Backing::Pack(_))
-    }
-
-    /// The pack table behind this table, when pack-backed.
-    pub fn pack(&self) -> Option<&PackTable> {
-        match &self.backing {
-            Backing::Pack(p) => Some(p),
-            Backing::Ram { .. } => None,
-        }
+    /// The pack table holding this table's records.
+    pub fn pack(&self) -> &PackTable {
+        &self.pack
     }
 
     fn check_id(&self, id: u32) {
         assert!(
-            (id as usize) < self.rows,
+            (id as usize) < self.rows(),
             "embedding id {id} out of {} rows of {}",
-            self.rows,
-            self.name
+            self.rows(),
+            self.name()
         );
     }
 
     /// The embedding of a single id.
     pub fn row(&self, id: u32) -> &[f32] {
         self.check_id(id);
-        match &self.backing {
-            Backing::Ram { weights, .. } => {
-                &weights[id as usize * self.dim..(id as usize + 1) * self.dim]
-            }
-            Backing::Pack(p) => &p.record(id)[..self.dim],
-        }
+        &self.pack.record(id)[..self.dim()]
     }
 
     /// The Adagrad accumulator row of a single id.
     pub fn accum_row(&self, id: u32) -> &[f32] {
         self.check_id(id);
-        match &self.backing {
-            Backing::Ram { accum, .. } => {
-                &accum[id as usize * self.dim..(id as usize + 1) * self.dim]
-            }
-            Backing::Pack(p) => &p.record(id)[self.dim..],
-        }
+        &self.pack.record(id)[self.dim()..]
     }
 
     /// Gather `ids` into a dense `[ids.len(), dim]` tensor.
     pub fn gather(&self, ids: &[u32]) -> Tensor {
         // Every row is overwritten below, so pooled scratch needs no memset.
-        let mut out = Tensor::scratch_pooled(ids.len(), self.dim);
-        self.gather_into(ids, out.data_mut(), self.dim, 0);
+        let mut out = Tensor::scratch_pooled(ids.len(), self.dim());
+        self.gather_into(ids, out.data_mut(), self.dim(), 0);
         out
     }
 
     /// Copy the row of `ids[r]` into `out[r*stride + col ..][..dim]` for
     /// every `r`: the gather behind every lookup.
     fn gather_into(&self, ids: &[u32], out: &mut [f32], stride: usize, col: usize) {
-        let dim = self.dim;
+        let dim = self.dim();
         let dsts = out.chunks_exact_mut(stride).map(|r| &mut r[col..col + dim]);
-        match &self.backing {
-            Backing::Ram { weights, .. } => {
-                for (dst, &id) in dsts.zip(ids) {
-                    self.check_id(id);
-                    dst.copy_from_slice(&weights[id as usize * dim..(id as usize + 1) * dim]);
-                }
-            }
-            Backing::Pack(p) => {
-                for (dst, &id) in dsts.zip(ids) {
-                    self.check_id(id);
-                    dst.copy_from_slice(&p.record(id)[..dim]);
-                }
-            }
+        let flat = self.pack.flat_records();
+        for (dst, &id) in dsts.zip(ids) {
+            self.check_id(id);
+            let rec = match flat {
+                Some(records) => &records[id as usize * 2 * dim..],
+                None => self.pack.record(id),
+            };
+            dst.copy_from_slice(&rec[..dim]);
         }
     }
 
@@ -164,8 +137,8 @@ impl EmbeddingTable {
     /// ids are accumulated before the update (one Adagrad step per distinct
     /// row per call). Row 0 is skipped (frozen padding).
     pub fn apply_grad(&mut self, ids: &[u32], grad: &Tensor, lr: f32, eps: f32) {
-        assert_eq!(grad.shape(), (ids.len(), self.dim), "apply_grad shape mismatch");
-        self.apply_grad_cols(ids, grad.data(), self.dim, 0, lr, eps);
+        assert_eq!(grad.shape(), (ids.len(), self.dim()), "apply_grad shape mismatch");
+        self.apply_grad_cols(ids, grad.data(), self.dim(), 0, lr, eps);
     }
 
     /// [`EmbeddingTable::apply_grad`] with `ids[r]`'s gradient read from
@@ -181,7 +154,7 @@ impl EmbeddingTable {
         lr: f32,
         eps: f32,
     ) {
-        let dim = self.dim;
+        let dim = self.dim();
         assert_eq!(grad.len(), ids.len() * stride, "apply_grad shape mismatch");
         assert!(col + dim <= stride, "apply_grad: columns out of the gradient row");
         let mut slot_of: RowMap<usize> = RowMap::default();
@@ -201,89 +174,45 @@ impl EmbeddingTable {
                 *a += g;
             }
         }
-        if order.is_empty() {
-            return;
-        }
-        // Distinct rows update independent slots, so the order cannot change
-        // the final state — and both backings run the same arithmetic.
-        let rows = order.iter().zip(sums.chunks_exact(dim));
-        match &mut self.backing {
-            Backing::Ram { weights, accum } => {
-                for (&id, g) in rows {
-                    let at = id as usize * dim..(id as usize + 1) * dim;
-                    adagrad(&mut weights[at.clone()], &mut accum[at], g, lr, eps);
-                }
-            }
-            Backing::Pack(p) => {
-                for (&id, g) in rows {
-                    p.update_record(id, |rec| {
-                        let (w, a) = rec.split_at_mut(dim);
-                        adagrad(w, a, g, lr, eps);
-                    });
-                }
-            }
+        // Distinct rows update independent records, so the order cannot
+        // change the final state.
+        for (&id, g) in order.iter().zip(sums.chunks_exact(dim)) {
+            self.pack.update_record(id, |rec| {
+                let (w, a) = rec.split_at_mut(dim);
+                adagrad(w, a, g, lr, eps);
+            });
         }
     }
 
     /// Trainable scalars.
     pub fn num_params(&self) -> usize {
-        self.rows * self.dim
+        self.rows() * self.dim()
     }
 
-    /// Heap bytes held by weights + optimizer state. For a pack-backed table
-    /// this counts only the overlay rows — the mmap'd base pages belong to
-    /// the OS page cache.
+    /// Heap bytes held by weights + optimizer state. A mapped base counts
+    /// nothing — its pages belong to the OS page cache.
     pub fn memory_bytes(&self) -> usize {
-        match &self.backing {
-            Backing::Ram { weights, accum } => {
-                (weights.len() + accum.len()) * std::mem::size_of::<f32>()
-            }
-            Backing::Pack(p) => p.resident_bytes(),
-        }
+        self.pack.resident_bytes()
     }
 
     /// Flat copies of the weights and accumulators (checkpoint save).
     pub fn snapshot(&self) -> (Vec<f32>, Vec<f32>) {
-        match &self.backing {
-            Backing::Ram { weights, accum } => (weights.clone(), accum.clone()),
-            Backing::Pack(p) => p.snapshot(),
-        }
+        self.pack.snapshot()
     }
 
     /// Overwrite weights and accumulators from flat `rows*dim` buffers
     /// (checkpoint restore).
     pub fn overwrite(&mut self, weights: &[f32], accum: &[f32]) {
-        assert_eq!(weights.len(), self.rows * self.dim, "overwrite: weights size");
-        assert_eq!(accum.len(), self.rows * self.dim, "overwrite: accum size");
-        match &mut self.backing {
-            Backing::Ram { weights: w, accum: a } => {
-                w.copy_from_slice(weights);
-                a.copy_from_slice(accum);
-            }
-            Backing::Pack(p) => {
-                p.rewrite(weights, accum).expect("pack rewrite failed");
-            }
-        }
+        assert_eq!(weights.len(), self.num_params(), "overwrite: weights size");
+        assert_eq!(accum.len(), self.num_params(), "overwrite: accum size");
+        self.pack.rewrite(weights, accum).expect("pack rewrite failed");
     }
 
-    /// Convert a RAM-backed table to pack backing inside `dir` (writing its
-    /// shards + index there). No-op when already pack-backed. The converted
-    /// table serves bit-identical rows.
-    pub fn to_pack(&mut self, dir: &Path, opts: PackOptions) -> Result<(), PackError> {
-        if self.is_pack() {
-            return Ok(());
-        }
-        let (weights, accum) = self.snapshot();
-        packstore::write_table(dir, &self.name, self.rows, self.dim, &weights, &accum, opts)?;
-        self.backing = Backing::Pack(PackTable::open(dir, &self.name, self.rows, self.dim)?);
-        Ok(())
-    }
-
-    /// Swap this table's backing to an existing pack directory (warm start):
-    /// opens the shards zero-copy and replays deltas, discarding the current
-    /// in-RAM values without reading a single record.
+    /// Swap this table's records for an existing pack directory (warm
+    /// start): opens the shards zero-copy and replays deltas, discarding the
+    /// current values without reading a single record.
     pub fn attach_pack(&mut self, dir: &Path) -> Result<(), PackError> {
-        self.backing = Backing::Pack(PackTable::open(dir, &self.name, self.rows, self.dim)?);
+        self.pack = PackTable::open(dir, self.name(), self.rows(), self.dim())?;
         Ok(())
     }
 }
@@ -312,9 +241,6 @@ pub struct EmbeddingStore {
     tables: Vec<EmbeddingTable>,
     by_name: HashMap<String, TableId>,
     journal: Vec<PendingLookup>,
-    mode: StoreMode,
-    pack_dir: Option<PathBuf>,
-    owns_dir: bool,
     /// Sparse-Adagrad epsilon shared by all tables.
     pub eps: f32,
 }
@@ -326,44 +252,13 @@ impl Default for EmbeddingStore {
 }
 
 impl EmbeddingStore {
-    /// An empty store. The backend of tables added later is fixed here from
-    /// `BASM_EMB_STORE` (or the [`packstore::set_emb_store`] override).
+    /// An empty store.
     pub fn new() -> Self {
-        Self {
-            tables: Vec::new(),
-            by_name: HashMap::new(),
-            journal: Vec::new(),
-            mode: emb_store_mode(),
-            pack_dir: None,
-            owns_dir: false,
-            eps: 1e-6,
-        }
+        Self { tables: Vec::new(), by_name: HashMap::new(), journal: Vec::new(), eps: 1e-6 }
     }
 
-    /// The backend newly added tables get.
-    pub fn mode(&self) -> StoreMode {
-        self.mode
-    }
-
-    /// The pack directory backing this store, if any.
-    pub fn pack_dir(&self) -> Option<&Path> {
-        self.pack_dir.as_deref()
-    }
-
-    fn ensure_pack_dir(&mut self) -> PathBuf {
-        if self.pack_dir.is_none() {
-            let dir = packstore::fresh_temp_dir();
-            std::fs::create_dir_all(&dir).expect("create pack temp dir");
-            self.pack_dir = Some(dir);
-            self.owns_dir = true;
-        }
-        self.pack_dir.clone().expect("just ensured")
-    }
-
-    /// Register a table; names must be unique. In pack mode the freshly
-    /// initialized rows are immediately written to the store's pack directory
-    /// (RNG draws happen first either way, so both backends start from the
-    /// same bits).
+    /// Register a table; names must be unique. The table has no directory
+    /// until [`EmbeddingStore::attach_pack_dir`].
     pub fn add_table(
         &mut self,
         rng: &mut Prng,
@@ -376,12 +271,7 @@ impl EmbeddingStore {
         assert!(!self.by_name.contains_key(&name), "duplicate table {name:?}");
         let id = TableId(self.tables.len());
         self.by_name.insert(name.clone(), id);
-        let mut table = EmbeddingTable::new(rng, name, rows, dim, init_std);
-        if self.mode == StoreMode::Pack {
-            let dir = self.ensure_pack_dir();
-            table.to_pack(&dir, PackOptions::default()).expect("pack conversion failed");
-        }
-        self.tables.push(table);
+        self.tables.push(EmbeddingTable::new(rng, name, rows, dim, init_std));
         id
     }
 
@@ -420,20 +310,20 @@ impl EmbeddingStore {
         assert!(parts.iter().all(|(_, ids)| ids.len() == n), "lookup_concat: id count mismatch");
         // `0.is_multiple_of(0)` holds: no ids in no rows is the `[0, W]` leaf.
         assert!(n.is_multiple_of(rows), "lookup_concat: {n} ids in {rows} rows");
-        let stride: usize = parts.iter().map(|&(t, _)| self.tables[t.0].dim).sum();
+        let stride: usize = parts.iter().map(|&(t, _)| self.tables[t.0].dim()).sum();
         let cols = n.checked_div(rows).map_or(stride, |per_row| per_row * stride);
         // Every element is written by exactly one part: no memset needed.
         let mut out = Tensor::scratch_pooled(rows, cols);
         let mut col = 0;
         for &(t, ids) in parts {
             self.tables[t.0].gather_into(ids, out.data_mut(), stride, col);
-            col += self.tables[t.0].dim;
+            col += self.tables[t.0].dim();
         }
         let var = g.input_with_grad(out);
         let mut col = 0;
         for &(table, ids) in parts {
             self.journal.push(PendingLookup { table, ids: ids.to_vec(), var, col, stride });
-            col += self.tables[table.0].dim;
+            col += self.tables[table.0].dim();
         }
         var
     }
@@ -461,8 +351,8 @@ impl EmbeddingStore {
         self.tables.iter().map(EmbeddingTable::num_params).sum()
     }
 
-    /// Total heap bytes (weights + Adagrad state; resident rows only for
-    /// pack-backed tables).
+    /// Total heap bytes (weights + Adagrad state; a mapped base counts
+    /// nothing).
     pub fn memory_bytes(&self) -> usize {
         self.tables.iter().map(EmbeddingTable::memory_bytes).sum()
     }
@@ -480,58 +370,42 @@ impl EmbeddingStore {
         self.tables[id.0].overwrite(weights, accum);
     }
 
-    /// Append every table's buffered updates to its delta file (no-op for RAM
-    /// tables). Returns the total records flushed.
+    /// Append every table's buffered updates to its delta file (tables with
+    /// no directory buffer none). Returns the total records flushed.
     pub fn flush_deltas(&mut self) -> std::io::Result<usize> {
         let mut n = 0;
         for t in &mut self.tables {
-            if let Backing::Pack(p) = &mut t.backing {
-                n += p.flush_deltas()?;
-            }
+            n += t.pack.flush_deltas()?;
         }
         Ok(n)
     }
 
-    /// Fold every pack table's overlay + deltas back into its base shards.
+    /// Fold every table's overlay + deltas back into its base shards.
     pub fn compact_packs(&mut self) -> Result<(), PackError> {
-        for t in &mut self.tables {
-            if let Backing::Pack(p) = &mut t.backing {
-                p.compact()?;
-            }
-        }
-        Ok(())
+        self.tables.iter_mut().try_for_each(|t| t.pack.compact())
     }
 
-    /// Write every table (whatever its backing) into `dir` as a pack
-    /// directory with a manifest. Pack tables already living in `dir` are
-    /// compacted in place; everything else is snapshotted and packed fresh.
+    /// Write every table into `dir` as a pack directory with a manifest.
+    /// Tables already living in `dir` are compacted in place; everything
+    /// else is snapshotted and packed fresh.
     pub fn export_pack_dir(&mut self, dir: &Path) -> Result<(), PackError> {
         std::fs::create_dir_all(dir).map_err(|e| PackError::io(dir, &e))?;
         let mut entries = Vec::with_capacity(self.tables.len());
         for t in &mut self.tables {
-            let n_shards = match &mut t.backing {
-                Backing::Pack(p) if p.dir() == dir => {
-                    p.compact()?;
-                    p.n_shards()
-                }
-                _ => {
-                    let (weights, accum) = t.snapshot();
-                    let metas = packstore::write_table(
-                        dir,
-                        &t.name,
-                        t.rows,
-                        t.dim,
-                        &weights,
-                        &accum,
-                        PackOptions::default(),
-                    )?;
-                    metas.len()
-                }
+            let p = &mut t.pack;
+            let n_shards = if p.dir() == Some(dir) {
+                p.compact()?;
+                p.n_shards()
+            } else {
+                let (weights, accum) = p.snapshot();
+                let (rows, dim) = (p.rows(), p.dim());
+                let opts = PackOptions::default();
+                packstore::write_table(dir, p.name(), rows, dim, &weights, &accum, opts)?.len()
             };
             entries.push(ManifestEntry {
-                name: t.name.clone(),
-                rows: t.rows as u64,
-                dim: t.dim as u32,
+                name: p.name().to_string(),
+                rows: p.rows() as u64,
+                dim: p.dim() as u32,
                 n_shards: n_shards as u32,
             });
         }
@@ -548,35 +422,20 @@ impl EmbeddingStore {
             manifest.iter().map(|e| (e.name.as_str(), e)).collect();
         for t in &self.tables {
             let e = by_name
-                .get(t.name.as_str())
-                .ok_or_else(|| PackError::MissingTable(t.name.clone()))?;
-            if e.rows != t.rows as u64 || e.dim != t.dim as u32 {
+                .get(t.name())
+                .ok_or_else(|| PackError::MissingTable(t.name().to_string()))?;
+            if e.rows != t.rows() as u64 || e.dim != t.dim() as u32 {
                 return Err(PackError::ShapeMismatch(format!(
                     "table {:?}: manifest {}x{}, live {}x{}",
-                    t.name, e.rows, e.dim, t.rows, t.dim
+                    t.name(),
+                    e.rows,
+                    e.dim,
+                    t.rows(),
+                    t.dim()
                 )));
             }
         }
-        for t in &mut self.tables {
-            t.attach_pack(dir)?;
-        }
-        self.mode = StoreMode::Pack;
-        self.pack_dir = Some(dir.to_path_buf());
-        self.owns_dir = false;
-        Ok(())
-    }
-}
-
-impl Drop for EmbeddingStore {
-    fn drop(&mut self) {
-        // A store that created its own scratch pack directory cleans it up;
-        // attached/exported directories are the caller's (unlinking while
-        // mapped is safe on unix — the inode outlives the name).
-        if self.owns_dir {
-            if let Some(dir) = &self.pack_dir {
-                let _ = std::fs::remove_dir_all(dir);
-            }
-        }
+        self.tables.iter_mut().try_for_each(|t| t.attach_pack(dir))
     }
 }
 
@@ -653,29 +512,29 @@ mod tests {
 
     #[test]
     fn pack_conversion_serves_identical_rows() {
-        let mut rng = Prng::seeded(7);
-        let mut ram = EmbeddingTable::new(&mut rng, "conv", 50, 6, 0.1);
-        let mut rng2 = Prng::seeded(7);
-        let mut packed = EmbeddingTable::new(&mut rng2, "conv", 50, 6, 0.1);
+        let mut owned = EmbeddingStore::new();
+        let t = owned.add_table(&mut Prng::seeded(7), "conv", 50, 6, 0.1);
+        let mut attached = EmbeddingStore::new();
+        attached.add_table(&mut Prng::seeded(7), "conv", 50, 6, 0.1);
         let dir = packstore::fresh_temp_dir();
-        packed.to_pack(&dir, PackOptions::default()).unwrap();
-        assert!(packed.is_pack());
+        attached.export_pack_dir(&dir).unwrap();
+        attached.attach_pack_dir(&dir).unwrap();
+        assert!(owned.table(t).pack().dir().is_none());
+        assert_eq!(attached.table(t).pack().dir(), Some(dir.as_path()));
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for id in 0..50u32 {
-            let a: Vec<u32> = ram.row(id).iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = packed.row(id).iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "row {id}");
+            assert_eq!(bits(owned.table(t).row(id)), bits(attached.table(t).row(id)), "row {id}");
         }
-        // Same update on both backings stays bitwise identical.
+        // The same update, in place and through the overlay, stays bitwise
+        // identical.
         let grad = Tensor::from_vec(2, 6, (0..12).map(|i| 0.1 * i as f32).collect());
-        ram.apply_grad(&[3, 9], &grad, 0.05, 1e-6);
-        packed.apply_grad(&[3, 9], &grad, 0.05, 1e-6);
+        owned.tables[t.0].apply_grad(&[3, 9], &grad, 0.05, 1e-6);
+        attached.tables[t.0].apply_grad(&[3, 9], &grad, 0.05, 1e-6);
+        assert_eq!(attached.table(t).pack().overlay_len(), 2);
         for id in [3u32, 9] {
-            let a: Vec<u32> = ram.row(id).iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = packed.row(id).iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "updated row {id}");
-            let aa: Vec<u32> = ram.accum_row(id).iter().map(|v| v.to_bits()).collect();
-            let ba: Vec<u32> = packed.accum_row(id).iter().map(|v| v.to_bits()).collect();
-            assert_eq!(aa, ba, "accum row {id}");
+            let (a, b) = (owned.table(t), attached.table(t));
+            assert_eq!(bits(a.row(id)), bits(b.row(id)), "updated row {id}");
+            assert_eq!(bits(a.accum_row(id)), bits(b.accum_row(id)), "accum row {id}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

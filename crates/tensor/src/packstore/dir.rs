@@ -1,6 +1,7 @@
 //! Pack directories and tables: the writer (shards + index + manifest), the
-//! reader ([`PackTable`]: mmap'd base under an in-place overlay, delta
-//! replay), delta flushing, compaction, and full verification.
+//! table ([`PackTable`]: a base of mmap'd or heap shards, under an in-place
+//! overlay when the table has a directory), delta replay and flushing,
+//! compaction, and full verification.
 
 use super::format::{
     crc32, key_byte, name_hash, put_u32, put_u64, record_bytes, record_f32s, Cursor, IndexFile,
@@ -321,15 +322,19 @@ impl Overlay {
     }
 }
 
-/// One pack-backed table: mmap'd (or heap-decoded) base shards, an overlay of
-/// rows written since open, and the set of overlay rows not yet flushed to
-/// the delta file. See the module docs for the read/write paths and the
-/// durability story.
+/// One embedding table's records. With a directory: mmap'd (or heap-decoded)
+/// base shards, an overlay of rows written since open, and the set of overlay
+/// rows not yet flushed to the delta file. Without one (`PackTable::owned`):
+/// one heap run of records updated in place, and nothing else. See the
+/// module docs for the read/write paths and the durability story.
 pub struct PackTable {
     name: String,
     rows: usize,
     dim: usize,
-    dir: PathBuf,
+    /// Where the pack files live; `None` for a table that owns its records.
+    dir: Option<PathBuf>,
+    /// Whether base shards are mapped (else heap-decoded) when opened.
+    map: bool,
     index: IndexFile,
     shards: Vec<LoadedShard>,
     shard_starts: Vec<u64>,
@@ -354,6 +359,20 @@ impl PackTable {
         name: &str,
         expect_rows: usize,
         expect_dim: usize,
+    ) -> Result<Self, PackError> {
+        Self::open_with(dir, name, expect_rows, expect_dim, true)
+    }
+
+    /// [`PackTable::open`], with `map = false` decoding every base shard onto
+    /// the heap — the fallback a platform that refuses the mapping gets,
+    /// forced here so its tests can run anywhere. Compaction and rewrites
+    /// keep the choice.
+    pub(crate) fn open_with(
+        dir: &Path,
+        name: &str,
+        expect_rows: usize,
+        expect_dim: usize,
+        map: bool,
     ) -> Result<Self, PackError> {
         let ipath = idx_path(dir, name);
         let ibytes = std::fs::read(&ipath).map_err(|e| PackError::io(&ipath, &e))?;
@@ -393,7 +412,7 @@ impl PackTable {
                 return Err(PackError::Corrupt(format!("{what}: header disagrees with index")));
             }
             let payload_bytes = meta.n_rows as usize * record_bytes(expect_dim);
-            let data = ShardData::open(&path, SHARD_HEADER_LEN, payload_bytes)?;
+            let data = ShardData::open(&path, SHARD_HEADER_LEN, payload_bytes, map)?;
             shard_starts.push(meta.start_row);
             shards.push(LoadedShard { meta: *meta, data });
         }
@@ -401,7 +420,8 @@ impl PackTable {
             name: name.to_string(),
             rows: expect_rows,
             dim: expect_dim,
-            dir: dir.to_path_buf(),
+            dir: Some(dir.to_path_buf()),
+            map,
             index,
             shards,
             shard_starts,
@@ -411,6 +431,41 @@ impl PackTable {
         };
         table.replay_deltas()?;
         Ok(table)
+    }
+
+    /// A table with no directory whose base is `records` (`rows` records of
+    /// `dim` weights then `dim` Adagrad accumulators): one heap run, updated
+    /// in place, with no overlay and no pending set — there is no file to
+    /// keep consistent, so [`PackTable::flush_deltas`] and
+    /// [`PackTable::compact`] do nothing.
+    pub(crate) fn owned(name: &str, rows: usize, dim: usize, records: Vec<f32>) -> Self {
+        assert!(rows > 0 && dim > 0, "PackTable::owned: empty table");
+        assert_eq!(records.len(), rows * record_f32s(dim), "PackTable::owned: records size");
+        let meta = ShardMeta { start_row: 0, n_rows: rows as u64, epoch: 0, payload_crc: 0 };
+        Self {
+            name: name.to_string(),
+            rows,
+            dim,
+            dir: None,
+            map: false,
+            index: IndexFile {
+                rows: rows as u64,
+                dim: dim as u32,
+                delta_epoch: 0,
+                fanout: IndexFile::build_fanout(rows as u64),
+                shards: vec![meta],
+            },
+            shards: vec![LoadedShard { meta, data: ShardData::Heap(records) }],
+            shard_starts: vec![0],
+            overlay: Overlay::default(),
+            pending: BTreeSet::new(),
+            delta_valid_len: 0,
+        }
+    }
+
+    /// Table name.
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
     /// Rows in the table.
@@ -423,13 +478,13 @@ impl PackTable {
         self.dim
     }
 
-    /// The directory this table lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// The directory this table lives in (`None` for an owned table).
+    pub fn dir(&self) -> Option<&Path> {
+        self.dir.as_deref()
     }
 
-    /// Whether every base shard is served from a live mapping (false under
-    /// `BASM_PACK_MMAP=0` or when the platform refused the mapping).
+    /// Whether every base shard is served from a live mapping (false for an
+    /// owned table, and when the platform refused the mapping).
     pub fn is_fully_mapped(&self) -> bool {
         self.shards.iter().all(|s| s.data.is_mapped())
     }
@@ -450,11 +505,18 @@ impl PackTable {
         self.shards.len()
     }
 
-    /// Heap bytes held for this table beyond the mappings: the overlay
-    /// records (the mmap'd base is the page cache's business; pending rows
+    /// Heap bytes held for this table: the overlay records plus every heap
+    /// base shard (a mapped base is the page cache's business; pending rows
     /// are overlay rows).
     pub fn resident_bytes(&self) -> usize {
-        self.overlay.data.len() * std::mem::size_of::<f32>()
+        let nf = record_f32s(self.dim);
+        let heap_base: usize = self
+            .shards
+            .iter()
+            .filter(|s| !s.data.is_mapped())
+            .map(|s| s.meta.n_rows as usize * nf)
+            .sum();
+        (self.overlay.data.len() + heap_base) * std::mem::size_of::<f32>()
     }
 
     /// The base record of `row` (rows are dense, shards contiguous — the
@@ -472,6 +534,19 @@ impl PackTable {
         shard.data.f32s(local * nf, nf)
     }
 
+    /// Every record as one run, row-major, when one base shard holds them
+    /// all and no overlay row shadows it — always so for an owned table. A
+    /// gather hoists this once and then indexes it, skipping the per-row
+    /// overlay and shard lookups of [`PackTable::record`].
+    pub(crate) fn flat_records(&self) -> Option<&[f32]> {
+        match self.shards.as_slice() {
+            [only] if self.overlay.slots.is_empty() => {
+                Some(only.data.f32s(0, self.rows * record_f32s(self.dim)))
+            }
+            _ => None,
+        }
+    }
+
     /// The `2*dim` record of a row — overlay first, then the base. This is
     /// the whole read path: a gather copies straight out of it.
     pub fn record(&self, row: u32) -> &[f32] {
@@ -483,13 +558,18 @@ impl PackTable {
         }
     }
 
-    /// Update a row's record in place: `f` gets the current record (copied
-    /// from the base on the row's first write) and the row joins the pending
-    /// set the next [`PackTable::flush_deltas`] writes out. The overlay stays
+    /// Update a row's record in place. An owned table writes its base
+    /// record. A table with a directory never writes its base: `f` gets the
+    /// row's overlay record (copied from the base on the row's first write)
+    /// and the row joins the pending set the next
+    /// [`PackTable::flush_deltas`] writes out. The overlay stays
     /// authoritative until compaction.
     pub fn update_record(&mut self, row: u32, f: impl FnOnce(&mut [f32])) {
         assert!((row as usize) < self.rows, "update_record: row {row} out of {}", self.rows);
         let nf = record_f32s(self.dim);
+        if self.dir.is_none() {
+            return f(self.shards[0].data.f32s_mut(row as usize * nf, nf));
+        }
         let (shards, starts) = (&self.shards, &self.shard_starts);
         f(self.overlay.slot_mut(row, nf, |data| {
             data.extend_from_slice(Self::base_record(shards, starts, nf, row))
@@ -517,7 +597,7 @@ impl PackTable {
     /// **complete** chunk whose CRC disagrees, or a mid-file magic
     /// mismatch, can never result from a torn append and still fails loud.
     fn replay_deltas(&mut self) -> Result<(), PackError> {
-        let path = delta_path(&self.dir, &self.name, self.index.delta_epoch);
+        let path = self.delta_path().expect("only a table with a directory replays deltas");
         let bytes = match std::fs::read(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
@@ -605,7 +685,7 @@ impl PackTable {
         chunk.extend_from_slice(&(self.pending.len() as u32).to_le_bytes());
         chunk.extend_from_slice(&crc32(&body).to_le_bytes());
         chunk.extend_from_slice(&body);
-        let path = delta_path(&self.dir, &self.name, self.index.delta_epoch);
+        let path = self.delta_path().expect("only a table with a directory has pending rows");
         // A previously failed append (transient IO error, or a survived
         // injected kill in tests) leaves a torn tail; appending after it
         // would bury garbage mid-file where replay must reject it. Repair
@@ -627,9 +707,14 @@ impl PackTable {
         Ok(flushed)
     }
 
+    /// The current epoch's delta file, for a table with a directory.
+    fn delta_path(&self) -> Option<PathBuf> {
+        Some(delta_path(self.dir.as_deref()?, &self.name, self.index.delta_epoch))
+    }
+
     /// Whether the current epoch's delta file exists on disk.
     pub fn has_delta_file(&self) -> bool {
-        delta_path(&self.dir, &self.name, self.index.delta_epoch).exists()
+        self.delta_path().is_some_and(|p| p.exists())
     }
 
     // ---- compaction --------------------------------------------------------
@@ -642,11 +727,13 @@ impl PackTable {
     /// IO op in the window leaves the old index pointing at untouched
     /// old-epoch shards + the old delta file: reopen sees the exact
     /// pre-compaction state. Clean shards keep their files and mappings.
+    /// An owned table has no overlay and no delta file: nothing to fold.
     pub fn compact(&mut self) -> Result<(), PackError> {
         if self.overlay.slots.is_empty() && !self.has_delta_file() {
             self.pending.clear();
             return Ok(());
         }
+        let dir = self.dir.clone().expect("only a table with a directory has an overlay");
         let dim = self.dim;
         let nf = record_f32s(dim);
         let epoch = self.index.delta_epoch + 1;
@@ -680,16 +767,14 @@ impl PackTable {
                 }
             }
             let (bytes, crc) = encode_shard(&self.name, s, start, n_rows, dim, &payload);
-            let path = shard_path(&self.dir, &self.name, s, epoch);
+            let path = shard_path(&dir, &self.name, s, epoch);
             atomic_write(&path, &bytes).map_err(|e| PackError::io(&path, &e))?;
             new_index.shards[s].payload_crc = crc;
             new_index.shards[s].epoch = epoch;
-            new_data.push((
-                s,
-                ShardData::open(&path, SHARD_HEADER_LEN, n_rows as usize * record_bytes(dim))?,
-            ));
+            let payload_bytes = n_rows as usize * record_bytes(dim);
+            new_data.push((s, ShardData::open(&path, SHARD_HEADER_LEN, payload_bytes, self.map)?));
         }
-        let ipath = idx_path(&self.dir, &self.name);
+        let ipath = idx_path(&dir, &self.name);
         atomic_write(&ipath, &new_index.encode()).map_err(|e| PackError::io(&ipath, &e))?;
         // Committed: adopt the new epoch in memory, then sweep what the new
         // index no longer references (old-epoch shards, the retired delta).
@@ -701,17 +786,28 @@ impl PackTable {
         self.overlay.clear();
         self.pending.clear();
         self.delta_valid_len = 0; // the new epoch has no delta file yet
-        clean_stale_files(&self.dir, &self.name, &self.index);
+        clean_stale_files(&dir, &self.name, &self.index);
         Ok(())
     }
 
-    /// Rewrite the whole base from flat buffers (checkpoint restore into a
-    /// pack-backed table): fresh shards + index, overlay and deltas gone.
+    /// Rewrite the whole base from flat buffers (checkpoint restore). An
+    /// owned table overwrites its records in place; a table with a directory
+    /// gets fresh shards + index, its overlay and deltas gone.
     pub fn rewrite(&mut self, weights: &[f32], accum: &[f32]) -> Result<(), PackError> {
+        let dim = self.dim;
+        let Some(dir) = self.dir.clone() else {
+            let records = self.shards[0].data.f32s_mut(0, self.rows * record_f32s(dim));
+            let sources = weights.chunks_exact(dim).zip(accum.chunks_exact(dim));
+            for (rec, (w, a)) in records.chunks_exact_mut(record_f32s(dim)).zip(sources) {
+                rec[..dim].copy_from_slice(w);
+                rec[dim..].copy_from_slice(a);
+            }
+            return Ok(());
+        };
         let opts =
             PackOptions { shard_rows: self.shards.first().map_or(0, |s| s.meta.n_rows as usize) };
-        write_table(&self.dir, &self.name, self.rows, self.dim, weights, accum, opts)?;
-        *self = PackTable::open(&self.dir, &self.name, self.rows, self.dim)?;
+        write_table(&dir, &self.name, self.rows, dim, weights, accum, opts)?;
+        *self = PackTable::open_with(&dir, &self.name, self.rows, dim, self.map)?;
         Ok(())
     }
 
@@ -733,10 +829,12 @@ impl PackTable {
     /// Full integrity pass, reading every file back from disk: shard headers,
     /// payload CRCs (against both the shard trailer and the index copy),
     /// exact file lengths, and delta-chunk CRCs. This is the `fsck`; open
-    /// deliberately skips it so warm starts stay O(1) in table size.
+    /// deliberately skips it so warm starts stay O(1) in table size. An
+    /// owned table has no files: there is nothing to check.
     pub fn verify(&self) -> Result<(), PackError> {
+        let Some(dir) = self.dir.as_deref() else { return Ok(()) };
         for (s, shard) in self.shards.iter().enumerate() {
-            let path = shard_path(&self.dir, &self.name, s, shard.meta.epoch);
+            let path = shard_path(dir, &self.name, s, shard.meta.epoch);
             let what = path.display().to_string();
             let bytes = std::fs::read(&path).map_err(|e| PackError::io(&path, &e))?;
             let want_len = shard_file_len(shard.meta.n_rows, self.dim) as usize;
@@ -769,6 +867,7 @@ impl PackTable {
             rows: self.rows,
             dim: self.dim,
             dir: self.dir.clone(),
+            map: self.map,
             index: self.index.clone(),
             shards: Vec::new(),
             shard_starts: Vec::new(),
@@ -784,5 +883,112 @@ impl PackTable {
     /// geometry to the git-style keyspace split).
     pub fn fanout_bucket(&self, row: u32) -> u8 {
         key_byte(row as u64, self.rows as u64)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every file of `dir`, by name, with its bytes.
+    fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name().into_string().unwrap(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    fn bits(t: &PackTable) -> Vec<u32> {
+        (0..t.rows() as u32).flat_map(|r| t.record(r).iter().map(|v| v.to_bits())).collect()
+    }
+
+    /// The heap-decode fallback against the mapping: one table written to two
+    /// byte-identical directories, opened mapped and heap-decoded, then driven
+    /// through the same updates, flushes, compactions and reopens. Records
+    /// must stay bitwise equal and the two directories byte-equal, shard and
+    /// delta files included.
+    #[test]
+    fn heap_decoded_base_matches_mapped_base() {
+        let (rows, dim) = (40usize, 3usize);
+        let weights: Vec<f32> = (0..rows * dim).map(|i| (i as f32 * 0.37).sin()).collect();
+        let accum: Vec<f32> = (0..rows * dim).map(|i| i as f32 * 1e-3).collect();
+        let dirs = [super::super::fresh_temp_dir(), super::super::fresh_temp_dir()];
+        let open = |map: bool| {
+            let dir = &dirs[usize::from(!map)];
+            PackTable::open_with(dir, "t", rows, dim, map).unwrap()
+        };
+        for dir in &dirs {
+            let opts = PackOptions { shard_rows: 16 };
+            write_table(dir, "t", rows, dim, &weights, &accum, opts).unwrap();
+        }
+        let mut tables = [open(true), open(false)];
+        assert_eq!(tables[0].is_fully_mapped(), cfg!(all(unix, target_endian = "little")));
+        assert!(!tables[1].is_fully_mapped());
+        assert_eq!(files(&dirs[0]), files(&dirs[1]));
+
+        let mut step = 0u32;
+        for round in 0..3 {
+            for t in &mut tables {
+                for k in 0..7u32 {
+                    let row = (step + 11 * k) % rows as u32;
+                    t.update_record(row, |rec| {
+                        rec.iter_mut().for_each(|v| *v = *v * 0.5 + (row + k) as f32)
+                    });
+                }
+                let pending = t.pending_len();
+                assert!(pending >= 7);
+                assert_eq!(t.flush_deltas().unwrap(), pending);
+                // Left pending into the next round, or folded by compaction.
+                t.update_record(step % rows as u32, |rec| rec[0] += 1.0);
+                if round == 1 {
+                    t.compact().unwrap();
+                }
+            }
+            step += 5;
+            assert_eq!(bits(&tables[0]), bits(&tables[1]), "round {round}");
+            assert_eq!(files(&dirs[0]), files(&dirs[1]), "round {round}");
+        }
+        for t in &mut tables {
+            t.flush_deltas().unwrap();
+        }
+        tables = [open(true), open(false)];
+        assert!(tables[0].overlay_len() > 0, "the reopen replays deltas");
+        assert_eq!(bits(&tables[0]), bits(&tables[1]), "after reopen");
+        for t in &mut tables {
+            t.compact().unwrap();
+            t.verify().unwrap();
+        }
+        assert!(!tables[1].is_fully_mapped(), "compaction keeps the heap decode");
+        assert_eq!(bits(&tables[0]), bits(&tables[1]), "after the last compaction");
+        assert_eq!(files(&dirs[0]), files(&dirs[1]), "after the last compaction");
+        for dir in &dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    /// A table with no directory writes its one heap run in place: no
+    /// overlay, nothing pending, flush and compaction do nothing, and a
+    /// rewrite lands in the same run.
+    #[test]
+    fn owned_table_updates_in_place() {
+        let (rows, dim) = (5usize, 2usize);
+        let mut t = PackTable::owned("t", rows, dim, vec![0.5; rows * record_f32s(dim)]);
+        t.write_record(3, &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(t.record(3), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!((t.overlay_len(), t.pending_len()), (0, 0));
+        assert_eq!(t.flush_deltas().unwrap(), 0);
+        t.compact().unwrap();
+        t.verify().unwrap();
+        assert!(t.dir().is_none() && !t.has_delta_file());
+        assert_eq!(t.resident_bytes(), rows * record_f32s(dim) * 4);
+        let weights: Vec<f32> = (0..rows * dim).map(|i| i as f32).collect();
+        t.rewrite(&weights, &vec![7.0; rows * dim]).unwrap();
+        assert_eq!(t.record(2), &[4.0, 5.0, 7.0, 7.0]);
+        assert_eq!(t.snapshot(), (weights, vec![7.0; rows * dim]));
     }
 }

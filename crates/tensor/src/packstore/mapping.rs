@@ -1,18 +1,12 @@
 //! Zero-copy shard access: a minimal read-only `mmap` wrapper (raw libc
 //! bindings — the build environment has no `libc`/`memmap2` crate, and Rust's
 //! std already links the platform C library) plus a heap-decode fallback for
-//! `BASM_PACK_MMAP=0`, non-unix targets, big-endian hosts, or mappings whose
-//! payload alignment cannot back an `&[f32]`.
+//! non-unix targets, big-endian hosts, or mappings whose payload alignment
+//! cannot back an `&[f32]`. The heap run is also the whole base of a table
+//! with no directory.
 
 use super::format::PackError;
 use std::path::Path;
-use std::sync::OnceLock;
-
-/// `BASM_PACK_MMAP=0` forces the heap fallback (parsed once per process).
-pub fn mmap_allowed() -> bool {
-    static ALLOWED: OnceLock<bool> = OnceLock::new();
-    *ALLOWED.get_or_init(|| !matches!(std::env::var("BASM_PACK_MMAP").as_deref(), Ok("0")))
-}
 
 #[cfg(unix)]
 mod sys {
@@ -81,9 +75,9 @@ mod sys {
 pub use sys::Mmap;
 
 /// The base bytes of one shard: either a live mapping (payload served as
-/// `&[f32]` straight out of the page cache) or a heap copy decoded once at
-/// open (the no-mmap fallback — costs one read pass, keeps every later
-/// access identical).
+/// `&[f32]` straight out of the page cache) or a heap run of records — the
+/// no-mmap fallback, decoded once at open (one read pass, every later access
+/// identical), or the base of a table with no directory.
 pub enum ShardData {
     /// mmap'd file; `payload_off` is where records start (header length).
     #[cfg(unix)]
@@ -93,22 +87,23 @@ pub enum ShardData {
         /// Byte offset of the first record.
         payload_off: usize,
     },
-    /// Heap fallback: records decoded to native f32s.
+    /// Heap run: records as native f32s.
     Heap(Vec<f32>),
 }
 
 impl ShardData {
     /// Open a shard's record payload. `path` must exist with exactly
     /// `payload_off + payload_bytes + 4` bytes (caller validated); mmap is
-    /// used when allowed and the payload can legally alias `&[f32]`,
+    /// used when `map` is set and the payload can legally alias `&[f32]`,
     /// otherwise the payload is decoded onto the heap.
-    pub fn open(
+    pub(crate) fn open(
         path: &Path,
         payload_off: usize,
         payload_bytes: usize,
+        map: bool,
     ) -> Result<ShardData, PackError> {
         #[cfg(unix)]
-        if mmap_allowed() && cfg!(target_endian = "little") && payload_bytes > 0 {
+        if map && cfg!(target_endian = "little") && payload_bytes > 0 {
             let file = std::fs::File::open(path).map_err(|e| PackError::io(path, &e))?;
             let total = payload_off + payload_bytes + 4;
             if let Ok(map) = Mmap::map(&file, total) {
@@ -156,6 +151,17 @@ impl ShardData {
             ShardData::Heap(v) => &v[off..off + len],
         }
     }
+
+    /// [`ShardData::f32s`], writable. Only a heap run can be written: a table
+    /// writes its base in place only when it has no directory, and then its
+    /// base is never a mapping.
+    pub(crate) fn f32s_mut(&mut self, off: usize, len: usize) -> &mut [f32] {
+        match self {
+            #[cfg(unix)]
+            ShardData::Mapped { .. } => panic!("a mapped shard is read-only"),
+            ShardData::Heap(v) => &mut v[off..off + len],
+        }
+    }
 }
 
 #[cfg(test)]
@@ -176,20 +182,14 @@ mod tests {
         bytes.extend_from_slice(&[0u8; 4]); // trailer placeholder
         std::fs::write(&path, &bytes).unwrap();
 
-        let mapped = ShardData::open(&path, 16, values.len() * 4).unwrap();
+        let mapped = ShardData::open(&path, 16, values.len() * 4, true).unwrap();
         assert_eq!(mapped.f32s(0, values.len()), values.as_slice());
         assert_eq!(mapped.f32s(3, 5), &values[3..8]);
 
         // Force the heap path and compare bitwise.
-        let heap = {
-            let bytes = std::fs::read(&path).unwrap();
-            let payload = &bytes[16..16 + values.len() * 4];
-            let mut out = Vec::new();
-            for chunk in payload.chunks_exact(4) {
-                out.push(f32::from_le_bytes(chunk.try_into().unwrap()));
-            }
-            ShardData::Heap(out)
-        };
+        let heap = ShardData::open(&path, 16, values.len() * 4, false).unwrap();
+        assert_eq!(mapped.is_mapped(), cfg!(all(unix, target_endian = "little")));
+        assert!(!heap.is_mapped());
         let a: Vec<u32> = mapped.f32s(0, values.len()).iter().map(|v| v.to_bits()).collect();
         let b: Vec<u32> = heap.f32s(0, values.len()).iter().map(|v| v.to_bits()).collect();
         assert_eq!(a, b);

@@ -1,12 +1,15 @@
-//! Mmap-backed pack-file embedding store.
+//! Mmap-backed pack-file embedding store — the one backend of every
+//! embedding table.
 //!
 //! The embedding tables are the only model state that grows with users (the
-//! paper serves 81M of them); holding every row in RAM and re-deserializing
-//! the full `BASMSAFE` envelope on every warm start stops scaling long before
-//! that. This module stores a table the way git stores objects: fixed-width
-//! records grouped into CRC'd **pack shards** with a 256-way fan-out
-//! **index**, opened zero-copy via `mmap` so a warm start touches no row
-//! until it is served.
+//! paper serves 81M of them); re-deserializing the full `BASMSAFE` envelope
+//! on every warm start stops scaling long before that. This module stores a
+//! table the way git stores objects: fixed-width records grouped into CRC'd
+//! **pack shards** with a 256-way fan-out **index**, opened zero-copy via
+//! `mmap` so a warm start touches no row until it is served. Like git's
+//! loose and packed objects, one record model covers both kinds of storage:
+//! a [`PackTable`] either lives in a directory or owns its records outright
+//! (an owned table: one heap run, no files).
 //!
 //! ## On-disk layout (one directory per store)
 //!
@@ -41,14 +44,19 @@
 //!
 //! [`PackTable::record`] serves a row from the **overlay** of rows written
 //! since open, else from the **base** shard bytes (mmap'd when possible,
-//! decoded to the heap under `BASM_PACK_MMAP=0` or when the mapping is
-//! unusable). There is no cache tier: the mapping already serves rows
-//! zero-copy, so a gather is one hash probe plus a row copy.
+//! decoded to the heap when the platform or the alignment refuses the
+//! mapping). There is no cache tier: the mapping already serves rows
+//! zero-copy, so a gather is one hash probe plus a row copy — only the copy
+//! when one base shard holds every record and no overlay row shadows it.
 //!
-//! ## Write path
+//! ## Write path: one copy-on-write rule
 //!
-//! [`PackTable::update_record`] updates a row's overlay record in place (the
-//! first write copies it from the base) and marks the row dirty.
+//! A table **without a directory** updates its base records in place; it
+//! has no overlay, no pending set and no files, so flushing and compaction
+//! do nothing for it. A table **with a directory** never writes its base,
+//! mapped or heap-decoded: [`PackTable::update_record`] updates the row's
+//! overlay record in place (the first write copies it from the base) and
+//! marks the row dirty.
 //! [`PackTable::flush_deltas`] appends the dirty rows' records, ascending, to
 //! the current delta file as a CRC'd chunk and fsyncs before returning —
 //! once a flush returns `Ok`, a crash loses nothing (and on error the dirty
@@ -60,11 +68,12 @@
 //!
 //! ## Contract
 //!
-//! Records round-trip f32 bits exactly, so a pack-backed table is **bitwise
-//! indistinguishable** from its RAM twin: training trajectories, predictions
-//! and serving exposures match to the last ULP whichever backend
-//! `BASM_EMB_STORE` selects (pinned by the embedding-store and serving
-//! equivalence tests, and swept by `scripts/tier1.sh`).
+//! Records round-trip f32 bits exactly, so a table is **bitwise
+//! indistinguishable** before and after it is exported and attached to a
+//! directory: training trajectories, predictions and serving exposures match
+//! to the last ULP (pinned by the embedding-store and serving equivalence
+//! tests). Mapped and heap-decoded bases serve the same bits and leave
+//! byte-identical files behind (pinned by this module's unit tests).
 //!
 //! ## Example: write, reopen, update, replay
 //!
@@ -103,22 +112,12 @@ pub use format::{
     crc32, IndexFile, PackError, ShardHeader, ShardMeta, DELTA_CHUNK_MAGIC, FANOUT, IDX_MAGIC,
     PACK_MAGIC, PACK_VERSION, SHARD_HEADER_LEN,
 };
-pub use mapping::{mmap_allowed, ShardData};
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::path::Path;
-use std::sync::atomic::{AtomicI8, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-
-/// Which backend newly-created [`crate::nn::embedding::EmbeddingStore`]s use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreMode {
-    /// Tables live in RAM `Vec<f32>`s (the seed behavior; default).
-    Ram,
-    /// Tables live in a pack directory: mmap'd base shards + overlay.
-    Pack,
-}
 
 /// A row-id hasher: one multiplicative (Fibonacci) step. Row ids are dense
 /// small integers, not attacker-chosen keys, so SipHash's flood resistance
@@ -145,42 +144,6 @@ impl Hasher for RowHasher {
 /// A map keyed by embedding row id under [`RowHasher`].
 pub(crate) type RowMap<V> = HashMap<u32, V, BuildHasherDefault<RowHasher>>;
 
-/// `-1` = follow the environment, `0` = force RAM, `1` = force pack.
-static MODE_OVERRIDE: AtomicI8 = AtomicI8::new(-1);
-/// `BASM_EMB_STORE` parsed once per process.
-static ENV_MODE: OnceLock<StoreMode> = OnceLock::new();
-
-fn env_mode() -> StoreMode {
-    *ENV_MODE.get_or_init(|| match std::env::var("BASM_EMB_STORE").as_deref() {
-        Ok("pack") => StoreMode::Pack,
-        _ => StoreMode::Ram,
-    })
-}
-
-/// The backend mode new embedding stores are created with
-/// (`BASM_EMB_STORE=ram|pack`, overridable via [`set_emb_store`]).
-pub fn emb_store_mode() -> StoreMode {
-    match MODE_OVERRIDE.load(Ordering::Relaxed) {
-        -1 => env_mode(),
-        0 => StoreMode::Ram,
-        _ => StoreMode::Pack,
-    }
-}
-
-/// Override the backend selection (`Some(mode)`), or restore the
-/// `BASM_EMB_STORE` default (`None`). Used by the pack-vs-RAM equivalence
-/// tests and `bench_embstore` to compare both backends in one process.
-pub fn set_emb_store(mode: Option<StoreMode>) {
-    MODE_OVERRIDE.store(
-        match mode {
-            None => -1,
-            Some(StoreMode::Ram) => 0,
-            Some(StoreMode::Pack) => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
 static TEMP_DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// A process-unique token for temp names. Pid alone is not enough: pids are
@@ -204,8 +167,8 @@ fn process_token() -> u64 {
     })
 }
 
-/// A fresh, unique directory under the system temp dir for a pack store that
-/// was *created* (rather than attached) in pack mode. The caller owns it.
+/// A fresh, unique path under the system temp dir (not yet created), for a
+/// pack directory or a journal. The caller owns it.
 /// Unique across threads (counter) and across processes even under pid reuse
 /// (the name embeds a per-process boot token, not the bare pid).
 pub fn fresh_temp_dir() -> std::path::PathBuf {
@@ -275,15 +238,5 @@ mod tests {
             .collect();
         assert!(others.is_empty(), "temp residue: {others:?}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn mode_override_wins_over_env() {
-        set_emb_store(Some(StoreMode::Pack));
-        assert_eq!(emb_store_mode(), StoreMode::Pack);
-        set_emb_store(Some(StoreMode::Ram));
-        assert_eq!(emb_store_mode(), StoreMode::Ram);
-        set_emb_store(None);
-        let _ = emb_store_mode(); // env default; value depends on harness env
     }
 }

@@ -4,16 +4,17 @@
 //! `lookup` per part, `concat_cols`, then `reshape` to the consumer's shape.
 //! Both feed the same loss (two consumers, so gradients accumulate into the
 //! leaf), run `backward` and `apply_grads`, and the forward value plus every
-//! table's weights and Adagrad accumulators must match bit for bit — on RAM
-//! and pack backends, with duplicate ids and id-0 padding, two parts on the
-//! same table, one row per id and one row per `T` ids, at 1 and 4 threads.
+//! table's weights and Adagrad accumulators must match bit for bit — on a
+//! store with no directory and on one attached to a pack directory, with
+//! duplicate ids and id-0 padding, two parts on the same table, one row per
+//! id and one row per `T` ids, at 1 and 4 threads.
 
 use basm_tensor::nn::embedding::{EmbeddingStore, TableId};
-use basm_tensor::packstore::{set_emb_store, StoreMode};
+use basm_tensor::packstore;
 use basm_tensor::{pool, Graph, Prng, Var};
 use std::sync::Mutex;
 
-/// The backend and thread overrides are process-global; serialize the tests.
+/// The thread overrides are process-global; serialize the tests.
 static SETTINGS: Mutex<()> = Mutex::new(());
 
 /// `(rows, dim)` of the three tables.
@@ -23,8 +24,9 @@ fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|v| v.to_bits()).collect()
 }
 
-fn build(mode: StoreMode) -> (EmbeddingStore, Vec<TableId>) {
-    set_emb_store(Some(mode));
+/// The three tables, attached to a fresh pack directory when `attached`
+/// (returned, for cleanup).
+fn build(attached: bool) -> (EmbeddingStore, Vec<TableId>, Option<std::path::PathBuf>) {
     let mut rng = Prng::seeded(7);
     let mut store = EmbeddingStore::new();
     let ids = TABLES
@@ -32,9 +34,13 @@ fn build(mode: StoreMode) -> (EmbeddingStore, Vec<TableId>) {
         .enumerate()
         .map(|(i, &(rows, dim))| store.add_table(&mut rng, format!("t{i}"), rows, dim, 0.1))
         .collect();
-    set_emb_store(None);
-    assert_eq!(store.mode(), mode);
-    (store, ids)
+    let dir = attached.then(|| {
+        let dir = packstore::fresh_temp_dir();
+        store.export_pack_dir(&dir).unwrap();
+        store.attach_pack_dir(&dir).unwrap();
+        dir
+    });
+    (store, ids, dir)
 }
 
 /// `n` ids below `rows`: a quarter are padding, and a small range forces
@@ -46,8 +52,8 @@ fn draw_ids(rng: &mut Prng, rows: usize, n: usize) -> Vec<u32> {
 /// Three training steps through either the fused gather or the composite.
 /// Part layout: table 0, table 1, table 0 again, table 2. Returns the bits
 /// of every forward value, then of every table's weights and accumulators.
-fn run(mode: StoreMode, fused: bool, n: usize, rows: usize) -> Vec<Vec<u32>> {
-    let (mut store, t) = build(mode);
+fn run(attached: bool, fused: bool, n: usize, rows: usize) -> Vec<Vec<u32>> {
+    let (mut store, t, dir) = build(attached);
     let layout = [t[0], t[1], t[0], t[2]];
     let mut rng = Prng::seeded(99);
     let mut out = Vec::new();
@@ -85,6 +91,9 @@ fn run(mode: StoreMode, fused: bool, n: usize, rows: usize) -> Vec<Vec<u32>> {
         out.push(bits(&w));
         out.push(bits(&a));
     }
+    if let Some(dir) = dir {
+        let _ = std::fs::remove_dir_all(dir);
+    }
     out
 }
 
@@ -92,17 +101,25 @@ fn run(mode: StoreMode, fused: bool, n: usize, rows: usize) -> Vec<Vec<u32>> {
 fn lookup_concat_matches_composite_bitwise() {
     let _guard = SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
     const T: usize = 5;
-    for mode in [StoreMode::Ram, StoreMode::Pack] {
+    let mut owned_runs = Vec::new();
+    for attached in [false, true] {
         for threads in [1, 4] {
             pool::set_threads(threads);
             pool::set_min_work(0);
             for (n, rows) in [(20, 20), (20, 20 / T), (1, 1), (T, 1)] {
-                let fused = run(mode, true, n, rows);
-                let composite = run(mode, false, n, rows);
+                let fused = run(attached, true, n, rows);
+                let composite = run(attached, false, n, rows);
                 assert!(
                     fused == composite,
-                    "{mode:?}, threads {threads}, n {n}, rows {rows}: fused differs"
+                    "attached {attached}, threads {threads}, n {n}, rows {rows}: fused differs"
                 );
+                if attached {
+                    let owned: Vec<Vec<u32>> = owned_runs.remove(0);
+                    let at = format!("threads {threads}, n {n}, rows {rows}");
+                    assert!(owned == fused, "{at}: the attached store differs");
+                } else {
+                    owned_runs.push(fused);
+                }
             }
             pool::set_threads(0);
             pool::set_min_work(usize::MAX);

@@ -1,28 +1,19 @@
 //! Integration tests for the pack-file embedding store: property-based
-//! round-trips (random tables → pack → mmap read == RAM bits), corruption and
-//! truncation rejection, delta-append → reopen → compaction equivalence, the
-//! in-place write path against a RAM twin (delta bytes and crash retry
-//! included), and RAM-vs-pack training equivalence through the full
-//! [`EmbeddingStore`] lookup/backward/apply cycle.
+//! round-trips (random tables → pack → mmap read == source bits), corruption
+//! and truncation rejection, delta-append → reopen → compaction equivalence,
+//! the overlay write path against a plain-`Vec` Adagrad oracle (delta bytes
+//! and crash retry included), and training equivalence between a store with
+//! no directory and the same store attached to a pack directory, through
+//! the full [`EmbeddingStore`] lookup/backward/apply cycle.
 
 use basm_tensor::nn::embedding::{EmbeddingStore, EmbeddingTable, TableId};
 use basm_tensor::packstore::{
-    self, crc32, set_crash_plan, set_emb_store, write_manifest, write_table, CrashPlan,
-    ManifestEntry, PackError, PackOptions, PackTable, StoreMode, DELTA_CHUNK_MAGIC,
+    self, crc32, set_crash_plan, write_manifest, write_table, CrashPlan, ManifestEntry,
+    PackError, PackOptions, PackTable, DELTA_CHUNK_MAGIC,
 };
 use basm_tensor::{Graph, Prng, Tensor};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
-use std::sync::{Mutex, OnceLock};
-
-/// The backend override is process-global; serialize the tests that touch it
-/// (or that assert on a store's mode).
-fn mode_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-}
+use std::collections::{BTreeSet, HashMap};
 
 /// Deterministic pseudo-random f32s (plain LCG; includes negatives and
 /// denormal-ish magnitudes, which must round-trip bit-exactly).
@@ -278,6 +269,45 @@ fn table_bits(t: &EmbeddingTable) -> Vec<u32> {
     w.iter().chain(&a).map(|v| v.to_bits()).collect()
 }
 
+/// The sparse Adagrad step written out on plain `Vec`s: sum each distinct
+/// nonzero id's gradient rows in order from `0.0`, then per coordinate
+/// `a += g²; w -= lr·g / (√a + eps)`.
+struct VecAdagrad {
+    dim: usize,
+    weights: Vec<f32>,
+    accum: Vec<f32>,
+}
+
+impl VecAdagrad {
+    fn step(&mut self, ids: &[u32], grad: &Tensor, lr: f32, eps: f32) {
+        let dim = self.dim;
+        let mut order = Vec::new();
+        let mut sums: HashMap<u32, Vec<f32>> = HashMap::new();
+        for (&id, g) in ids.iter().zip(grad.data().chunks_exact(dim)) {
+            if id == 0 {
+                continue;
+            }
+            let sum = sums.entry(id).or_insert_with(|| {
+                order.push(id);
+                vec![0.0; dim]
+            });
+            sum.iter_mut().zip(g).for_each(|(s, &g)| *s += g);
+        }
+        for id in order {
+            let at = id as usize * dim;
+            for (j, &g) in sums[&id].iter().enumerate() {
+                let a = &mut self.accum[at + j];
+                *a += g * g;
+                self.weights[at + j] -= lr * g / (a.sqrt() + eps);
+            }
+        }
+    }
+
+    fn bits(&self) -> Vec<u32> {
+        self.weights.iter().chain(&self.accum).map(|v| v.to_bits()).collect()
+    }
+}
+
 /// One sparse update through the store: look `ids` up and back-propagate
 /// `sum(e ⊙ grad)`, so the leaf's gradient is exactly `grad`.
 fn grad_step(store: &mut EmbeddingStore, t: TableId, ids: &[u32], grad: &Tensor) {
@@ -293,13 +323,14 @@ fn grad_step(store: &mut EmbeddingStore, t: TableId, ids: &[u32], grad: &Tensor)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The pack write path against its RAM twin, each a one-table store,
-    /// over a random sequence of sparse updates (duplicate ids and padding
-    /// included), `flush_deltas` (some killed by the crash plan first),
-    /// `compact_packs` and flush + reopen: after every op the two tables
-    /// hold the same bits, every flush appends exactly the chunk encoded
-    /// from the dirty rows' overlay records in ascending order, and a killed
-    /// flush keeps the dirty set for the retry.
+    /// The overlay write path of a one-table store attached to a pack
+    /// directory, against a plain-`Vec` Adagrad oracle, over a random
+    /// sequence of sparse updates (duplicate ids and padding included),
+    /// `flush_deltas` (some killed by the crash plan first), `compact_packs`
+    /// and flush + reopen: after every op the table holds the oracle's bits,
+    /// every flush appends exactly the chunk encoded from the dirty rows'
+    /// overlay records in ascending order, and a killed flush keeps the
+    /// dirty set for the retry.
     #[test]
     fn pack_write_path_matches_ram_twin(
         ops in prop::collection::vec(
@@ -308,19 +339,15 @@ proptest! {
         ),
     ) {
         let (rows, dim) = (24usize, 3usize);
-        let guard = mode_lock();
-        set_emb_store(Some(StoreMode::Ram));
-        let mut ram = EmbeddingStore::new();
-        let t = ram.add_table(&mut Prng::seeded(3), "t", rows, dim, 0.1);
         let mut pack = EmbeddingStore::new();
-        pack.add_table(&mut Prng::seeded(3), "t", rows, dim, 0.1);
-        set_emb_store(None);
-        drop(guard);
+        let t = pack.add_table(&mut Prng::seeded(3), "t", rows, dim, 0.1);
+        let (weights, accum) = pack.table(t).snapshot();
+        let mut oracle = VecAdagrad { dim, weights, accum };
         // Three 8-row shards, so updates and flushes cross shard bounds.
         let dir = scratch_dir();
-        let (w, a) = ram.table(t).snapshot();
         let opts = PackOptions { shard_rows: 8 };
-        let metas = write_table(&dir, "t", rows, dim, &w, &a, opts).unwrap();
+        let (w, a) = (&oracle.weights, &oracle.accum);
+        let metas = write_table(&dir, "t", rows, dim, w, a, opts).unwrap();
         let entry = ManifestEntry {
             name: "t".into(),
             rows: rows as u64,
@@ -334,7 +361,7 @@ proptest! {
             match kind {
                 0..=2 => {
                     let grad = Tensor::from_vec(ids.len(), dim, lcg_f32s(seed, ids.len() * dim));
-                    grad_step(&mut ram, t, &ids, &grad);
+                    oracle.step(&ids, &grad, 0.05, pack.eps);
                     grad_step(&mut pack, t, &ids, &grad);
                     dirty.extend(ids.iter().copied().filter(|&id| id != 0));
                 }
@@ -346,7 +373,7 @@ proptest! {
                         set_crash_plan(Some(CrashPlan { kill_at_op: 0, tear_bytes }));
                         prop_assert!(pack.flush_deltas().is_err());
                         set_crash_plan(None);
-                        prop_assert_eq!(pack.table(t).pack().unwrap().pending_len(), dirty.len());
+                        prop_assert_eq!(pack.table(t).pack().pending_len(), dirty.len());
                     }
                     let chunk = expected_chunk(pack.table(t), &dirty);
                     let n = pack.flush_deltas().unwrap();
@@ -368,26 +395,29 @@ proptest! {
                     pack.attach_pack_dir(&dir).unwrap();
                 }
             }
-            prop_assert_eq!(pack.table(t).pack().unwrap().pending_len(), dirty.len());
-            prop_assert_eq!(table_bits(pack.table(t)), table_bits(ram.table(t)));
+            prop_assert_eq!(pack.table(t).pack().pending_len(), dirty.len());
+            prop_assert_eq!(table_bits(pack.table(t)), oracle.bits());
         }
-        pack.table(t).pack().unwrap().verify().unwrap();
+        pack.table(t).pack().verify().unwrap();
         drop(pack);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
 /// Run a few lookup → backward → apply cycles through a full
-/// [`EmbeddingStore`] and return every table row's weight and accumulator
-/// bits.
-fn train_store_and_dump(mode: StoreMode) -> Vec<u32> {
-    set_emb_store(Some(mode));
+/// [`EmbeddingStore`] — with no directory, or first exported to one and
+/// attached — and return every table row's weight and accumulator bits.
+fn train_store_and_dump(attached: bool) -> Vec<u32> {
     let mut rng = Prng::seeded(42);
     let mut store = EmbeddingStore::new();
-    assert_eq!(store.mode(), mode);
     let user = store.add_table(&mut rng, "user", 60, 5, 0.05);
     let item = store.add_table(&mut rng, "item", 40, 3, 0.05);
-    set_emb_store(None);
+    let dir = packstore::fresh_temp_dir();
+    if attached {
+        store.export_pack_dir(&dir).unwrap();
+        store.attach_pack_dir(&dir).unwrap();
+    }
+    assert!(store.tables().all(|t| t.pack().dir().is_some() == attached));
 
     for step in 0..12u32 {
         let mut g = Graph::new();
@@ -411,29 +441,33 @@ fn train_store_and_dump(mode: StoreMode) -> Vec<u32> {
             bits.extend(store.table(tid).accum_row(r).iter().map(|v| v.to_bits()));
         }
     }
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
     bits
 }
 
-/// The headline contract: the same training run through RAM and pack
-/// backends ends in bit-identical weights *and* Adagrad state.
+/// The headline contract: the same training run on a store with no
+/// directory (updated in place) and on the same store attached to a pack
+/// directory (updated through the overlay) ends in bit-identical weights
+/// *and* Adagrad state.
 #[test]
 fn training_is_bitwise_identical_across_backends() {
-    let _guard = mode_lock();
-    let ram = train_store_and_dump(StoreMode::Ram);
-    let pack = train_store_and_dump(StoreMode::Pack);
-    assert_eq!(ram, pack, "pack backend diverged from RAM");
+    let owned = train_store_and_dump(false);
+    let attached = train_store_and_dump(true);
+    assert_eq!(owned, attached, "the attached store diverged from the owned one");
 }
 
-/// Store-level durability cycle: train in pack mode, flush, export, attach
-/// from a second store, and confirm the attached rows match.
+/// Store-level durability cycle: attach a pack directory, train, flush,
+/// export elsewhere, attach from a second store, and confirm the attached
+/// rows match.
 #[test]
 fn export_attach_after_training_round_trips() {
-    let _guard = mode_lock();
-    set_emb_store(Some(StoreMode::Pack));
     let mut rng = Prng::seeded(11);
     let mut store = EmbeddingStore::new();
     let tid = store.add_table(&mut rng, "t", 25, 4, 0.05);
-    set_emb_store(None);
+    let home = packstore::fresh_temp_dir();
+    store.export_pack_dir(&home).unwrap();
+    store.attach_pack_dir(&home).unwrap();
 
     let mut g = Graph::new();
     let e = store.lookup(&mut g, tid, &[2, 3, 5, 7]);
@@ -458,4 +492,5 @@ fn export_attach_after_training_round_trips() {
         );
     }
     let _ = std::fs::remove_dir_all(&out);
+    let _ = std::fs::remove_dir_all(&home);
 }

@@ -92,9 +92,10 @@ pub fn train_online(
             step += 1;
             batches += 1;
         }
-        // End-of-day durability point: when the embedding store is
-        // pack-backed, append the day's row updates to the delta files so a
-        // crash between days replays cleanly on reopen. RAM stores no-op.
+        // End-of-day durability point: when the embedding tables are
+        // attached to a pack directory, append the day's row updates to the
+        // delta files so a crash between days replays cleanly on reopen.
+        // Tables with no directory have nothing to flush.
         let flushed = model
             .embedder()
             .emb

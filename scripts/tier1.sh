@@ -43,22 +43,6 @@ for pool in 0 1; do
         cargo test -q -p basm-serving --features faults --tests
 done
 
-# The pack-file embedding store (DESIGN.md §11) must be a pure residency
-# decision: the tensor and serving suites — including the pack-vs-RAM
-# bitwise-equivalence pins — have to stay green with tables backed by RAM
-# and by mmap'd pack directories, and again with mmap disabled (the heap
-# read fallback must serve the same bits the mapping does).
-for store in ram pack; do
-    echo "== tier1: basm-tensor tests (BASM_EMB_STORE=$store, BASM_THREADS=4) =="
-    BASM_EMB_STORE=$store BASM_THREADS=4 cargo test -q -p basm-tensor --tests
-    echo "== tier1: basm-serving tests (BASM_EMB_STORE=$store, BASM_THREADS=4) =="
-    BASM_EMB_STORE=$store BASM_THREADS=4 cargo test -q -p basm-serving --tests
-    echo "== tier1: basm-core tests (BASM_EMB_STORE=$store) =="
-    BASM_EMB_STORE=$store cargo test -q -p basm-core --tests
-done
-echo "== tier1: basm-tensor tests (BASM_EMB_STORE=pack, BASM_PACK_MMAP=0) =="
-BASM_EMB_STORE=pack BASM_PACK_MMAP=0 cargo test -q -p basm-tensor --tests
-
 # The SIMD kernel layer (DESIGN.md §14) must be a pure dispatch decision:
 # scalar and vector lanes produce the same bits per element, so the tensor
 # determinism/gradcheck suites and the serving equivalence pins have to stay
@@ -82,20 +66,21 @@ done
 # reopen always lands on old-or-new state, and the serving crash suite kills
 # a live replica (at request preps and inside WAL appends) and pins the
 # supervised recovery bitwise-equal to the uninterrupted run. Second the WAL
-# equivalence matrix: journaling is a durability knob, never a bits knob, so
+# equivalence pair: journaling is a durability knob, never a bits knob, so
 # the serving suite — including the frontend determinism pins and the
-# recovery suite itself — must stay green with the WAL off and on, whichever
-# residency (RAM or pack directory) backs the embedding tables.
+# recovery suite itself — must stay green with the WAL off and on.
+#
+# The embedding store (DESIGN.md §11) needs no leg of its own: it has one
+# backend, and its twin tests compare tables with no directory against the
+# same tables attached to a mapped pack directory in-process, so every run
+# of the tensor and serving suites above covers both.
 echo "== tier1: basm-tensor crash sweep (kill-point enumeration) =="
 cargo test -q -p basm-tensor --test crash_sweep
 echo "== tier1: basm-serving crash recovery (supervised restart pins) =="
 cargo test -q -p basm-serving --test crash_recovery
 for wal in 0 1; do
-    for store in ram pack; do
-        echo "== tier1: basm-serving tests (BASM_WAL=$wal, BASM_EMB_STORE=$store, BASM_THREADS=4) =="
-        BASM_WAL=$wal BASM_EMB_STORE=$store BASM_THREADS=4 \
-            cargo test -q -p basm-serving --tests
-    done
+    echo "== tier1: basm-serving tests (BASM_WAL=$wal, BASM_THREADS=4) =="
+    BASM_WAL=$wal BASM_THREADS=4 cargo test -q -p basm-serving --tests
 done
 
 for obs in 0 1; do
