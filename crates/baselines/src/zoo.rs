@@ -68,11 +68,38 @@ mod tests {
         }
     }
 
-    /// Buffer recycling (`BASM_POOL`) is an allocation strategy, never a
-    /// numeric one: training steps and predictions must be bitwise identical
-    /// with the arena on and off, for every Table IV model.
+    /// Overwrite every buffer on the pool's free lists with NaN: drain each
+    /// bucket through `acquire_scratch`, fill the whole capacity and release
+    /// the lot. Stops at the first empty bucket past the largest occupied
+    /// one (capped, so concurrent tests refilling the pool cannot walk it
+    /// into giant allocations).
+    fn poison_free_lists() {
+        use basm_tensor::bufpool;
+        let mut held = Vec::new();
+        let mut len = bufpool::MIN_BUCKET_LEN;
+        while bufpool::retained_bytes() > 0 && len <= 1 << 22 {
+            loop {
+                let before = bufpool::retained_bytes();
+                let mut buf = bufpool::acquire_scratch(len);
+                if bufpool::retained_bytes() >= before {
+                    break; // a fresh allocation: this bucket is drained
+                }
+                buf.resize(buf.capacity(), f32::NAN);
+                buf.fill(f32::NAN);
+                held.push(buf);
+            }
+            len *= 2;
+        }
+        held.into_iter().for_each(bufpool::release);
+    }
+
+    /// Buffer recycling is an allocation strategy, never a numeric one:
+    /// training steps and predictions must be bitwise identical whether the
+    /// pool starts empty or every free buffer holds NaN, for every Table IV
+    /// model. A kernel that reads `acquire_scratch` memory before writing it
+    /// turns the poisoned run's bits into NaN.
     #[test]
-    fn pooled_and_cold_runs_bitwise_identical_for_every_model() {
+    fn poisoned_and_cleared_pool_runs_bitwise_identical_for_every_model() {
         use basm_core::model::train_step;
         use basm_tensor::bufpool;
         use basm_tensor::optim::AdagradDecay;
@@ -81,8 +108,7 @@ mod tests {
         let train_b = data.dataset.batch(&[0, 1, 2, 3, 4, 5, 6, 7]);
         let eval_b = data.dataset.batch(&[8, 9, 10, 11]);
         for name in TABLE4_MODELS {
-            let run = |pooled: bool| {
-                bufpool::set_pooling(Some(pooled));
+            let run = || {
                 let mut model = build_model(name, &cfg, 7);
                 let mut opt = AdagradDecay::paper_default();
                 let losses: Vec<u32> = (0..3)
@@ -95,10 +121,12 @@ mod tests {
                     .iter()
                     .map(|p| p.to_bits())
                     .collect();
-                bufpool::set_pooling(None);
                 (losses, probs)
             };
-            assert_eq!(run(false), run(true), "{name}: pool on/off changed bits");
+            bufpool::clear();
+            let cleared = run();
+            poison_free_lists();
+            assert_eq!(cleared, run(), "{name}: stale pool contents changed bits");
         }
     }
 

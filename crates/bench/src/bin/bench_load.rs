@@ -9,7 +9,7 @@
 //!   across commits.
 //! * **Wall clock** — how long one full load run actually takes with
 //!   coalesced microbatch scoring versus one model pass per request,
-//!   interleaved rep by rep (the `bench_hotpath` discipline: alternating
+//!   interleaved rep by rep (the `basm_bench::timing` discipline: alternating
 //!   within the same time window cancels host speed drift; the speedup is
 //!   the median of per-pair ratios).
 //!

@@ -1,5 +1,5 @@
 //! **BENCH_simd**: wall-clock effect of the explicit-SIMD kernel layer
-//! (`BASM_SIMD`, DESIGN.md §14) on the two loops that matter — steady-state
+//! (`simd::set_simd`, DESIGN.md §14) on the two loops that matter — steady-state
 //! training steps and per-request serving.
 //!
 //! Both arms run in one process via the programmatic override, interleaved
@@ -125,8 +125,8 @@ fn main() {
     let note = format!(
         "measured on a {host_threads}-core host dispatching {detected_lanes} f32 lanes. \
          Arms interleave rep by rep; speedups are medians of per-pair ratios \
-         (basm_bench::timing). scalar = BASM_SIMD=0, simd = BASM_SIMD=1 (default \
-         when the host supports it). Scalar and SIMD results are bitwise \
+         (basm_bench::timing). scalar = set_simd(Some(false)), simd = the default \
+         (widest lanes the host supports). Scalar and SIMD results are bitwise \
          identical (asserted before timing).",
     );
     let report = SimdBench {

@@ -129,7 +129,7 @@ pub fn artifact_path(env: &BenchEnv, name: &str) -> PathBuf {
 /// Shared wall-clock scaffolding for the `bench_*` comparison binaries.
 ///
 /// The timing discipline every comparison bench follows (previously
-/// copy-pasted into `bench_hotpath`, `bench_load`, ...):
+/// copy-pasted into each `bench_*` binary):
 ///
 /// 1. **Interleave** the two arms rep by rep. On a shared/throttling 1-core
 ///    host, low-frequency speed drift would otherwise bias whichever phase

@@ -361,28 +361,6 @@ mod tests {
             .all(|&a| a > 0.0 && a < 2.0));
     }
 
-    /// The full BASM stack trained and evaluated with buffer recycling on
-    /// must be bitwise identical to the cold allocate-everything path.
-    #[test]
-    fn pooled_and_cold_training_bitwise_identical() {
-        use basm_tensor::bufpool;
-        let run = |pooled: bool| {
-            bufpool::set_pooling(Some(pooled));
-            let (mut model, ds) = setup(BasmConfig::default());
-            let train_b = ds.batch(&(0..16).collect::<Vec<_>>());
-            let eval_b = ds.batch(&(16..24).collect::<Vec<_>>());
-            let mut opt = AdagradDecay::paper_default();
-            let losses: Vec<u32> = (0..3)
-                .map(|_| train_step(&mut model, &train_b, &mut opt, 0.05, Some(10.0)).to_bits())
-                .collect();
-            let probs: Vec<u32> =
-                predict(&mut model, &eval_b).iter().map(|p| p.to_bits()).collect();
-            bufpool::set_pooling(None);
-            (losses, probs)
-        };
-        assert_eq!(run(false), run(true), "pool on/off changed BASM bits");
-    }
-
     #[test]
     fn param_counts_positive_and_low_rank_smaller() {
         let cfg = WorldConfig::tiny();

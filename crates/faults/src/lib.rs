@@ -48,11 +48,11 @@
 //! assert!(matches!(clean.feature_fetch(), FeatureFault::Ok));
 //! ```
 
-//! ## Kill-point injection (`BASM_CRASH`)
+//! ## Kill-point injection
 //!
 //! Crash faults are the other half of the story: a deterministic IO shim
 //! kills the process at IO op `k`, tearing its last write at byte `b`
-//! (`BASM_CRASH=kill_at=K[,tear=B]`). The shim lives next to the durable
+//! (armed per thread with `set_crash_plan`). The shim lives next to the durable
 //! write primitives it guards (`basm_tensor::packstore::crash`, because the
 //! pack store sits *below* this crate in the dependency order) and is
 //! re-exported here as [`crash`]/[`CrashPlan`] so fault tooling has one

@@ -596,10 +596,10 @@ pub struct SupervisedOutcome {
 /// checkpoint dir — weights never change during serving, so the checkpoint
 /// is the model's recovery point), the WAL at `sup.wal_path` carries the
 /// online feature state, and a panic anywhere in a batch — including a
-/// `BASM_CRASH`-injected death inside a WAL append — triggers the restart
-/// path: rebuild the replica, replay the WAL into a fresh feature server,
-/// re-enqueue the in-flight microbatch in admission order, and continue on
-/// the *same* simulated clock.
+/// kill-point death inside a WAL append (`packstore::set_crash_plan`) —
+/// triggers the restart path: rebuild the replica, replay the WAL into a
+/// fresh feature server, re-enqueue the in-flight microbatch in admission
+/// order, and continue on the *same* simulated clock.
 ///
 /// Determinism: the sim clock does not advance during recovery, per-request
 /// rngs are schedule-seeded, and the killed batch never committed its
@@ -618,9 +618,9 @@ pub fn run_load_supervised(
     assert!(cfg.max_batch >= 1, "microbatch bound must be at least 1");
 
     // Recover the WAL into a (re)built replica: replay whatever is durable,
-    // then attach the journal for the writes to come. Replaces any
-    // `BASM_WAL=1` auto-attached temp journal — the supervisor's WAL is the
-    // replica's durability story.
+    // then attach the journal for the writes to come. Replaces any journal
+    // `build` attached — the supervisor's WAL is the replica's durability
+    // story.
     let attach = |pipe: &mut ServingPipeline| -> std::io::Result<u64> {
         let _ = pipe.features.detach_journal();
         let (journal, records, _stats) = crate::journal::Journal::recover(&sup.wal_path)?;

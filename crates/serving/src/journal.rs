@@ -45,7 +45,7 @@
 //! ## Crash coupling
 //!
 //! All file IO runs through the kill-point shim
-//! (`basm_tensor::packstore::crash`), so `BASM_CRASH`/[`CrashPlan`]
+//! (`basm_tensor::packstore::crash`), so [`CrashPlan`]
 //! sweeps enumerate the journal's write ops exactly like the pack store's.
 //! An *injected* append failure is turned into a panic by the feature
 //! server — the supervised front-end's `catch_unwind` treats it as the
@@ -143,8 +143,6 @@ struct Inner {
     valid_len: u64,
     /// Complete records in the file (recovered + appended).
     records: u64,
-    /// Remove the file on drop (auto-created temp journals, `BASM_WAL=1`).
-    owned: bool,
 }
 
 /// An append-only feature-state journal. Appends are serialized by an
@@ -374,7 +372,6 @@ impl Journal {
                 path,
                 valid_len: WAL_MAGIC.len() as u64,
                 records: 0,
-                owned: false,
             }),
         })
     }
@@ -436,7 +433,6 @@ impl Journal {
                 path,
                 valid_len: at as u64,
                 records: stats.records,
-                owned: false,
             }),
         };
         Ok((journal, records, stats))
@@ -482,35 +478,12 @@ impl Journal {
     pub fn path(&self) -> PathBuf {
         self.inner.lock().unwrap_or_else(|p| p.into_inner()).path.clone()
     }
-
-    /// Mark this journal as owning its file: dropped journals remove it.
-    /// Used for the auto-created temp journals `BASM_WAL=1` attaches.
-    pub fn mark_owned(&self) {
-        self.inner.lock().unwrap_or_else(|p| p.into_inner()).owned = true;
-    }
 }
 
-impl Drop for Journal {
-    fn drop(&mut self) {
-        let inner = self.inner.get_mut().unwrap_or_else(|p| p.into_inner());
-        if inner.owned {
-            let _ = std::fs::remove_file(&inner.path);
-        }
-    }
-}
-
-/// A unique temp-file path for an auto-attached journal (`BASM_WAL=1`):
-/// unique across threads and across processes even under pid reuse, via the
-/// pack store's process token.
+/// A unique temp-file path for a journal: unique across threads and across
+/// processes even under pid reuse, via the pack store's process token.
 pub fn fresh_wal_path() -> PathBuf {
     basm_tensor::packstore::fresh_temp_dir().with_extension("wal")
-}
-
-/// Whether `BASM_WAL=1` asks pipelines to journal online state (parsed once
-/// per process; durability-only — journaling never changes computed bits).
-pub fn wal_env_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| matches!(std::env::var("BASM_WAL").as_deref(), Ok("1")))
 }
 
 /// Turn a WAL-append failure into the right control flow: an **injected**
@@ -613,15 +586,5 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(Journal::recover(&path).is_err(), "bit rot in a complete frame must not replay");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn owned_journal_removes_its_file() {
-        let path = fresh_wal_path();
-        let j = Journal::create(&path).unwrap();
-        j.mark_owned();
-        assert!(path.exists());
-        drop(j);
-        assert!(!path.exists());
     }
 }

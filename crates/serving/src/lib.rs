@@ -34,14 +34,15 @@
 //! `basm_data::append_example` — the function that builds the training log —
 //! and nothing is cached between requests (DESIGN.md §12).
 //!
-//! Online state is crash-consistent (DESIGN.md §13): with `BASM_WAL=1` (or
-//! an explicitly attached [`Journal`]) every feature-server write lands in a
-//! CRC'd write-ahead log *before* the in-memory mutation, and
-//! [`run_load_supervised`] wraps the scoring replica in a supervisor that —
-//! after a simulated process death — rebuilds the pipeline, replays the WAL,
-//! re-enqueues the in-flight microbatch, and continues **bitwise-equal to
-//! the run that never crashed**. As with every other `BASM_*` knob,
-//! `BASM_WAL` changes durability and wall-clock only, never computed bits.
+//! Online state is crash-consistent (DESIGN.md §13): with a [`Journal`]
+//! attached, every feature-server write lands in a CRC'd write-ahead log
+//! *before* the in-memory mutation, and [`run_load_supervised`] wraps the
+//! scoring replica in a supervisor that — after a simulated process death —
+//! rebuilds the pipeline, replays the WAL, re-enqueues the in-flight
+//! microbatch, and continues **bitwise-equal to the run that never
+//! crashed**. Journaling changes durability and wall-clock only, never
+//! computed bits (pinned with threads, SIMD and telemetry in
+//! `tests/mode_matrix.rs`).
 //!
 //! ```
 //! use basm_data::{World, WorldConfig};

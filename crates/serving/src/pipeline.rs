@@ -185,27 +185,19 @@ impl ServingPipeline {
     /// Build an arm for a world. `pool` is the recall depth, `top_k` the
     /// exposure list length.
     ///
-    /// With the `faults` feature on, a fault injector is attached
-    /// automatically when `BASM_FAULTS` selects a nonzero profile (see
-    /// `basm_faults`); use `ServingPipeline::set_faults` to override.
+    /// The arm starts unjournaled; attach a write-ahead log with
+    /// `pipeline.features.attach_journal` (DESIGN.md §13). With the `faults`
+    /// feature on, a fault injector is attached automatically when
+    /// `BASM_FAULTS` selects a nonzero profile (see `basm_faults`); use
+    /// `ServingPipeline::set_faults` to override.
     pub fn new(world: &World, model: Box<dyn CtrModel>, pool: usize, top_k: usize) -> Self {
-        let mut features = FeatureServer::new(
-            world.config.n_users,
-            world.config.n_items,
-            4 * world.config.seq_len,
-        );
-        // BASM_WAL=1: journal online state to an owned temp file (removed on
-        // drop) so the env sweep exercises the WAL code path end to end.
-        // Durability-only — journaling never changes computed bits.
-        if crate::journal::wal_env_enabled() {
-            if let Ok(j) = crate::journal::Journal::create(crate::journal::fresh_wal_path()) {
-                j.mark_owned();
-                let _ = features.attach_journal(j);
-            }
-        }
         Self {
             model,
-            features,
+            features: FeatureServer::new(
+                world.config.n_users,
+                world.config.n_items,
+                4 * world.config.seq_len,
+            ),
             recall: LbsRecall::build(world),
             top_k,
             pool,

@@ -268,45 +268,6 @@ mod tests {
         assert_eq!(serial, parallel);
     }
 
-    /// Serving goes through the recycled per-thread graph; scores must be
-    /// bitwise identical to the cold fresh-graph-per-request path.
-    #[test]
-    fn pooled_and_cold_scoring_bitwise_identical() {
-        let cfg = WorldConfig::tiny();
-        let world = World::generate(cfg.clone());
-        let counters = StatCounters::new(cfg.n_users, cfg.n_items);
-        let req = SessionRequest {
-            uid: 0,
-            candidates: vec![1, 2, 3, 4, 5],
-            ctx: Context {
-                day: 0,
-                hour: 12,
-                tp: TimePeriod::Lunch,
-                city: world.users[0].city,
-                geo: world.users[0].geo,
-                position: 0,
-            },
-            history: VecDeque::new(),
-        };
-        let run = |pooled: bool| {
-            basm_tensor::bufpool::set_pooling(Some(pooled));
-            let mut model = build_model("BASM", &cfg, 1);
-            // Two requests back to back: the second one exercises actual
-            // buffer and tape reuse when pooling is on.
-            let bits: Vec<Vec<u32>> = (0..2)
-                .map(|_| {
-                    score_one(model.as_mut(), &world, &req, &counters)
-                        .iter()
-                        .map(|s| s.to_bits())
-                        .collect()
-                })
-                .collect();
-            basm_tensor::bufpool::set_pooling(None);
-            bits
-        };
-        assert_eq!(run(false), run(true), "pool on/off changed served scores");
-    }
-
     #[test]
     fn empty_candidates_empty_scores() {
         let cfg = WorldConfig::tiny();

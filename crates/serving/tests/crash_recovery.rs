@@ -4,8 +4,9 @@
 //!    server rebuilds histories, counters and versions exactly, including
 //!    state from before the journal attached (the snapshot baseline).
 //! 2. **Journaling is invisible** — a run with a WAL attached serves
-//!    bitwise the same exposures as one without (`BASM_WAL` is a
-//!    durability knob, never a bits knob).
+//!    bitwise the same exposures as one without (journaling is a
+//!    durability knob, never a bits knob; `tests/mode_matrix.rs` crosses
+//!    it with threads, SIMD and telemetry).
 //! 3. **Supervised restart is exactly-once** — a replica killed at an
 //!    arbitrary request prep, or inside a WAL append via an armed
 //!    [`CrashPlan`], recovers by checkpoint-style rebuild + WAL replay and
@@ -125,7 +126,7 @@ fn journaled_run_matches_unjournaled_bitwise() {
     let mut pipe = replica(&world);
     pipe.features.attach_journal(Journal::create(&path).unwrap()).unwrap();
     let journaled = run_load(&mut pipe, &world, &arrivals, &cfg);
-    assert_eq!(signature(&plain), signature(&journaled), "BASM_WAL must be bits-invariant");
+    assert_eq!(signature(&plain), signature(&journaled), "journaling must be bits-invariant");
     drop(pipe);
     let _ = std::fs::remove_file(&path);
 }
@@ -185,9 +186,9 @@ fn wal_append_kill_recovers_bitwise() {
             kill_at_prep: None,
         };
         // Arm only after the first replica is fully built: the shim guards
-        // *all* durable IO, so a replica attached to a pack directory
-        // or a BASM_WAL=1 auto-journal would otherwise eat the kill point
-        // during construction. Armed this way, op 0 is the first WAL append
+        // *all* durable IO, so a replica attached to a pack directory or to
+        // a journal of its own would otherwise eat the kill point during
+        // construction. Armed this way, op 0 is the first WAL append
         // on every backend. The supervisor disarms the plan when the
         // "process" dies, so the rebuild constructs unarmed.
         let armed = std::cell::Cell::new(false);

@@ -2,9 +2,8 @@
 //! a pipeline whose model serves its embedding rows out of mmap'd pack files
 //! must produce bitwise identical exposures — item, position, and score bits
 //! — to the same pipeline whose tables own their records (no directory),
-//! across worker-thread counts. `scripts/tier1.sh` additionally sweeps this
-//! suite under `BASM_POOL={0,1}` and `BASM_WAL={0,1}` so the ambient-env
-//! combinations get the same pin.
+//! across worker-thread counts. The other execution modes (SIMD, WAL,
+//! telemetry) are crossed with threads in `tests/mode_matrix.rs`.
 
 use basm_baselines::build_model;
 use basm_data::{World, WorldConfig};

@@ -3,8 +3,7 @@
 //! 1. **Coalescing is invisible** — one cross-request microbatch per model
 //!    pass produces bitwise identical exposures to one pass per request, on
 //!    the same simulated schedule, across worker-thread counts (the packed
-//!    kernel preserves per-row accumulation order; `scripts/tier1.sh` also
-//!    sweeps `BASM_POOL` over this suite).
+//!    kernel preserves per-row accumulation order).
 //! 2. **`max_batch = 1` collapses onto the sequential pipeline** — the
 //!    front-end is the plain [`ServingPipeline::serve`] loop plus a queue,
 //!    nothing more.

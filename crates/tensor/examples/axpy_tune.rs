@@ -1,9 +1,9 @@
 //! Per-length `axpy` cost, scalar-vs-SIMD — the measurement behind
 //! `simd::WIDE_MIN_LEN`.
 //!
-//! `BASM_SIMD=0` runs the inlined scalar loop (which LLVM auto-vectorizes
-//! with unrolling); `BASM_SIMD=1` dispatches to the explicit wide backend
-//! once a slice crosses the threshold. The crossover printed here is where
+//! `simd::set_simd(Some(false))` runs the inlined scalar loop (which LLVM
+//! auto-vectorizes with unrolling); SIMD on dispatches to the explicit wide
+//! backend once a slice crosses the threshold. The crossover printed here is where
 //! the AVX call boundary (`#[target_feature]` functions cannot inline into
 //! SSE-baseline callers) is paid for by the wider lanes. Note this
 //! standalone crossover is *optimistic* — inside real kernels the boundary

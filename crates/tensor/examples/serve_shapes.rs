@@ -1,7 +1,7 @@
 //! Matmul SIMD-vs-scalar cost at the serve path's actual shapes.
 //!
 //! Times `linalg::matmul` with the GEMM kernel's scalar instance
-//! (`BASM_SIMD=0`) against its widest one, at the shapes the BASM serve
+//! (`simd::set_simd(Some(false))`) against its widest one, at the shapes the BASM serve
 //! path runs (tower layers `[cands,150]→64→32→1`, attention projections at
 //! width 32). The kernel is dispatched once per call, so narrow outputs
 //! get wide lanes too; `axpy_tune` measures the per-slice crossover

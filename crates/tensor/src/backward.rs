@@ -729,8 +729,6 @@ mod tests {
         use crate::nn::EmbeddingTable;
         use crate::params::ParamStore;
         use crate::rng::Prng;
-        let _guard = crate::bufpool::tests::pool_lock();
-        crate::bufpool::set_pooling(Some(true));
         let mut rng = Prng::seeded(9);
         let mut store = ParamStore::new();
         let w = store.add("w", rng.randn(3, 3, 1.0));
@@ -764,7 +762,6 @@ mod tests {
                 assert!(cap.is_power_of_two(), "node {i} ({:?}): capacity {cap}", node.op);
             }
         }
-        crate::bufpool::set_pooling(None);
     }
 
     #[test]

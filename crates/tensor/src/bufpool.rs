@@ -19,21 +19,20 @@
 //! * **Determinism.** Reuse can never change results: [`acquire_zeroed`]
 //!   memsets the buffer (pinned by a proptest in `tests/bufpool.rs`) and
 //!   [`acquire_scratch`] is only used by kernels that overwrite every element
-//!   before reading it. Numeric behaviour is bitwise identical with the pool
-//!   on or off (pinned in `tests/parallel_determinism.rs`).
+//!   before reading it. A run whose free lists were first filled with NaN
+//!   computes the same bits as a run after [`clear`] (pinned in
+//!   `tests/parallel_determinism.rs` and for every Table IV model in
+//!   `basm-baselines`), so a kernel that reads scratch before writing it
+//!   fails those tests.
 //! * **Bounded retention.** Each bucket keeps at most [`MAX_PER_BUCKET`]
 //!   buffers and oversized requests (> [`MAX_POOLED_LEN`]) bypass the pool,
 //!   so retained memory is bounded and observable via [`retained_bytes`].
-//! * **Escape hatch.** `BASM_POOL=0` (or [`set_pooling`]) disables recycling
-//!   at runtime: acquires fall back to plain allocations and releases free —
-//!   the exact pre-pool cold path, which `bench_hotpath` uses as its
-//!   baseline.
 //!
 //! When the `obs` feature is on, the pool reports `pool.buffer_reuse` /
 //! `pool.buffer_miss` counters (a hit serves from the free list; a miss
 //! allocates), alongside the always-on [`stats`] used by tests.
 
-use std::sync::atomic::{AtomicI8, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Smallest pooled capacity in `f32`s; shorter requests round up to this.
@@ -49,13 +48,6 @@ pub const MAX_PER_BUCKET: usize = 256;
 const MIN_SHIFT: u32 = MIN_BUCKET_LEN.trailing_zeros();
 const NUM_BUCKETS: usize = (MAX_POOLED_LEN.trailing_zeros() - MIN_SHIFT + 1) as usize;
 
-/// Programmatic override: -1 = follow `BASM_POOL`, 0 = off, 1 = on.
-static POOL_OVERRIDE: AtomicI8 = AtomicI8::new(-1);
-
-/// `BASM_POOL` resolution, computed once. Unset or anything other than
-/// `0`/`false`/`off`/`no` means *on*.
-static ENV_POOLING: OnceLock<bool> = OnceLock::new();
-
 static REUSE: AtomicU64 = AtomicU64::new(0);
 static MISS: AtomicU64 = AtomicU64::new(0);
 static RETURNED: AtomicU64 = AtomicU64::new(0);
@@ -65,30 +57,6 @@ static BUCKETS: OnceLock<Vec<Mutex<Vec<Vec<f32>>>>> = OnceLock::new();
 
 fn buckets() -> &'static [Mutex<Vec<Vec<f32>>>] {
     BUCKETS.get_or_init(|| (0..NUM_BUCKETS).map(|_| Mutex::new(Vec::new())).collect())
-}
-
-fn env_pooling() -> bool {
-    *ENV_POOLING.get_or_init(|| match std::env::var("BASM_POOL") {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "false" | "off" | "no"),
-        Err(_) => true,
-    })
-}
-
-/// Whether buffer recycling is active (`BASM_POOL` / [`set_pooling`]).
-#[inline]
-pub fn pooling_enabled() -> bool {
-    match POOL_OVERRIDE.load(Ordering::Relaxed) {
-        -1 => env_pooling(),
-        0 => false,
-        _ => true,
-    }
-}
-
-/// Override the runtime toggle (`Some(on)`), or restore the `BASM_POOL`
-/// default (`None`). Used by determinism tests and `bench_hotpath` to compare
-/// pooled and cold paths within one process.
-pub fn set_pooling(on: Option<bool>) {
-    POOL_OVERRIDE.store(on.map_or(-1, |b| b as i8), Ordering::Relaxed);
 }
 
 /// The bucket capacity a request of `len` floats is served from.
@@ -104,7 +72,7 @@ fn bucket_index(capacity: usize) -> usize {
 
 /// Pop a recycled buffer with capacity `>= len`, if the pool has one.
 fn checkout(len: usize) -> Option<Vec<f32>> {
-    if !pooling_enabled() || len == 0 || len > MAX_POOLED_LEN {
+    if len == 0 || len > MAX_POOLED_LEN {
         return None;
     }
     let hit = {
@@ -143,8 +111,8 @@ pub fn acquire_zeroed(len: usize) -> Vec<f32> {
 
 /// A buffer of exactly `len` floats whose contents are **unspecified** (stale
 /// data from its previous owner). Only for kernels that provably write every
-/// element before any read — using it anywhere else breaks the pool-on/off
-/// bitwise-identity contract (and the determinism tests will catch it).
+/// element before any read — using it anywhere else lets stale data reach
+/// results (and the NaN-poisoned determinism tests will catch it).
 pub fn acquire_scratch(len: usize) -> Vec<f32> {
     match checkout(len) {
         Some(mut buf) => {
@@ -161,7 +129,7 @@ pub fn acquire_scratch(len: usize) -> Vec<f32> {
 /// eligible for recycling later), or an exact-size allocation for requests
 /// the pool refuses.
 fn alloc_bucket_sized(len: usize) -> Vec<f32> {
-    if !pooling_enabled() || len == 0 || len > MAX_POOLED_LEN {
+    if len == 0 || len > MAX_POOLED_LEN {
         return vec![0.0; len];
     }
     let mut buf = Vec::with_capacity(bucket_len(len));
@@ -174,11 +142,7 @@ fn alloc_bucket_sized(len: usize) -> Vec<f32> {
 /// come from the pool) and full buckets drop the excess.
 pub fn release(buf: Vec<f32>) {
     let cap = buf.capacity();
-    if !pooling_enabled()
-        || !cap.is_power_of_two()
-        || cap < MIN_BUCKET_LEN
-        || cap > MAX_POOLED_LEN
-    {
+    if !cap.is_power_of_two() || !(MIN_BUCKET_LEN..=MAX_POOLED_LEN).contains(&cap) {
         DROPPED.fetch_add(1, Ordering::Relaxed);
         return;
     }
@@ -222,7 +186,7 @@ pub struct PoolStats {
     pub miss: u64,
     /// Releases retained on a free list.
     pub returned: u64,
-    /// Releases dropped (foreign buffer, full bucket, or pooling off).
+    /// Releases dropped (foreign buffer or full bucket).
     pub dropped: u64,
 }
 
@@ -237,11 +201,12 @@ pub fn stats() -> PoolStats {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
 
-    /// Pooling state is process-global; serialize tests that toggle it.
-    pub(crate) fn pool_lock() -> std::sync::MutexGuard<'static, ()> {
+    /// The free lists are process-global; serialize tests that assert on
+    /// their contents.
+    fn pool_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|p| p.into_inner())
     }
@@ -259,7 +224,6 @@ pub(crate) mod tests {
     #[test]
     fn roundtrip_reuses_the_same_allocation() {
         let _guard = pool_lock();
-        set_pooling(Some(true));
         clear();
         let buf = acquire_zeroed(100);
         assert_eq!(buf.len(), 100);
@@ -270,14 +234,12 @@ pub(crate) mod tests {
         assert_eq!(again.as_ptr(), ptr, "must reuse the retained buffer");
         assert!(again.iter().all(|&x| x == 0.0));
         release(again);
-        set_pooling(None);
         clear();
     }
 
     #[test]
     fn foreign_and_oversized_buffers_are_not_retained() {
         let _guard = pool_lock();
-        set_pooling(Some(true));
         clear();
         release(vec![1.0; 100]); // capacity 100: not a power of two
         release(Vec::new()); // capacity 0
@@ -290,27 +252,12 @@ pub(crate) mod tests {
         assert_eq!(before.reuse, after.reuse);
         assert_eq!(before.miss, after.miss);
         assert_eq!(retained_bytes(), 0);
-        set_pooling(None);
         clear();
-    }
-
-    #[test]
-    fn disabled_pool_is_the_cold_path() {
-        let _guard = pool_lock();
-        set_pooling(Some(false));
-        clear();
-        let buf = acquire_zeroed(100);
-        assert_eq!(buf.capacity(), 100, "cold path allocates exact size");
-        release(buf);
-        assert_eq!(retained_bytes(), 0, "cold path never retains");
-        assert!(!pooling_enabled());
-        set_pooling(None);
     }
 
     #[test]
     fn bucket_capacity_is_bounded() {
         let _guard = pool_lock();
-        set_pooling(Some(true));
         clear();
         // Hold every buffer before releasing any, so the releases actually
         // have to fill the bucket rather than round-tripping one buffer.
@@ -322,7 +269,6 @@ pub(crate) mod tests {
         }
         let retained = retained_bytes() / (MIN_BUCKET_LEN * std::mem::size_of::<f32>());
         assert!(retained <= MAX_PER_BUCKET, "retained {retained} buffers");
-        set_pooling(None);
         clear();
     }
 }

@@ -944,9 +944,9 @@ impl Graph {
 }
 
 impl Drop for Graph {
-    /// Dropping a graph recycles its buffers into the pool (a plain free
-    /// when pooling is off), so even call sites that build a one-shot
-    /// `Graph::new()` feed the steady-state reuse path.
+    /// Dropping a graph recycles its buffers into the pool, so even call
+    /// sites that build a one-shot `Graph::new()` feed the steady-state
+    /// reuse path.
     fn drop(&mut self) {
         self.reset();
     }
@@ -968,15 +968,9 @@ thread_local! {
 
 /// Run `f` with a recycled [`Graph`]: the tape arrives empty but retains the
 /// node storage, param-map and tensor-buffer capacity of previous steps, so
-/// steady-state training/serving stops cold-allocating. With pooling
-/// disabled (`BASM_POOL=0`) this degrades to a fresh `Graph::new()` per call
-/// — the exact cold path. The graph is cached per thread, so concurrent
-/// workers never contend on a shared arena.
+/// steady-state training/serving stops cold-allocating. The graph is cached
+/// per thread, so concurrent workers never contend on a shared arena.
 pub fn with_graph<R>(f: impl FnOnce(&mut Graph) -> R) -> R {
-    if !bufpool::pooling_enabled() {
-        let mut g = Graph::new();
-        return f(&mut g);
-    }
     let mut g = GRAPH_CACHE
         .with(|c| c.borrow_mut().pop())
         .unwrap_or_default();

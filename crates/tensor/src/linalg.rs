@@ -20,15 +20,15 @@
 //! nest is written once, generic over a `simd::Lanes` backend (AVX 8,
 //! SSE2 4, scalar 1 lanes), and dispatched once per call. The AVX instance
 //! compiles inside one `#[target_feature(enable = "avx")]` function, so the
-//! call boundary is paid per matmul, not per row. `BASM_SIMD=0` runs the
-//! scalar instance of the same loop order.
+//! call boundary is paid per matmul, not per row. `simd::set_simd(Some(false))`
+//! runs the scalar instance of the same loop order.
 //!
 //! **Bits.** Every output element sees exactly `acc = +0.0; acc = acc +
 //! a_p·b_p` for `p` ascending, with no FMA. Lanes and tile rows are distinct
 //! output elements, a `KC` seam is an exact store and reload of the running
 //! sum, and `k = 0` writes the empty sum `+0.0`. That is the naive `i-k-j`
 //! triple loop's float-op sequence, so results are bitwise the same for
-//! every backend (`BASM_SIMD`), every row partition (`BASM_THREADS`, via
+//! every backend (`simd::set_simd`), every row partition (`BASM_THREADS`, via
 //! [`pool::par_row_blocks`]) and every tile position. The sweep in
 //! `tests/simd_equivalence.rs` pins this against the naive loop at every
 //! tile and `KC` edge, including signed zeros, infinities and NaNs.

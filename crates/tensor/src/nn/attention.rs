@@ -19,8 +19,8 @@
 //! compose primitive graph ops. Either way the SIMD kernel layer
 //! (DESIGN.md §14) rides in underneath: the matmuls run the register-tiled
 //! GEMM, the (masked) softmax's sub-max / normalize passes run the
-//! lane-parallel broadcasts, and the max/sum folds stay serial. `BASM_SIMD`
-//! therefore never moves attention bits — pinned by
+//! lane-parallel broadcasts, and the max/sum folds stay serial. The SIMD
+//! toggle therefore never moves attention bits — pinned by
 //! `tests/simd_equivalence.rs`, `tests/din_scores.rs` and the composite
 //! forward/backward pin in `tests/parallel_determinism.rs`.
 

@@ -22,16 +22,14 @@
 //!
 //! When no plan is armed the primitives run the full durable discipline:
 //! data fsync before rename, parent-directory fsync after, append fsync
-//! before a flush claims durability. `BASM_CRASH=kill_at=K[,tear=B]` arms a
-//! plan ambiently (per thread, for sweep scripts); tests arm explicitly via
-//! [`set_crash_plan`]. Like every `BASM_*` knob, a crash plan changes
-//! durability and control flow on the error path only — a run that is not
-//! killed computes bitwise-identical results with any plan armed.
+//! before a flush claims durability. Every thread starts unarmed; sweeps arm
+//! a plan with [`set_crash_plan`]. A crash plan changes durability and
+//! control flow on the error path only — a run that is not killed computes
+//! bitwise-identical results with any plan armed.
 
 use std::cell::RefCell;
 use std::io::Write;
 use std::path::Path;
-use std::sync::OnceLock;
 
 /// A deterministic crash: kill IO op number `kill_at_op` (0-based, in
 /// execution order on the current thread), tearing the last write at byte
@@ -45,31 +43,6 @@ pub struct CrashPlan {
     pub tear_bytes: usize,
 }
 
-impl CrashPlan {
-    /// Parse the `BASM_CRASH` spec: `kill_at=K[,tear=B]`. Anything else —
-    /// unset, `0`, `off` — means no plan.
-    pub fn parse(spec: &str) -> Option<Self> {
-        let mut kill_at = None;
-        let mut tear = 0usize;
-        for part in spec.split(',') {
-            let (k, v) = part.split_once('=')?;
-            match k.trim() {
-                "kill_at" => kill_at = v.trim().parse().ok(),
-                "tear" => tear = v.trim().parse().ok()?,
-                _ => return None,
-            }
-        }
-        Some(Self { kill_at_op: kill_at?, tear_bytes: tear })
-    }
-}
-
-fn ambient_plan() -> Option<CrashPlan> {
-    static AMBIENT: OnceLock<Option<CrashPlan>> = OnceLock::new();
-    *AMBIENT.get_or_init(|| {
-        std::env::var("BASM_CRASH").ok().as_deref().and_then(CrashPlan::parse)
-    })
-}
-
 struct Active {
     plan: Option<CrashPlan>,
     ops: u64,
@@ -78,7 +51,7 @@ struct Active {
 
 thread_local! {
     static ACTIVE: RefCell<Active> =
-        RefCell::new(Active { plan: ambient_plan(), ops: 0, killed: false });
+        const { RefCell::new(Active { plan: None, ops: 0, killed: false }) };
 }
 
 /// Arm a crash plan on the current thread (or disarm with `None`), resetting
@@ -104,7 +77,7 @@ pub fn crash_fired() -> bool {
     ACTIVE.with(|a| a.borrow().killed)
 }
 
-const CRASH_MSG: &str = "injected crash (BASM_CRASH kill point)";
+const CRASH_MSG: &str = "injected crash (kill point)";
 
 /// The error every op returns at and after the kill point.
 fn crash_error() -> std::io::Error {
@@ -225,21 +198,6 @@ pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_specs() {
-        assert_eq!(
-            CrashPlan::parse("kill_at=3"),
-            Some(CrashPlan { kill_at_op: 3, tear_bytes: 0 })
-        );
-        assert_eq!(
-            CrashPlan::parse("kill_at=0,tear=17"),
-            Some(CrashPlan { kill_at_op: 0, tear_bytes: 17 })
-        );
-        assert_eq!(CrashPlan::parse("off"), None);
-        assert_eq!(CrashPlan::parse("0"), None);
-        assert_eq!(CrashPlan::parse("tear=5"), None);
-    }
 
     #[test]
     fn kill_point_tears_and_stays_dead() {

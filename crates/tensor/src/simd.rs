@@ -22,31 +22,28 @@
 //! use FMA (`vfmadd*` contracts `a*x + c` into one rounding — bits would
 //! move). IEEE-754 `mul`/`add`/`sub`/`div` are exact per element, so the
 //! 8/4/1-lane paths are **bitwise identical**, pinned by in-module tests,
-//! `tests/simd_equivalence.rs`, and the `tests/parallel_determinism.rs`
-//! composite pin, and swept in `scripts/tier1.sh` across
-//! `BASM_SIMD × BASM_THREADS × BASM_POOL`.
+//! `tests/simd_equivalence.rs`, the `tests/parallel_determinism.rs`
+//! composite pin, and the serving crate's `tests/mode_matrix.rs`, which
+//! crosses the SIMD toggle with thread count, WAL and telemetry.
 //!
 //! Reductions (`dot`, softmax max/sum folds, `exp`) stay scalar: vectorizing
 //! them would reassociate the accumulation order, which is exactly what the
 //! bitwise contract forbids.
 //!
-//! **Escape hatch.** `BASM_SIMD=0` (or [`set_simd`]) forces the scalar path —
-//! same shape as `BASM_POOL`: a runtime toggle that moves wall-clock, never
-//! bits. `bench_simd` uses it as the interleaved baseline.
+//! **Scalar reference.** [`set_simd`]`(Some(false))` forces the scalar path
+//! in-process: a toggle that moves wall-clock, never bits. The equivalence
+//! tests use it as the reference and `bench_simd` as the interleaved
+//! baseline.
 
-use std::sync::atomic::{AtomicI8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// Widest lane count any backend uses. Shape sweeps in tests cover
 /// `1..=2*MAX_LANES+1` so every tail-masking case is exercised.
 pub const MAX_LANES: usize = 8;
 
-/// Programmatic override: -1 = follow `BASM_SIMD`, 0 = off, 1 = on.
-static SIMD_OVERRIDE: AtomicI8 = AtomicI8::new(-1);
-
-/// `BASM_SIMD` resolution, computed once. Unset or anything other than
-/// `0`/`false`/`off`/`no` means *on*.
-static ENV_SIMD: OnceLock<bool> = OnceLock::new();
+/// Whether SIMD kernels are requested; [`set_simd`] flips it.
+static SIMD_ON: AtomicBool = AtomicBool::new(true);
 
 /// Runtime-detected hardware lane width (8 = AVX, 4 = SSE2, 1 = scalar).
 static DETECTED_LANES: OnceLock<usize> = OnceLock::new();
@@ -57,29 +54,18 @@ static DETECTED_LANES: OnceLock<usize> = OnceLock::new();
 /// [`set_simd`]/first-use time, not per call.
 static ACTIVE_LANES: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
 
-fn env_simd() -> bool {
-    *ENV_SIMD.get_or_init(|| match std::env::var("BASM_SIMD") {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "false" | "off" | "no"),
-        Err(_) => true,
-    })
-}
-
-/// Whether SIMD kernels are requested (`BASM_SIMD` / [`set_simd`]). The
-/// effective width still depends on [`detected_lanes`].
+/// Whether SIMD kernels are requested (on unless [`set_simd`] turned them
+/// off). The effective width still depends on [`detected_lanes`].
 #[inline]
 pub fn simd_enabled() -> bool {
-    match SIMD_OVERRIDE.load(Ordering::Relaxed) {
-        -1 => env_simd(),
-        0 => false,
-        _ => true,
-    }
+    SIMD_ON.load(Ordering::Relaxed)
 }
 
-/// Override the runtime toggle (`Some(on)`), or restore the `BASM_SIMD`
-/// default (`None`). Used by the determinism tests and `bench_simd` to
-/// compare lane widths within one process.
+/// Override the runtime toggle (`Some(on)`), or restore the default, on
+/// (`None`). Used by the determinism tests and `bench_simd` to compare lane
+/// widths within one process.
 pub fn set_simd(on: Option<bool>) {
-    SIMD_OVERRIDE.store(on.map_or(-1, |b| b as i8), Ordering::Relaxed);
+    SIMD_ON.store(on.unwrap_or(true), Ordering::Relaxed);
     ACTIVE_LANES.store(0, Ordering::Relaxed); // recompute on next dispatch
 }
 
@@ -99,8 +85,8 @@ pub fn detected_lanes() -> usize {
 }
 
 /// The lane width kernels dispatch on right now: [`detected_lanes`] when
-/// enabled, 1 when `BASM_SIMD=0`. One relaxed load on the hot path; the
-/// override/env/CPUID resolution only reruns after [`set_simd`].
+/// enabled, 1 when [`set_simd`] turned SIMD off. One relaxed load on the hot
+/// path; the override/CPUID resolution only reruns after [`set_simd`].
 #[inline]
 pub fn active_lanes() -> usize {
     match ACTIVE_LANES.load(Ordering::Relaxed) {
@@ -652,7 +638,7 @@ pub(crate) use sse::Sse;
 // manual 4-wide loop is no better either: LLVM auto-vectorizes the plain
 // scalar loop with unrolling the hand-written body doesn't have. So slices
 // under [`WIDE_MIN_LEN`] run the scalar kernel (inlined, auto-vectorized —
-// the same machine code `BASM_SIMD=0` runs), and only longer slices dispatch
+// the same machine code the scalar reference runs), and only longer slices dispatch
 // to the explicit wide backend.
 //
 // Ordering matters: the length test comes FIRST, against a compile-time
@@ -862,10 +848,10 @@ mod tests {
     }
 
     #[test]
-    fn env_gate_defaults_on_and_override_wins() {
+    fn toggle_defaults_on_and_override_wins() {
         let _guard = simd_lock();
         set_simd(None);
-        // Whatever the env says, the override must dominate.
+        assert_eq!(active_lanes(), detected_lanes(), "SIMD is on by default");
         set_simd(Some(false));
         assert_eq!(active_lanes(), 1);
         set_simd(Some(true));

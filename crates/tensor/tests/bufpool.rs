@@ -7,7 +7,8 @@ use basm_tensor::{bufpool, Tensor};
 use proptest::prelude::*;
 use std::sync::{Barrier, Mutex, OnceLock};
 
-/// Pooling state is process-global; serialize the tests that toggle it.
+/// The free lists are process-global; serialize the tests that assert on
+/// their contents.
 fn pool_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -23,7 +24,6 @@ fn pool_lock() -> std::sync::MutexGuard<'static, ()> {
 #[test]
 fn concurrent_checkout_never_double_hands_a_buffer() {
     let _guard = pool_lock();
-    bufpool::set_pooling(Some(true));
     bufpool::clear();
     const THREADS: usize = 4;
     const PER_THREAD: usize = 8;
@@ -74,7 +74,6 @@ fn concurrent_checkout_never_double_hands_a_buffer() {
     ptrs.sort_unstable();
     ptrs.dedup();
     assert_eq!(ptrs.len(), total, "the same allocation was handed out twice");
-    bufpool::set_pooling(None);
     bufpool::clear();
 }
 
@@ -84,7 +83,6 @@ fn concurrent_checkout_never_double_hands_a_buffer() {
 #[test]
 fn pooled_tensors_round_to_buckets_and_recycle() {
     let _guard = pool_lock();
-    bufpool::set_pooling(Some(true));
     bufpool::clear();
     let t = Tensor::zeros_pooled(10, 10);
     assert_eq!(t.shape(), (10, 10));
@@ -100,7 +98,6 @@ fn pooled_tensors_round_to_buckets_and_recycle() {
     let before = bufpool::stats();
     Tensor::from_vec(3, 3, vec![1.0; 9]).recycle();
     assert_eq!(bufpool::stats().dropped, before.dropped + 1);
-    bufpool::set_pooling(None);
     bufpool::clear();
 }
 
@@ -116,7 +113,6 @@ proptest! {
         fill in 1.0f32..1e6,
     ) {
         let _guard = pool_lock();
-        bufpool::set_pooling(Some(true));
         let mut buf = bufpool::acquire_zeroed(first_len);
         buf.fill(fill);
         bufpool::release(buf);
@@ -124,6 +120,5 @@ proptest! {
         prop_assert_eq!(reused.len(), second_len);
         prop_assert!(reused.iter().all(|&x| x == 0.0), "stale data leaked");
         bufpool::release(reused);
-        bufpool::set_pooling(None);
     }
 }

@@ -132,26 +132,47 @@ fn telemetry_on_off_bitwise_identical() {
     assert_eq!(baseline, run(false, 4));
 }
 
-/// Buffer recycling must be purely an allocation strategy: with the arena
-/// on or off (`BASM_POOL`, here via the programmatic override), serial or
-/// under 4 threads, every computed bit must be identical.
+/// Overwrite every buffer on the pool's free lists with NaN: drain each
+/// bucket through `acquire_scratch`, fill the whole capacity and release the
+/// lot. Stops at the first empty bucket past the largest occupied one.
+fn poison_free_lists() {
+    let mut held = Vec::new();
+    let mut len = bufpool::MIN_BUCKET_LEN;
+    while bufpool::retained_bytes() > 0 && len <= 1 << 22 {
+        loop {
+            let before = bufpool::retained_bytes();
+            let mut buf = bufpool::acquire_scratch(len);
+            if bufpool::retained_bytes() >= before {
+                break; // a fresh allocation: this bucket is drained
+            }
+            buf.resize(buf.capacity(), f32::NAN);
+            buf.fill(f32::NAN);
+            held.push(buf);
+        }
+        len *= 2;
+    }
+    held.into_iter().for_each(bufpool::release);
+}
+
+/// Buffer recycling must be purely an allocation strategy: a run whose free
+/// lists hold nothing but NaN buffers computes every bit of a run after
+/// `bufpool::clear()`, serial or under 4 threads. A kernel that reads
+/// `acquire_scratch` memory before writing it turns the poisoned run's bits
+/// into NaN.
 #[test]
-fn pooling_on_off_bitwise_identical() {
+fn poisoned_and_cleared_pool_bitwise_identical() {
     let _guard = SETTINGS.lock().unwrap();
-    let run = |pooled: bool, threads: usize| {
-        bufpool::set_pooling(Some(pooled));
-        let out = with_pool(threads, forward_backward_bits);
-        bufpool::set_pooling(None);
-        out
-    };
-    let baseline = run(false, 1);
-    assert_eq!(baseline, run(true, 1), "pool on/off must match serially");
-    assert_eq!(baseline, run(true, 4), "pool on/off must match in parallel");
-    assert_eq!(baseline, run(false, 4));
+    for threads in [1, 4] {
+        bufpool::clear();
+        let cleared = with_pool(threads, forward_backward_bits);
+        poison_free_lists();
+        let poisoned = with_pool(threads, forward_backward_bits);
+        assert_eq!(cleared, poisoned, "stale pool contents changed bits ({threads} threads)");
+    }
 }
 
 /// The explicit-SIMD lanes must be purely a speed knob: with vector kernels
-/// on or off (`BASM_SIMD`, here via the programmatic override), serial or
+/// on or off (via [`simd::set_simd`]), serial or
 /// under 4 threads, every computed bit of the composite forward/backward —
 /// matmul, BN, softmax, fused sequence pooling, meta-linear, BCE and all
 /// their gradients — must be identical. Lanes map to distinct output
@@ -178,13 +199,11 @@ fn simd_on_off_bitwise_identical() {
 #[test]
 fn graph_recycling_bitwise_identical_across_reuse() {
     let _guard = SETTINGS.lock().unwrap();
-    bufpool::set_pooling(Some(true));
     let fresh = forward_backward_bits();
     for round in 0..3 {
         let reused = with_graph(forward_backward_bits_in);
         assert_eq!(fresh, reused, "recycled graph diverged on round {round}");
     }
-    bufpool::set_pooling(None);
 }
 
 /// `Graph::memory_bytes` must report allocated capacity, not logical
@@ -193,7 +212,6 @@ fn graph_recycling_bitwise_identical_across_reuse() {
 #[test]
 fn graph_memory_bytes_counts_capacity() {
     let _guard = SETTINGS.lock().unwrap();
-    bufpool::set_pooling(Some(true));
     // 3x33 = 99 floats rounds up to a 128-float bucket.
     let t = Tensor::zeros_pooled(3, 33);
     let cap = t.capacity();
@@ -201,7 +219,6 @@ fn graph_memory_bytes_counts_capacity() {
     let mut g = Graph::new();
     g.input(t);
     assert_eq!(g.memory_bytes(), cap * std::mem::size_of::<f32>());
-    bufpool::set_pooling(None);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! SIMD-vs-scalar bitwise equivalence, and the GEMM kernel's bitwise pins.
 //!
-//! The `basm_tensor::simd` contract: `BASM_SIMD` moves wall-clock only.
+//! The `basm_tensor::simd` contract: the SIMD toggle moves wall-clock only.
 //! Lanes map to distinct output elements, no accumulation chain is split,
 //! and no FMA contraction is emitted — so 8-lane AVX, 4-lane SSE2 and the
 //! scalar fallback round identically per element. These tests sweep every
@@ -175,7 +175,7 @@ fn naive_matmul(a: &Tensor, b: &Tensor) -> Vec<f32> {
 
 /// Run `f` under every bits-invariant kernel mode: `BASM_THREADS` 1 and 4
 /// (with the parallelism threshold at zero, so even one-row outputs take
-/// the partitioned path) × `BASM_SIMD` off and on.
+/// the partitioned path) × SIMD off and on.
 fn for_each_kernel_mode(mut f: impl FnMut(&str)) {
     let _guard = SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
     pool::set_min_work(0);
@@ -284,8 +284,8 @@ fn special_values_match_naive_loop() {
     assert!(saw_nan && saw_inf, "fixture must produce NaN and infinite outputs");
 }
 
-/// The runtime dispatcher reports a real lane width and the override wins
-/// over the environment in both directions.
+/// The runtime dispatcher reports a real lane width and the override
+/// switches it in both directions.
 #[test]
 fn lane_detection_and_override() {
     let _guard = SETTINGS.lock().unwrap_or_else(|e| e.into_inner());

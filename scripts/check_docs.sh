@@ -8,6 +8,11 @@
 #   * `[text](path)`           — relative path must exist (file or directory)
 # http(s) links are skipped (no network in CI). Anchors are slugified the
 # way GitHub does: lowercase, punctuation stripped, spaces to hyphens.
+#
+# It also checks that README's environment-variable table lists exactly the
+# `BASM_*` names the code under crates/ passes to `std::env::var`, so a
+# deleted knob cannot linger in the docs and a new one cannot go
+# undocumented.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,8 +70,27 @@ for doc in "${files[@]}"; do
     done <<< "$targets"
 done
 
+# Env knobs: names read in code (comment lines skipped) vs names in
+# README's table rows under "## Environment variables".
+read_knobs=$(grep -rhE --include='*.rs' 'env::var(_os)?\("BASM_' crates \
+    | grep -vE '^[[:space:]]*//' \
+    | grep -oE 'env::var(_os)?\("BASM_[A-Z0-9_]+"' \
+    | grep -oE 'BASM_[A-Z0-9_]+' | sort -u)
+doc_knobs=$(sed -n '/^## Environment variables/,/^## /p' README.md \
+    | grep -oE '^\| `BASM_[A-Z0-9_]+`' \
+    | grep -oE 'BASM_[A-Z0-9_]+' | sort -u)
+if [ -z "$read_knobs" ] || [ -z "$doc_knobs" ]; then
+    echo "check_docs: could not extract env knobs (code: '$read_knobs', README: '$doc_knobs')" >&2
+    fail=1
+elif [ "$read_knobs" != "$doc_knobs" ]; then
+    echo "check_docs: README env table and std::env::var reads under crates/ differ:" >&2
+    diff <(printf '%s\n' "$read_knobs") <(printf '%s\n' "$doc_knobs") \
+        | sed -nE 's/^< /  read in code, missing from README: /p; s/^> /  in README, read nowhere: /p' >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAILED" >&2
     exit 1
 fi
-echo "check_docs: OK (${files[*]})"
+echo "check_docs: OK (${files[*]}; env knobs: $(echo $read_knobs))"
