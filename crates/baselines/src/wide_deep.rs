@@ -92,22 +92,8 @@ impl CtrModel for WideDeep {
         &mut self.deep
     }
 
-    fn apply_sparse_grads(&mut self, g: &Graph, lr: f32) {
-        self.deep.emb.apply_grads(g, lr);
-        self.wide.emb.apply_grads(g, lr);
-    }
-
-    fn clear_journals(&mut self) {
-        self.deep.emb.clear_journal();
-        self.wide.emb.clear_journal();
-    }
-
-    fn num_params(&mut self) -> usize {
-        self.store.num_scalars() + self.deep.num_params() + self.wide.num_params()
-    }
-
-    fn memory_bytes(&mut self) -> usize {
-        self.store.memory_bytes() + self.deep.memory_bytes() + self.wide.memory_bytes()
+    fn embedders(&mut self) -> Vec<&mut FeatureEmbedder> {
+        vec![&mut self.deep, &mut self.wide]
     }
 }
 
@@ -147,5 +133,29 @@ mod tests {
         train_step(&mut model, &b, &mut opt, 0.1, None);
         let after = model.wide.emb.table(tid).row(b.item_ids[0]);
         assert_ne!(before.as_slice(), after);
+    }
+
+    #[test]
+    fn checkpoint_dir_restores_wide_tables() {
+        use basm_core::checkpoint::{load_model_dir, save_model_dir};
+        let cfg = WorldConfig::tiny();
+        let data = generate_dataset(&cfg);
+        let b = data.dataset.batch(&(0..32).collect::<Vec<_>>());
+        let mut trained = WideDeep::new(&cfg, 1);
+        let mut opt = AdagradDecay::paper_default();
+        for _ in 0..3 {
+            train_step(&mut trained, &b, &mut opt, 0.05, None);
+        }
+        let bits = |m: &mut WideDeep| -> Vec<u32> {
+            predict(m, &b).iter().map(|p| p.to_bits()).collect()
+        };
+        let expected = bits(&mut trained);
+
+        let dir = basm_tensor::packstore::fresh_temp_dir();
+        save_model_dir(&mut trained, &dir).unwrap();
+        let mut restored = WideDeep::new(&cfg, 2);
+        load_model_dir(&mut restored, &dir).unwrap();
+        assert_eq!(bits(&mut restored), expected, "both stores must round-trip");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

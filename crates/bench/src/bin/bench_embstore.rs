@@ -1,16 +1,12 @@
-//! **BENCH_embstore**: cost of restoring a model from disk with the two
-//! checkpoint formats (DESIGN.md §11):
+//! **BENCH_embstore**: cost of restoring a model from its checkpoint
+//! directory (DESIGN.md §11). [`load_model_dir`] parses the dense envelope
+//! and attaches the embedding shards via mmap — no record is deserialized,
+//! so the **warm attach** cost is independent of table size.
 //!
-//! * **cold** — flat sealed envelope ([`load_model_file`]): every embedding
-//!   row is deserialized into RAM before the first prediction.
-//! * **warm** — checkpoint directory ([`load_model_dir`]): the dense envelope
-//!   is parsed, but the embedding shards are attached via mmap — no record is
-//!   deserialized, so the open cost is independent of table size.
-//!
-//! Then it times the embedding data path on the two restored models,
-//! interleaved rep by rep: **owned** tables (the cold restore — no directory,
-//! records updated in place) against **attached** ones (the warm restore —
-//! mmap'd base, updates through the overlay). It times a **gather**
+//! Then it times the embedding data path, interleaved rep by rep: **owned**
+//! tables (the in-memory source model that was saved — no directory, records
+//! updated in place) against **attached** ones (the restored model — mmap'd
+//! base, updates through the overlay). It times a **gather**
 //! (`EmbeddingStore::lookup` over every table) and a **sparse update**
 //! (`apply_grads` of one backward's gradients), each in ns per id, on a
 //! head-heavy id stream, at two embedding scales (tiny and eleme-like
@@ -18,7 +14,7 @@
 //! bit for bit afterwards.
 
 use basm_bench::{timing, BenchEnv};
-use basm_core::checkpoint::{load_model_dir, load_model_file, save_model_dir, save_model_file};
+use basm_core::checkpoint::{load_model_dir, save_model_dir};
 use basm_core::model::CtrModel;
 use basm_data::WorldConfig;
 use basm_tensor::nn::embedding::{EmbeddingStore, TableId};
@@ -58,16 +54,10 @@ struct SizeReport {
     emb_rows: usize,
     /// Total embedding parameters (rows × dim summed over tables).
     emb_params: usize,
-    /// Bytes of the flat sealed checkpoint.
-    flat_ckpt_bytes: u64,
     /// Bytes of the checkpoint directory (dense envelope + pack shards).
     pack_dir_bytes: u64,
-    /// Median seconds to restore via the flat deserialize path.
-    cold_load_secs: f64,
     /// Median seconds to restore via mmap attach.
     warm_attach_secs: f64,
-    /// cold / warm.
-    speedup: f64,
     /// Embedding heap bytes resident immediately after the warm attach
     /// (the zero-deserialize claim, in numbers).
     resident_after_attach_bytes: usize,
@@ -135,8 +125,8 @@ fn step(store: &mut EmbeddingStore, ids: &[Vec<u32>]) -> (f64, f64) {
     (gather_secs, update_secs)
 }
 
-/// Time gather and sparse update on the owned (flat) and attached (pack
-/// directory) restores of one checkpoint, alternating the arms rep by rep.
+/// Time gather and sparse update on the owned source model and its attached
+/// (pack directory) restore, alternating the arms rep by rep.
 fn data_paths(
     owned: &mut dyn CtrModel,
     attached: &mut dyn CtrModel,
@@ -172,77 +162,58 @@ fn data_paths(
 }
 
 fn bench_config(cfg: &WorldConfig, reps: usize) -> SizeReport {
-    let scratch = packstore::fresh_temp_dir();
-    std::fs::create_dir_all(&scratch).expect("create scratch dir");
-    let flat_path = scratch.join("flat.ckpt");
-    let dir_path = scratch.join("ckpt.d");
+    let dir_path = packstore::fresh_temp_dir();
 
     let mut source = basm_baselines::build_model("Wide&Deep", cfg, 1);
     let emb_rows: usize = source.embedder().emb.tables().map(|t| t.rows()).sum();
     let emb_params = source.embedder().emb.num_params();
-    save_model_file(source.as_mut(), &flat_path).expect("flat save");
     save_model_dir(source.as_mut(), &dir_path).expect("dir save");
 
-    let mut cold_samples = Vec::with_capacity(reps);
     let mut warm_samples = Vec::with_capacity(reps);
     let mut resident = 0usize;
-    // Interleave the two load paths so host-speed drift hits both equally.
     for _ in 0..reps {
-        let mut m = basm_baselines::build_model("Wide&Deep", cfg, 2);
-        cold_samples
-            .push(timing::timed(|| load_model_file(m.as_mut(), &flat_path).expect("cold load")).1);
-
         let mut m = basm_baselines::build_model("Wide&Deep", cfg, 2);
         warm_samples
             .push(timing::timed(|| load_model_dir(m.as_mut(), &dir_path).expect("warm attach")).1);
-        resident = m.embedder().emb.memory_bytes();
+        resident = m.embedders().iter().map(|e| e.memory_bytes()).sum();
     }
 
-    // Cross-check: both restore paths must land on the same bits.
-    let mut cold = basm_baselines::build_model("Wide&Deep", cfg, 2);
-    load_model_file(cold.as_mut(), &flat_path).expect("cold load");
+    // Cross-check: the attached restore serves the source's rows bit for bit.
     let mut warm = basm_baselines::build_model("Wide&Deep", cfg, 2);
     load_model_dir(warm.as_mut(), &dir_path).expect("warm attach");
-    for (a, b) in cold.embedder().emb.tables().zip(warm.embedder().emb.tables()) {
+    for (a, b) in source.embedder().emb.tables().zip(warm.embedder().emb.tables()) {
         for r in [0u32, (a.rows() as u32 - 1) / 2, a.rows() as u32 - 1] {
             assert_eq!(
                 a.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 b.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "flat and pack restores disagree on {}[{r}]",
+                "source and attached restore disagree on {}[{r}]",
                 a.name()
             );
         }
     }
 
-    let (gather, sparse_update) = data_paths(cold.as_mut(), warm.as_mut(), 41);
-    let cold_load_secs = timing::median(cold_samples);
-    let warm_attach_secs = timing::median(warm_samples);
+    let (gather, sparse_update) = data_paths(source.as_mut(), warm.as_mut(), 41);
     let report = SizeReport {
         config: cfg.name.clone(),
         emb_rows,
         emb_params,
-        flat_ckpt_bytes: std::fs::metadata(&flat_path).map(|m| m.len()).unwrap_or(0),
         pack_dir_bytes: dir_bytes(&dir_path),
-        cold_load_secs,
-        warm_attach_secs,
-        speedup: cold_load_secs / warm_attach_secs,
+        warm_attach_secs: timing::median(warm_samples),
         resident_after_attach_bytes: resident,
         gather,
         sparse_update,
     };
     eprintln!(
-        "[bench_embstore] {}: cold {:.2}ms vs warm {:.3}ms ({:.0}x); gather {:.1} vs {:.1} ns/id, \
+        "[bench_embstore] {}: warm attach {:.3}ms; gather {:.1} vs {:.1} ns/id, \
          update {:.1} vs {:.1} ns/id (owned vs attached)",
         report.config,
-        report.cold_load_secs * 1e3,
         report.warm_attach_secs * 1e3,
-        report.speedup,
         report.gather.owned_ns_per_id,
         report.gather.attached_ns_per_id,
         report.sparse_update.owned_ns_per_id,
         report.sparse_update.attached_ns_per_id,
     );
-    let _ = std::fs::remove_dir_all(&scratch);
+    let _ = std::fs::remove_dir_all(&dir_path);
     report
 }
 
@@ -255,15 +226,16 @@ fn main() {
     };
     let sizes: Vec<SizeReport> = configs.iter().map(|c| bench_config(c, 9)).collect();
     let report = EmbstoreBench {
-        note: "cold = flat sealed checkpoint, every embedding row deserialized; \
-               warm = checkpoint directory, shards mmap'd at attach (no per-row \
-               deserialize — resident_after_attach_bytes counts overlay rows \
+        note: "warm_attach = load_model_dir of a Wide&Deep checkpoint directory, \
+               shards mmap'd at attach (no per-row deserialize — \
+               resident_after_attach_bytes counts overlay rows of every store \
                only). gather / sparse_update: ns per id of EmbeddingStore::lookup \
-               and apply_grads on the cold restore (owned: no directory, records \
-               updated in place) and the warm one (attached: mmap'd base, updates \
-               through the overlay), 4096 head-heavy (u^3) ids per table per rep, \
-               41 reps after 3 warmups, arms interleaved rep by rep; rows checked \
-               bitwise equal after."
+               and apply_grads over the deep store's tables on the in-memory \
+               source model (owned: no directory, records updated in place) and \
+               its restore (attached: mmap'd base, updates through the overlay), \
+               4096 head-heavy (u^3) ids per table per rep, 41 reps after 3 \
+               warmups, arms interleaved rep by rep; rows checked bitwise equal \
+               after."
             .to_string(),
         sizes,
     };

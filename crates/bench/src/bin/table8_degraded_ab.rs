@@ -21,11 +21,13 @@
 
 use basm_baselines::build_model;
 use basm_bench::{format_table, BenchEnv};
-use basm_core::{load_model, save_model, CtrModel};
+use basm_core::checkpoint::{load_model_dir, save_model_dir};
+use basm_core::CtrModel;
 use basm_faults::{FaultInjector, FaultProfile};
 use basm_serving::{run_ab_test, AbConfig, ServingPipeline};
 use basm_trainer::{train, TrainConfig};
 use serde::Serialize;
+use std::path::Path;
 
 /// One arm's outcome at one fault rate.
 #[derive(Serialize)]
@@ -68,9 +70,9 @@ fn arm_stats(pipe: &ServingPipeline, exposures: u64, clicks: u64) -> ArmStats {
     }
 }
 
-fn restore(name: &str, cfg: &basm_data::WorldConfig, bytes: &[u8]) -> Box<dyn CtrModel> {
+fn restore(name: &str, cfg: &basm_data::WorldConfig, dir: &Path) -> Box<dyn CtrModel> {
     let mut model = build_model(name, cfg, 1);
-    load_model(model.as_mut(), bytes).expect("restore trained checkpoint");
+    load_model_dir(model.as_mut(), dir).expect("restore trained checkpoint");
     model
 }
 
@@ -81,7 +83,7 @@ fn main() {
     let world = &data.world;
 
     // Train each arm once; every sweep point restarts from the same
-    // checkpoint so rates differ only in the injected faults.
+    // checkpoint directory so rates differ only in the injected faults.
     let mut base = build_model("Base", &ds.config, 1);
     let mut basm = build_model("BASM", &ds.config, 1);
     let tc = TrainConfig::default_for(ds, env.epochs, env.batch, 1);
@@ -89,8 +91,10 @@ fn main() {
     train(base.as_mut(), ds, &tc);
     eprintln!("[table8] training BASM...");
     train(basm.as_mut(), ds, &tc);
-    let base_ckpt = save_model(base.as_mut());
-    let basm_ckpt = save_model(basm.as_mut());
+    let ckpt = basm_tensor::packstore::fresh_temp_dir();
+    let (base_ckpt, basm_ckpt) = (ckpt.join("base"), ckpt.join("basm"));
+    save_model_dir(base.as_mut(), &base_ckpt).expect("save Base checkpoint");
+    save_model_dir(basm.as_mut(), &basm_ckpt).expect("save BASM checkpoint");
     drop(base);
     drop(basm);
 
@@ -212,5 +216,6 @@ fn main() {
         max_imp * 100.0
     ));
     env.emit("table8_degraded_ab.txt", &out);
+    let _ = std::fs::remove_dir_all(&ckpt);
     env.write_json("table8_degraded_ab.json", &Table8 { rates: rows });
 }

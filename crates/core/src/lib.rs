@@ -33,7 +33,6 @@ pub mod model;
 pub mod tower;
 
 pub use basm::{Basm, BasmConfig};
-pub use checkpoint::{load_model, load_model_file, save_model, save_model_file};
 pub use features::{EmbDims, FeatureEmbedder};
 pub use model::{
     predict, predict_full, train_step, train_step_checked, CtrModel, Forward, Inference,

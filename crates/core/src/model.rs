@@ -34,15 +34,25 @@ pub trait CtrModel {
     /// The sparse embedding side.
     fn embedder(&mut self) -> &mut FeatureEmbedder;
 
-    /// Apply sparse (embedding) updates after backward. Models with extra
-    /// embedding stores (e.g. Wide&Deep's wide tables) override this.
+    /// Every embedding side, [`CtrModel::embedder`] first. Models with extra
+    /// embedding stores (e.g. Wide&Deep's wide tables) override this; the
+    /// sparse update, journals, sizes and checkpoints all go through it.
+    fn embedders(&mut self) -> Vec<&mut FeatureEmbedder> {
+        vec![self.embedder()]
+    }
+
+    /// Apply sparse (embedding) updates after backward, store by store.
     fn apply_sparse_grads(&mut self, g: &Graph, lr: f32) {
-        self.embedder().emb.apply_grads(g, lr);
+        for e in self.embedders() {
+            e.emb.apply_grads(g, lr);
+        }
     }
 
     /// Discard pending sparse-lookup journals (after inference passes).
     fn clear_journals(&mut self) {
-        self.embedder().emb.clear_journal();
+        for e in self.embedders() {
+            e.emb.clear_journal();
+        }
     }
 
     /// The model's batch-norm layers in a deterministic order. Checkpointing
@@ -55,7 +65,7 @@ pub trait CtrModel {
     /// Total trainable scalars (dense + sparse).
     fn num_params(&mut self) -> usize {
         let dense = self.params().num_scalars();
-        dense + self.embedder().num_params()
+        dense + self.embedders().iter().map(|e| e.num_params()).sum::<usize>()
     }
 
     /// Approximate training memory in bytes: dense params + grads, sparse
@@ -63,7 +73,7 @@ pub trait CtrModel {
     /// the trainer (it owns the optimizer).
     fn memory_bytes(&mut self) -> usize {
         let dense = self.params().memory_bytes();
-        dense + self.embedder().memory_bytes()
+        dense + self.embedders().iter().map(|e| e.memory_bytes()).sum::<usize>()
     }
 }
 

@@ -334,11 +334,16 @@ mod tests {
                 let _inner = span!("test.inner");
             }
         }
-        // Parallel: spans recorded on scoped worker threads merge on exit.
+        // Parallel: spans recorded on scoped worker threads. `scope` may
+        // return before a worker's TLS destructors (the merge-on-exit
+        // backstop) run, so each worker flushes, as the tensor pool does.
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
-                    let _span = span!("test.parallel");
+                    {
+                        let _span = span!("test.parallel");
+                    }
+                    flush();
                 });
             }
         });

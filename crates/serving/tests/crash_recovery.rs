@@ -22,6 +22,8 @@ use basm_serving::{
 use basm_tensor::packstore::{set_crash_plan, CrashPlan};
 use basm_tensor::pool;
 
+mod common;
+
 fn ev(item: u32, cat: u16) -> BehaviorEvent {
     BehaviorEvent { item, cat, brand: cat + 1, tp: 2, hour: 18, city: 3, gx: 1, gy: 2 }
 }
@@ -89,12 +91,16 @@ fn world_and_arrivals() -> (World, Vec<basm_serving::Arrival>) {
     (world, arrivals)
 }
 
+/// A fault-free Wide&Deep replica. Every item starts with one click
+/// (`common::seed_one_click_per_item`), so the replayed exposure counters
+/// reach the scores the supervised pins compare.
 fn replica(world: &World) -> ServingPipeline {
     #[allow(unused_mut)]
     let mut pipe =
         ServingPipeline::new(world, build_model("Wide&Deep", &world.config, 1), 16, 6);
     #[cfg(feature = "faults")]
     pipe.set_faults(None); // a supervised sweep must be fault-free to pin bits
+    common::seed_one_click_per_item(&pipe, world);
     pipe
 }
 

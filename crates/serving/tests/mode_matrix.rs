@@ -19,7 +19,7 @@
 
 use basm_baselines::build_model;
 use basm_core::model::{predict, train_step};
-use basm_data::{generate_dataset, Batch, BehaviorEvent, TimePeriod, World, WorldConfig};
+use basm_data::{generate_dataset, Batch, World, WorldConfig};
 use basm_serving::{
     fresh_wal_path, generate_arrivals, run_load, run_load_supervised, Arrival, ArrivalConfig,
     FrontendConfig, Journal, LoadOutcome, Request, ServingPipeline, SupervisorConfig,
@@ -31,6 +31,8 @@ use std::cell::{Cell, RefCell};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
+
+mod common;
 
 #[derive(Debug, Clone, Copy)]
 struct Mode {
@@ -97,12 +99,8 @@ fn signature(out: &LoadOutcome) -> Signature {
 }
 
 /// A fault-free replica serving `model`, journaled when the mode says so.
-/// Journal paths land in `wals` for cleanup.
-///
-/// Every item starts with one click. Item CTR features divide clicks by
-/// exposures, so with no clicks at all the exposure counters the WAL
-/// replays would never reach a score, and a replay that loses a record
-/// would pass unseen.
+/// Journal paths land in `wals` for cleanup. Every item starts with one
+/// click (`common::seed_one_click_per_item`).
 fn replica(
     world: &World,
     model: &str,
@@ -113,20 +111,7 @@ fn replica(
     let mut pipe = ServingPipeline::new(world, build_model(model, &world.config, 1), 16, 6);
     #[cfg(feature = "faults")]
     pipe.set_faults(None); // the ambient BASM_FAULTS profile would move bits
-    for (iid, item) in world.items.iter().enumerate() {
-        let uid = iid % world.users.len();
-        let event = BehaviorEvent {
-            item: iid as u32,
-            cat: item.category,
-            brand: item.brand,
-            tp: TimePeriod::from_hour(12).index() as u8,
-            hour: 12,
-            city: world.users[uid].city,
-            gx: item.geo.0,
-            gy: item.geo.1,
-        };
-        pipe.features.record_click(uid, event, false);
-    }
+    common::seed_one_click_per_item(&pipe, world);
     if mode.wal {
         let path = fresh_wal_path();
         pipe.features

@@ -103,17 +103,6 @@ impl Graph {
                     out.push((b, gout.par_binary(self.val(a), simd::BinOp::Mul)));
                 }
             }
-            Op::Div { a, b } => {
-                let bv = self.val(b);
-                if self.needs(a) {
-                    out.push((a, gout.par_binary(bv, simd::BinOp::Div)));
-                }
-                if self.needs(b) {
-                    // d(a/b)/db = -a/b^2 = -y/b
-                    let gy = gout.par_binary(y, simd::BinOp::Mul);
-                    out.push((b, gy.par_zip_map(bv, |gy, d| -gy / d)));
-                }
-            }
             Op::AddRow { a, b } => {
                 if self.needs(a) {
                     out.push((a, gout.clone_pooled()));
@@ -297,25 +286,6 @@ impl Graph {
                     out.push((a, Tensor::full_pooled(m, n, scale)));
                 }
             }
-            Op::SumRows { a } => {
-                if self.needs(a) {
-                    let (m, n) = self.val(a).shape();
-                    out.push((a, Tensor::from_fn(m, n, |r, _| gout.get(r, 0))));
-                }
-            }
-            Op::MeanRows { a } => {
-                if self.needs(a) {
-                    let (m, n) = self.val(a).shape();
-                    let inv = 1.0 / n as f32;
-                    out.push((a, Tensor::from_fn(m, n, |r, _| gout.get(r, 0) * inv)));
-                }
-            }
-            Op::SumCols { a } => {
-                if self.needs(a) {
-                    let (m, n) = self.val(a).shape();
-                    out.push((a, Tensor::from_fn(m, n, |_, c| gout.get(0, c))));
-                }
-            }
             Op::RowDot { a, b } => {
                 if self.needs(a) {
                     let bv = self.val(b);
@@ -330,11 +300,6 @@ impl Graph {
                         gout.get(r, 0) * av.get(r, c)
                     });
                     out.push((b, g));
-                }
-            }
-            Op::Transpose { a } => {
-                if self.needs(a) {
-                    out.push((a, gout.transposed()));
                 }
             }
             Op::Reshape { a } => {

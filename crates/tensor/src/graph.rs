@@ -49,8 +49,6 @@ pub(crate) enum Op {
     Sub { a: usize, b: usize },
     /// Elementwise `a * b` (Hadamard).
     Mul { a: usize, b: usize },
-    /// Elementwise `a / b`.
-    Div { a: usize, b: usize },
     /// `a[m,n] + b[1,n]` broadcast over rows.
     AddRow { a: usize, b: usize },
     /// `a[m,n] * b[1,n]` broadcast over rows.
@@ -83,15 +81,8 @@ pub(crate) enum Op {
     SumAll { a: usize },
     /// Mean of all elements, `[1,1]`.
     MeanAll { a: usize },
-    /// Row sums, `[m,1]`.
-    SumRows { a: usize },
-    /// Row means, `[m,1]`.
-    MeanRows { a: usize },
-    /// Column sums, `[1,n]`.
-    SumCols { a: usize },
     /// Row-wise dot product of equal-shape tensors, `[m,1]`.
     RowDot { a: usize, b: usize },
-    Transpose { a: usize },
     /// Same buffer, new shape.
     Reshape { a: usize },
     /// Row `i` of `a` repeated `times` consecutive rows: `[m,n] -> [m*times,n]`.
@@ -333,13 +324,6 @@ impl Graph {
         self.push(Op::Mul { a: a.0, b: b.0 }, v, rg)
     }
 
-    /// Elementwise quotient; shapes must match and `b` must be nonzero.
-    pub fn div(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).par_binary(self.value(b), simd::BinOp::Div);
-        let rg = self.rg(a.0) || self.rg(b.0);
-        self.push(Op::Div { a: a.0, b: b.0 }, v, rg)
-    }
-
     /// `a [m,n] + b [1,n]`, `b` broadcast over rows (bias add).
     pub fn add_row(&mut self, a: Var, b: Var) -> Var {
         let (m, n) = self.value(a).shape();
@@ -554,13 +538,6 @@ impl Graph {
         self.push(Op::SliceCols { a: a.0, start, len }, out, rg)
     }
 
-    /// Transposed copy.
-    pub fn transpose(&mut self, a: Var) -> Var {
-        let v = self.value(a).transposed();
-        let rg = self.rg(a.0);
-        self.push(Op::Transpose { a: a.0 }, v, rg)
-    }
-
     /// Reinterpret the buffer as `rows x cols` (element count preserved).
     pub fn reshape(&mut self, a: Var, rows: usize, cols: usize) -> Var {
         let v = self.value(a).reshaped(rows, cols);
@@ -599,38 +576,6 @@ impl Graph {
         let v = Tensor::full_pooled(1, 1, self.value(a).mean() as f32);
         let rg = self.rg(a.0);
         self.push(Op::MeanAll { a: a.0 }, v, rg)
-    }
-
-    /// Row sums: `[m,n] -> [m,1]`.
-    pub fn sum_rows(&mut self, a: Var) -> Var {
-        let av = self.value(a);
-        let v = Tensor::from_fn(av.rows(), 1, |r, _| av.row(r).iter().sum());
-        let rg = self.rg(a.0);
-        self.push(Op::SumRows { a: a.0 }, v, rg)
-    }
-
-    /// Row means: `[m,n] -> [m,1]`.
-    pub fn mean_rows(&mut self, a: Var) -> Var {
-        let av = self.value(a);
-        let n = av.cols().max(1) as f32;
-        let v = Tensor::from_fn(av.rows(), 1, |r, _| av.row(r).iter().sum::<f32>() / n);
-        let rg = self.rg(a.0);
-        self.push(Op::MeanRows { a: a.0 }, v, rg)
-    }
-
-    /// Column sums: `[m,n] -> [1,n]`.
-    pub fn sum_cols(&mut self, a: Var) -> Var {
-        let av = self.value(a);
-        let (m, n) = av.shape();
-        // Accumulating op: the output must start at exact 0.0.
-        let mut out = Tensor::zeros_pooled(1, n);
-        for r in 0..m {
-            for (o, &x) in out.row_mut(0).iter_mut().zip(av.row(r).iter()) {
-                *o += x;
-            }
-        }
-        let rg = self.rg(a.0);
-        self.push(Op::SumCols { a: a.0 }, out, rg)
     }
 
     /// Row-wise dot product of equal-shape tensors: `[m,n],[m,n] -> [m,1]`.

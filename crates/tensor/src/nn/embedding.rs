@@ -24,10 +24,9 @@
 //!   [`EmbeddingStore::attach_pack_dir`]) never writes its base, mapped or
 //!   heap-decoded: an update rewrites the row's overlay record in place and
 //!   marks it for the next [`EmbeddingStore::flush_deltas`].
-//! * **A table without a directory** (fresh from [`EmbeddingTable::new`], or
-//!   restored from a flat checkpoint) owns one heap run of records and
-//!   updates them in place; it has no overlay, no pending set, and flushing
-//!   or compacting it does nothing.
+//! * **A table without a directory** (fresh from [`EmbeddingTable::new`])
+//!   owns one heap run of records and updates them in place; it has no
+//!   overlay, no pending set, and flushing or compacting it does nothing.
 //!
 //! Records round-trip f32 bits exactly and both kinds run the same update
 //! arithmetic in the same order, so whether a table has a directory is
@@ -195,17 +194,9 @@ impl EmbeddingTable {
         self.pack.resident_bytes()
     }
 
-    /// Flat copies of the weights and accumulators (checkpoint save).
+    /// Flat copies of the weights and accumulators.
     pub fn snapshot(&self) -> (Vec<f32>, Vec<f32>) {
         self.pack.snapshot()
-    }
-
-    /// Overwrite weights and accumulators from flat `rows*dim` buffers
-    /// (checkpoint restore).
-    pub fn overwrite(&mut self, weights: &[f32], accum: &[f32]) {
-        assert_eq!(weights.len(), self.num_params(), "overwrite: weights size");
-        assert_eq!(accum.len(), self.num_params(), "overwrite: accum size");
-        self.pack.rewrite(weights, accum).expect("pack rewrite failed");
     }
 
     /// Swap this table's records for an existing pack directory (warm
@@ -360,14 +351,6 @@ impl EmbeddingStore {
     /// Iterate over the registered tables.
     pub fn tables(&self) -> impl Iterator<Item = &EmbeddingTable> {
         self.tables.iter()
-    }
-
-    /// Overwrite a table's weights and Adagrad accumulators from flat
-    /// `rows*dim` buffers (checkpoint restore). Restoring the accumulators —
-    /// not zeroing them — is what makes save → load → continue bitwise equal
-    /// to uninterrupted training.
-    pub fn overwrite_table(&mut self, id: TableId, weights: &[f32], accum: &[f32]) {
-        self.tables[id.0].overwrite(weights, accum);
     }
 
     /// Append every table's buffered updates to its delta file (tables with
@@ -537,18 +520,6 @@ mod tests {
             assert_eq!(bits(a.accum_row(id)), bits(b.accum_row(id)), "accum row {id}");
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn overwrite_preserves_accumulators() {
-        let mut rng = Prng::seeded(8);
-        let mut store = EmbeddingStore::new();
-        let tid = store.add_table(&mut rng, "t", 5, 2, 0.1);
-        let weights = vec![0.5f32; 10];
-        let accum = vec![2.0f32; 10];
-        store.overwrite_table(tid, &weights, &accum);
-        assert_eq!(store.table(tid).row(3), &[0.5, 0.5]);
-        assert_eq!(store.table(tid).accum_row(3), &[2.0, 2.0]);
     }
 
     #[test]

@@ -365,8 +365,8 @@ impl PackTable {
 
     /// [`PackTable::open`], with `map = false` decoding every base shard onto
     /// the heap — the fallback a platform that refuses the mapping gets,
-    /// forced here so its tests can run anywhere. Compaction and rewrites
-    /// keep the choice.
+    /// forced here so its tests can run anywhere. Compaction keeps the
+    /// choice.
     pub(crate) fn open_with(
         dir: &Path,
         name: &str,
@@ -790,27 +790,6 @@ impl PackTable {
         Ok(())
     }
 
-    /// Rewrite the whole base from flat buffers (checkpoint restore). An
-    /// owned table overwrites its records in place; a table with a directory
-    /// gets fresh shards + index, its overlay and deltas gone.
-    pub fn rewrite(&mut self, weights: &[f32], accum: &[f32]) -> Result<(), PackError> {
-        let dim = self.dim;
-        let Some(dir) = self.dir.clone() else {
-            let records = self.shards[0].data.f32s_mut(0, self.rows * record_f32s(dim));
-            let sources = weights.chunks_exact(dim).zip(accum.chunks_exact(dim));
-            for (rec, (w, a)) in records.chunks_exact_mut(record_f32s(dim)).zip(sources) {
-                rec[..dim].copy_from_slice(w);
-                rec[dim..].copy_from_slice(a);
-            }
-            return Ok(());
-        };
-        let opts =
-            PackOptions { shard_rows: self.shards.first().map_or(0, |s| s.meta.n_rows as usize) };
-        write_table(&dir, &self.name, self.rows, dim, weights, accum, opts)?;
-        *self = PackTable::open_with(&dir, &self.name, self.rows, dim, self.map)?;
-        Ok(())
-    }
-
     // ---- bulk reads & verification ----------------------------------------
 
     /// Flat copies of the current weights and accumulators (overlay applied).
@@ -972,8 +951,7 @@ mod tests {
     }
 
     /// A table with no directory writes its one heap run in place: no
-    /// overlay, nothing pending, flush and compaction do nothing, and a
-    /// rewrite lands in the same run.
+    /// overlay, nothing pending, and flush and compaction do nothing.
     #[test]
     fn owned_table_updates_in_place() {
         let (rows, dim) = (5usize, 2usize);
@@ -986,9 +964,5 @@ mod tests {
         t.verify().unwrap();
         assert!(t.dir().is_none() && !t.has_delta_file());
         assert_eq!(t.resident_bytes(), rows * record_f32s(dim) * 4);
-        let weights: Vec<f32> = (0..rows * dim).map(|i| i as f32).collect();
-        t.rewrite(&weights, &vec![7.0; rows * dim]).unwrap();
-        assert_eq!(t.record(2), &[4.0, 5.0, 7.0, 7.0]);
-        assert_eq!(t.snapshot(), (weights, vec![7.0; rows * dim]));
     }
 }

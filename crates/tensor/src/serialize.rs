@@ -1,22 +1,22 @@
-//! Binary checkpointing for dense parameters and embedding tables.
+//! Binary encoding of dense parameters: the `dense.ckpt` payload of a model
+//! checkpoint directory (`basm_core::checkpoint`).
 //!
 //! The paper's deployment flow (Fig. 13) trains offline (AOP) and ships the
-//! model to a Real-Time Prediction service. This module is that handoff: a
-//! versioned little-endian binary format for [`ParamStore`] and
-//! [`EmbeddingStore`] contents, restored **by name** so a checkpoint survives
-//! reordering of layer construction (but not renaming).
+//! model to a Real-Time Prediction service. This module encodes the
+//! [`ParamStore`] half of that handoff as a versioned little-endian binary
+//! section, restored **by name** so a checkpoint survives reordering of layer
+//! construction (but not renaming). Embedding tables never pass through it:
+//! they live in pack directories next to it (`basm_tensor::packstore`).
 
-use crate::nn::embedding::EmbeddingStore;
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
 
 const MAGIC: &[u8; 8] = b"BASMCKPT";
-// v2 stores each embedding table's Adagrad accumulators alongside its
-// weights, so a restored trainer continues exactly where it stopped instead
-// of silently restarting its per-row learning-rate schedule.
-const VERSION: u32 = 2;
+// v3 is dense parameters only. v2 followed them with an embedding-table
+// section (written empty by checkpoint directories); it is rejected.
+const VERSION: u32 = 3;
 
 /// Errors produced when reading a checkpoint.
 #[derive(Debug, PartialEq, Eq)]
@@ -27,7 +27,8 @@ pub enum CheckpointError {
     BadVersion(u32),
     /// Buffer ended prematurely or lengths disagree.
     Truncated,
-    /// A named entry in the store has no counterpart in the checkpoint.
+    /// A named entry in the store (or a file of the checkpoint directory)
+    /// has no counterpart in the checkpoint.
     Missing(String),
     /// Shape in the checkpoint disagrees with the live store.
     ShapeMismatch(String),
@@ -99,18 +100,8 @@ fn get_f32s(buf: &mut Bytes) -> Result<Vec<f32>, CheckpointError> {
     Ok((0..len).map(|_| buf.get_f32_le()).collect())
 }
 
-/// Serialize the dense parameters and every embedding table (weights *and*
-/// Adagrad accumulators — restoring without the accumulators would silently
-/// reset every row's adaptive learning rate).
-pub fn save_checkpoint(params: &ParamStore, embeddings: &EmbeddingStore) -> Bytes {
-    let mut buf = begin_checkpoint(params);
-    append_embeddings(&mut buf, embeddings);
-    buf.freeze()
-}
-
-/// Stage 1 of saving: header + dense-parameter section. Callers that cannot
-/// borrow both stores at once (e.g. through `&mut dyn CtrModel` accessors)
-/// chain this with [`append_embeddings`].
+/// Encode the header and the dense-parameter section. Callers append their
+/// own sections after it (the model's batch-norm statistics).
 pub fn begin_checkpoint(params: &ParamStore) -> BytesMut {
     let mut buf = BytesMut::new();
     buf.put_slice(MAGIC);
@@ -127,153 +118,76 @@ pub fn begin_checkpoint(params: &ParamStore) -> BytesMut {
     buf
 }
 
-/// Stage 2 of saving: append every embedding table (weights, then Adagrad
-/// accumulators).
-pub fn append_embeddings(buf: &mut BytesMut, embeddings: &EmbeddingStore) {
-    let tables: Vec<_> = embeddings.tables().collect();
-    buf.put_u32_le(tables.len() as u32);
-    for t in tables {
-        put_str(buf, t.name());
-        buf.put_u32_le(t.rows() as u32);
-        buf.put_u32_le(t.dim() as u32);
-        let (weights, accum) = t.snapshot();
-        put_f32s(buf, &weights);
-        put_f32s(buf, &accum);
-    }
-}
-
-/// Restore a checkpoint into live stores (matching by name; every live entry
-/// must be present in the checkpoint with identical shape). The buffer must
-/// contain exactly one checkpoint — trailing bytes are rejected (callers that
-/// append their own sections use [`ParsedCheckpoint`] and check
-/// [`ParsedCheckpoint::consumed`] themselves).
-pub fn load_checkpoint(
-    bytes: &[u8],
-    params: &mut ParamStore,
-    embeddings: &mut EmbeddingStore,
-) -> Result<(), CheckpointError> {
-    let parsed = ParsedCheckpoint::parse(bytes)?;
-    if parsed.consumed() != bytes.len() {
-        return Err(CheckpointError::TrailingBytes);
-    }
-    parsed.apply_params(params)?;
-    parsed.apply_embeddings(embeddings)
-}
-
-/// A parsed checkpoint, applicable to stores one at a time.
+/// A parsed dense-parameter section.
 pub struct ParsedCheckpoint {
     dense: HashMap<String, ((usize, usize), Vec<f32>)>,
-    sparse: HashMap<String, (usize, usize, Vec<f32>, Vec<f32>)>,
     consumed: usize,
 }
 
 impl ParsedCheckpoint {
-    /// Parse and validate the container format.
+    /// Parse and validate the header and the dense-parameter section.
     pub fn parse(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        parse_impl(bytes)
+        let mut buf = Bytes::copy_from_slice(bytes);
+        if buf.remaining() < 12 {
+            return Err(CheckpointError::Truncated);
+        }
+        let mut magic = [0u8; 8];
+        buf.copy_to_slice(&mut magic);
+        if &magic != MAGIC {
+            return Err(CheckpointError::BadMagic);
+        }
+        let version = buf.get_u32_le();
+        if version != VERSION {
+            return Err(CheckpointError::BadVersion(version));
+        }
+
+        if buf.remaining() < 4 {
+            return Err(CheckpointError::Truncated);
+        }
+        let n_params = buf.get_u32_le() as usize;
+        let mut dense = HashMap::new();
+        for _ in 0..n_params {
+            let name = get_str(&mut buf)?;
+            if buf.remaining() < 8 {
+                return Err(CheckpointError::Truncated);
+            }
+            let rows = buf.get_u32_le() as usize;
+            let cols = buf.get_u32_le() as usize;
+            let data = get_f32s(&mut buf)?;
+            if data.len() != rows * cols {
+                return Err(CheckpointError::Truncated);
+            }
+            dense.insert(name, ((rows, cols), data));
+        }
+        let consumed = bytes.len() - buf.remaining();
+        Ok(ParsedCheckpoint { dense, consumed })
     }
 
-    /// Bytes consumed by the params+embeddings container — trailing bytes
-    /// (e.g. model-specific batch-norm sections) start here.
+    /// Bytes consumed by the section — the caller's own sections (e.g.
+    /// model-specific batch-norm statistics) start here.
     pub fn consumed(&self) -> usize {
         self.consumed
     }
 
-    /// Restore dense parameters (by name; shapes must match).
+    /// Restore dense parameters (by name; shapes must match). Every entry is
+    /// checked before any is written, so a mismatch leaves the store as it
+    /// was.
     pub fn apply_params(&self, params: &mut ParamStore) -> Result<(), CheckpointError> {
-        for id in params.ids().collect::<Vec<_>>() {
-            let name = params.name(id).to_string();
-            let ((rows, cols), data) = self
-                .dense
-                .get(&name)
-                .ok_or_else(|| CheckpointError::Missing(name.clone()))?;
+        let ids: Vec<_> = params.ids().collect();
+        for &id in &ids {
+            let name = params.name(id);
+            let ((rows, cols), _) =
+                self.dense.get(name).ok_or_else(|| CheckpointError::Missing(name.to_string()))?;
             if params.value(id).shape() != (*rows, *cols) {
-                return Err(CheckpointError::ShapeMismatch(name));
+                return Err(CheckpointError::ShapeMismatch(name.to_string()));
             }
+        }
+        for id in ids {
+            let ((rows, cols), data) = &self.dense[params.name(id)];
             *params.value_mut(id) = Tensor::from_vec(*rows, *cols, data.clone());
         }
         Ok(())
     }
-
-    /// Restore embedding tables (by name; shapes must match).
-    pub fn apply_embeddings(
-        &self,
-        embeddings: &mut EmbeddingStore,
-    ) -> Result<(), CheckpointError> {
-        let names: Vec<String> = embeddings.tables().map(|t| t.name().to_string()).collect();
-        for name in names {
-            let (rows, dim, weights, accum) = self
-                .sparse
-                .get(&name)
-                .ok_or_else(|| CheckpointError::Missing(name.clone()))?;
-            let id = embeddings.id_of(&name).expect("listed table");
-            {
-                let t = embeddings.table(id);
-                if t.rows() != *rows || t.dim() != *dim {
-                    return Err(CheckpointError::ShapeMismatch(name));
-                }
-            }
-            embeddings.overwrite_table(id, weights, accum);
-        }
-        Ok(())
-    }
-}
-
-fn parse_impl(bytes: &[u8]) -> Result<ParsedCheckpoint, CheckpointError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    if buf.remaining() < 12 {
-        return Err(CheckpointError::Truncated);
-    }
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let version = buf.get_u32_le();
-    if version != VERSION {
-        return Err(CheckpointError::BadVersion(version));
-    }
-
-    if buf.remaining() < 4 {
-        return Err(CheckpointError::Truncated);
-    }
-    let n_params = buf.get_u32_le() as usize;
-    let mut dense: HashMap<String, ((usize, usize), Vec<f32>)> = HashMap::new();
-    for _ in 0..n_params {
-        let name = get_str(&mut buf)?;
-        if buf.remaining() < 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        let rows = buf.get_u32_le() as usize;
-        let cols = buf.get_u32_le() as usize;
-        let data = get_f32s(&mut buf)?;
-        if data.len() != rows * cols {
-            return Err(CheckpointError::Truncated);
-        }
-        dense.insert(name, ((rows, cols), data));
-    }
-
-    if buf.remaining() < 4 {
-        return Err(CheckpointError::Truncated);
-    }
-    let n_tables = buf.get_u32_le() as usize;
-    let mut sparse: HashMap<String, (usize, usize, Vec<f32>, Vec<f32>)> = HashMap::new();
-    for _ in 0..n_tables {
-        let name = get_str(&mut buf)?;
-        if buf.remaining() < 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        let rows = buf.get_u32_le() as usize;
-        let dim = buf.get_u32_le() as usize;
-        let weights = get_f32s(&mut buf)?;
-        let accum = get_f32s(&mut buf)?;
-        if weights.len() != rows * dim || accum.len() != rows * dim {
-            return Err(CheckpointError::Truncated);
-        }
-        sparse.insert(name, (rows, dim, weights, accum));
-    }
-    let consumed = bytes.len() - buf.remaining();
-    Ok(ParsedCheckpoint { dense, sparse, consumed })
 }
 
 #[cfg(test)]
@@ -281,103 +195,88 @@ mod tests {
     use super::*;
     use crate::rng::Prng;
 
-    fn setup() -> (ParamStore, EmbeddingStore, Prng) {
+    fn setup() -> (ParamStore, Prng) {
         let mut rng = Prng::seeded(1);
         let mut p = ParamStore::new();
         p.add("a.w", rng.randn(3, 4, 1.0));
         p.add("a.b", rng.randn(1, 4, 1.0));
-        let mut e = EmbeddingStore::new();
-        e.add_table(&mut rng, "item", 10, 4, 0.1);
-        (p, e, rng)
+        (p, rng)
+    }
+
+    fn encode(p: &ParamStore) -> Vec<u8> {
+        begin_checkpoint(p).to_vec()
+    }
+
+    fn load(bytes: &[u8], p: &mut ParamStore) -> Result<(), CheckpointError> {
+        ParsedCheckpoint::parse(bytes)?.apply_params(p)
     }
 
     #[test]
     fn roundtrip_restores_exact_values() {
-        let (p, e, mut rng) = setup();
-        let bytes = save_checkpoint(&p, &e);
+        let (p, mut rng) = setup();
+        let bytes = encode(&p);
 
-        // Fresh stores with the same names but different values.
+        // A fresh store with the same names but different values.
         let mut p2 = ParamStore::new();
         p2.add("a.w", rng.randn(3, 4, 9.0));
         p2.add("a.b", rng.randn(1, 4, 9.0));
-        let mut e2 = EmbeddingStore::new();
-        let t2 = e2.add_table(&mut rng, "item", 10, 4, 0.9);
 
-        load_checkpoint(&bytes, &mut p2, &mut e2).unwrap();
-        let id = p.id_of("a.w").unwrap();
-        let id2 = p2.id_of("a.w").unwrap();
-        assert_eq!(p.value(id).data(), p2.value(id2).data());
-        let t1 = e.id_of("item").unwrap();
-        assert_eq!(e.table(t1).row(3), e2.table(t2).row(3));
-    }
-
-    #[test]
-    fn accumulators_round_trip() {
-        let (p, mut e, mut rng) = setup();
-        let tid = e.id_of("item").unwrap();
-        let weights = vec![0.25f32; 40];
-        let accum: Vec<f32> = (0..40).map(|i| i as f32 * 0.5).collect();
-        e.overwrite_table(tid, &weights, &accum);
-        let bytes = save_checkpoint(&p, &e);
-
-        let mut p2 = ParamStore::new();
-        p2.add("a.w", rng.randn(3, 4, 9.0));
-        p2.add("a.b", rng.randn(1, 4, 9.0));
-        let mut e2 = EmbeddingStore::new();
-        let t2 = e2.add_table(&mut rng, "item", 10, 4, 0.9);
-        load_checkpoint(&bytes, &mut p2, &mut e2).unwrap();
-        assert_eq!(e2.table(t2).row(5), &weights[20..24]);
-        assert_eq!(e2.table(t2).accum_row(5), &accum[20..24]);
+        load(&bytes, &mut p2).unwrap();
+        for name in ["a.w", "a.b"] {
+            let (id, id2) = (p.id_of(name).unwrap(), p2.id_of(name).unwrap());
+            assert_eq!(p.value(id).data(), p2.value(id2).data());
+        }
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let (p, e, _) = setup();
-        let mut bytes = save_checkpoint(&p, &e).to_vec();
+        // The section reports exactly its own length, so the caller sees
+        // anything appended after it as unconsumed and rejects it.
+        let (p, _) = setup();
+        let clean = encode(&p);
+        let mut bytes = clean.clone();
         bytes.extend_from_slice(b"junk");
-        let (mut p2, mut e2, _) = setup();
-        let err = load_checkpoint(&bytes, &mut p2, &mut e2).unwrap_err();
-        assert_eq!(err, CheckpointError::TrailingBytes);
+        let parsed = ParsedCheckpoint::parse(&bytes).unwrap();
+        assert_eq!(parsed.consumed(), clean.len());
+        assert_ne!(parsed.consumed(), bytes.len());
     }
 
     #[test]
     fn wrong_magic_rejected() {
-        let (mut p, mut e, _) = setup();
-        let err = load_checkpoint(b"NOTACKPTxxxx", &mut p, &mut e).unwrap_err();
-        assert_eq!(err, CheckpointError::BadMagic);
+        let (mut p, _) = setup();
+        assert_eq!(load(b"NOTACKPTxxxx", &mut p), Err(CheckpointError::BadMagic));
     }
 
     #[test]
     fn truncation_rejected() {
-        let (p, e, _) = setup();
-        let bytes = save_checkpoint(&p, &e);
-        let (mut p2, mut e2, _) = setup();
-        let err = load_checkpoint(&bytes[..bytes.len() - 7], &mut p2, &mut e2).unwrap_err();
+        let (p, _) = setup();
+        let bytes = encode(&p);
+        let (mut p2, _) = setup();
+        let err = load(&bytes[..bytes.len() - 7], &mut p2).unwrap_err();
         assert_eq!(err, CheckpointError::Truncated);
     }
 
     #[test]
     fn missing_entry_rejected() {
-        let (p, e, mut rng) = setup();
-        let bytes = save_checkpoint(&p, &e);
+        let (p, mut rng) = setup();
+        let bytes = encode(&p);
         let mut p2 = ParamStore::new();
         p2.add("other.w", rng.randn(3, 4, 1.0));
-        let mut e2 = EmbeddingStore::new();
-        e2.add_table(&mut rng, "item", 10, 4, 0.1);
-        let err = load_checkpoint(&bytes, &mut p2, &mut e2).unwrap_err();
+        let err = load(&bytes, &mut p2).unwrap_err();
         assert_eq!(err, CheckpointError::Missing("other.w".into()));
     }
 
     #[test]
     fn shape_mismatch_rejected() {
-        let (p, e, mut rng) = setup();
-        let bytes = save_checkpoint(&p, &e);
+        let (p, mut rng) = setup();
+        let bytes = encode(&p);
         let mut p2 = ParamStore::new();
+        let before = rng.randn(1, 4, 1.0);
+        p2.add("a.b", before.clone());
         p2.add("a.w", rng.randn(4, 3, 1.0)); // transposed shape
-        p2.add("a.b", rng.randn(1, 4, 1.0));
-        let mut e2 = EmbeddingStore::new();
-        e2.add_table(&mut rng, "item", 10, 4, 0.1);
-        let err = load_checkpoint(&bytes, &mut p2, &mut e2).unwrap_err();
+        let err = load(&bytes, &mut p2).unwrap_err();
         assert_eq!(err, CheckpointError::ShapeMismatch("a.w".into()));
+        // Checked before written: the matching entry kept its value.
+        assert_eq!(p2.value(p2.id_of("a.b").unwrap()).data(), before.data());
     }
 }

@@ -121,7 +121,7 @@ mod scalar {
         }
     }
 
-    /// `out[i] = a[i] <op> b[i]` for the four arithmetic ops.
+    /// `out[i] = a[i] <op> b[i]` for the three arithmetic ops.
     #[inline(always)]
     pub fn binary(op: super::BinOp, out: &mut [f32], a: &[f32], b: &[f32]) {
         use super::BinOp::*;
@@ -139,11 +139,6 @@ mod scalar {
             Mul => {
                 for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
                     *o = x * y;
-                }
-            }
-            Div => {
-                for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-                    *o = x / y;
                 }
             }
         }
@@ -229,8 +224,6 @@ pub enum BinOp {
     Sub,
     /// `a * b`
     Mul,
-    /// `a / b`
-    Div,
 }
 
 /// SSE2 4-lane kernels. SSE2 is unconditionally present on x86-64, so these
@@ -287,7 +280,6 @@ mod sse {
                     super::BinOp::Add => _mm_add_ps(va, vb),
                     super::BinOp::Sub => _mm_sub_ps(va, vb),
                     super::BinOp::Mul => _mm_mul_ps(va, vb),
-                    super::BinOp::Div => _mm_div_ps(va, vb),
                 };
                 _mm_storeu_ps(out.as_mut_ptr().add(i), r);
                 i += W;
@@ -463,7 +455,6 @@ mod avx {
                 super::BinOp::Add => _mm256_add_ps(va, vb),
                 super::BinOp::Sub => _mm256_sub_ps(va, vb),
                 super::BinOp::Mul => _mm256_mul_ps(va, vb),
-                super::BinOp::Div => _mm256_div_ps(va, vb),
             };
             _mm256_storeu_ps(out.as_mut_ptr().add(i), r);
             i += W;
@@ -802,14 +793,10 @@ mod tests {
                 acc(&mut a, &vals(n, 6));
                 a
             });
-            for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div] {
+            for op in [BinOp::Add, BinOp::Sub, BinOp::Mul] {
                 assert_modes_match(|| {
                     let mut out = vec![0.0; n];
-                    // Salt 8 values are bounded away from zero poorly; Div by
-                    // exact zero would still be bitwise-consistent (inf), but
-                    // keep operands ordinary.
-                    let b: Vec<f32> = vals(n, 8).iter().map(|v| v + 300.0).collect();
-                    binary(op, &mut out, &vals(n, 7), &b);
+                    binary(op, &mut out, &vals(n, 7), &vals(n, 8));
                     out
                 });
             }

@@ -115,7 +115,7 @@ fn compact_crash_yields_old_or_new() {
 
 #[test]
 fn rewrite_base_crash_yields_old_or_new() {
-    // A fresh base over an existing table (checkpoint restore / export):
+    // A fresh base over an existing table (a pack export into its dir):
     // must be old-or-new even though it rewrites every shard + the index.
     sweep_old_or_new("write_table over existing", ROWS, DIM, seeded_table, |dir| {
         write_table(

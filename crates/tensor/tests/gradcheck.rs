@@ -44,12 +44,8 @@ fn grad_add_sub_mul_div() {
         let q = g.square(s);
         g.mean_all(q)
     });
-    assert_gradients(&[a.clone(), b.clone()], |g, v| {
-        let s = g.mul(v[0], v[1]);
-        g.mean_all(s)
-    });
     assert_gradients(&[a, b], |g, v| {
-        let s = g.div(v[0], v[1]);
+        let s = g.mul(v[0], v[1]);
         g.mean_all(s)
     });
 }
@@ -183,24 +179,9 @@ fn grad_concat_slice() {
 fn grad_reductions() {
     let mut rng = Prng::seeded(10);
     let a = rt(&mut rng, 3, 4);
-    assert_gradients(&[a.clone()], |g, v| {
+    assert_gradients(&[a], |g, v| {
         let s = g.square(v[0]);
         g.sum_all(s)
-    });
-    assert_gradients(&[a.clone()], |g, v| {
-        let s = g.sum_rows(v[0]);
-        let q = g.square(s);
-        g.mean_all(q)
-    });
-    assert_gradients(&[a.clone()], |g, v| {
-        let s = g.mean_rows(v[0]);
-        let q = g.square(s);
-        g.mean_all(q)
-    });
-    assert_gradients(&[a], |g, v| {
-        let s = g.sum_cols(v[0]);
-        let q = g.square(s);
-        g.mean_all(q)
     });
 }
 
@@ -218,11 +199,6 @@ fn grad_row_dot() {
 fn grad_transpose_reshape_repeat() {
     let mut rng = Prng::seeded(12);
     let a = rt(&mut rng, 3, 4);
-    assert_gradients(&[a.clone()], |g, v| {
-        let t = g.transpose(v[0]);
-        let q = g.square(t);
-        g.mean_all(q)
-    });
     assert_gradients(&[a.clone()], |g, v| {
         let t = g.reshape(v[0], 4, 3);
         let q = g.square(t);

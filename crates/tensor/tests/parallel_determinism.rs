@@ -54,7 +54,7 @@ fn matmul_kernels_bitwise_identical_across_thread_counts() {
 
 /// A composite model exercising the parallel graph/backward kernels:
 /// matmul, batch norm, leaky ReLU, softmax, fused sequence pooling,
-/// per-sample meta-linear, concat, tanh, row sums and the BCE loss.
+/// per-sample meta-linear, concat, tanh, row dots and the BCE loss.
 fn forward_backward_bits() -> (u32, Vec<Vec<u32>>) {
     let mut g = Graph::new();
     forward_backward_bits_in(&mut g)
@@ -86,7 +86,8 @@ fn forward_backward_bits_in(g: &mut Graph) -> (u32, Vec<Vec<u32>>) {
     let meta = g.meta_linear(mwv, ha, 4, 12);
     let cat = g.concat_cols(&[pooled, meta]);
     let s = g.tanh(cat);
-    let logits = g.sum_rows(s);
+    let ones = g.input(Tensor::ones(24, g.value(s).cols()));
+    let logits = g.row_dot(s, ones);
     let loss = g.bce_with_logits(logits, yv);
     g.backward(loss);
 

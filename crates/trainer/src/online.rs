@@ -96,11 +96,11 @@ pub fn train_online(
         // attached to a pack directory, append the day's row updates to the
         // delta files so a crash between days replays cleanly on reopen.
         // Tables with no directory have nothing to flush.
-        let flushed = model
-            .embedder()
-            .emb
-            .flush_deltas()
-            .expect("flushing embedding deltas");
+        let flushed: usize = model
+            .embedders()
+            .into_iter()
+            .map(|e| e.emb.flush_deltas().expect("flushing embedding deltas"))
+            .sum();
         if flushed > 0 {
             basm_obs::counter_add("trainer.delta_rows_flushed", flushed as u64);
         }

@@ -7,7 +7,7 @@
 //! ```
 
 use basm::baselines::build_model;
-use basm::core::{load_model, save_model};
+use basm::core::checkpoint::{load_model_dir, save_model_dir};
 use basm::data::{generate_dataset, WorldConfig};
 use basm::serving::{replay_top1, Request, ServingPipeline};
 use basm::tensor::Prng;
@@ -26,13 +26,15 @@ fn main() {
     let tc = TrainConfig::default_for(ds, 2, 256, 1);
     train(trained.as_mut(), ds, &tc);
 
-    // 2. Checkpoint (the AOP → RTP artifact).
-    let bytes = save_model(trained.as_mut());
-    println!("[2/5] checkpoint written: {} KiB", bytes.len() / 1024);
+    // 2. Checkpoint (the AOP → RTP artifact): a versioned directory.
+    let ckpt = basm::tensor::packstore::fresh_temp_dir();
+    save_model_dir(trained.as_mut(), &ckpt).expect("save checkpoint");
+    println!("[2/5] checkpoint written to {}", ckpt.display());
 
-    // 3. Restore into a fresh process-side model.
+    // 3. Restore into a fresh process-side model: dense weights are read,
+    //    embedding shards are attached without deserializing a row.
     let mut serving_model = build_model("BASM", &cfg, 999); // different init seed
-    load_model(serving_model.as_mut(), &bytes).expect("restore");
+    load_model_dir(serving_model.as_mut(), &ckpt).expect("restore");
     println!("[3/5] restored into serving replica");
 
     // 4. Offline replay gate before taking traffic.
@@ -56,4 +58,6 @@ fn main() {
         shown += pipeline.serve(&data.world, req, &mut rng).expect("in-range request").len();
     }
     println!("[5/5] served 50 requests, {shown} exposures — deployment flow complete");
+    drop(pipeline);
+    let _ = std::fs::remove_dir_all(&ckpt);
 }

@@ -12,7 +12,9 @@
 # It also checks that README's environment-variable table lists exactly the
 # `BASM_*` names the code under crates/ passes to `std::env::var`, so a
 # deleted knob cannot linger in the docs and a new one cannot go
-# undocumented.
+# undocumented. And it checks that README's "Artifact index" table names
+# exactly the files under results/ (brace forms like `x.{txt,json}` expand),
+# so a deleted artifact cannot keep its row and a new one cannot go unlisted.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -89,8 +91,38 @@ elif [ "$read_knobs" != "$doc_knobs" ]; then
     fail=1
 fi
 
+# Artifacts: backticked names in the first column of the README table under
+# "### Artifact index" vs the files committed under results/.
+expand_braces() {
+    while IFS= read -r name; do
+        case "$name" in
+            *'{'*'}'*)
+                local pre=${name%%\{*} rest=${name#*\{}
+                local alts=${rest%%\}*} post=${rest#*\}}
+                local -a parts
+                IFS=, read -ra parts <<< "$alts"
+                for p in "${parts[@]}"; do echo "$pre$p$post"; done
+                ;;
+            *) echo "$name" ;;
+        esac
+    done
+}
+doc_artifacts=$(sed -n '/^### Artifact index/,/^##/p' README.md \
+    | grep -E '^\| `' | cut -d'|' -f2 \
+    | grep -oE '`[^`]+`' | tr -d '`' | expand_braces | sort -u)
+have_artifacts=$(cd results && find . -type f | sed 's|^\./||' | sort -u)
+if [ -z "$doc_artifacts" ]; then
+    echo "check_docs: could not extract README's artifact index" >&2
+    fail=1
+elif [ "$doc_artifacts" != "$have_artifacts" ]; then
+    echo "check_docs: README artifact index and results/ differ:" >&2
+    diff <(printf '%s\n' "$have_artifacts") <(printf '%s\n' "$doc_artifacts") \
+        | sed -nE 's/^< /  in results\/, missing from README: /p; s/^> /  in README, missing from results\/: /p' >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAILED" >&2
     exit 1
 fi
-echo "check_docs: OK (${files[*]}; env knobs: $(echo $read_knobs))"
+echo "check_docs: OK (${files[*]}; env knobs: $(echo $read_knobs); artifacts: $(echo "$have_artifacts" | wc -l))"
