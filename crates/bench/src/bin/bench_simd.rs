@@ -29,7 +29,8 @@ struct Comparison {
 #[derive(Serialize)]
 struct SimdBench {
     host_threads: usize,
-    /// f32 lanes the host dispatches (8 = AVX, 4 = SSE2, 1 = scalar-only).
+    /// f32 lanes the host dispatches (16 = AVX-512F, 8 = AVX, 4 = SSE2,
+    /// 1 = scalar-only).
     detected_lanes: usize,
     note: String,
     train_step: Comparison,

@@ -9,7 +9,7 @@ use super::format::{
     SHARD_HEADER_LEN,
 };
 use super::mapping::ShardData;
-use super::{atomic_write, crash, RowMap};
+use super::{atomic_write, crash};
 use std::collections::BTreeSet;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -291,33 +291,60 @@ struct LoadedShard {
     data: ShardData,
 }
 
-/// Rows patched over the base: one flat arena of records plus a row → slot
-/// map, so a write updates its record in place and allocates nothing once
-/// the row has a slot.
+/// Rows patched over the base: one flat arena of records plus a dense
+/// row → slot index, so a read is one indexed load and a write allocates
+/// nothing once the row has a slot. The index is allocated on the first
+/// write; until then a read sees an empty index and goes to the base.
 #[derive(Default)]
 struct Overlay {
-    slots: RowMap<usize>,
+    /// Slot of each row's record in `data`, or [`Overlay::ABSENT`].
+    slots: Vec<u32>,
+    /// Rows that have a slot.
+    len: usize,
     data: Vec<f32>,
 }
 
 impl Overlay {
+    const ABSENT: u32 = u32::MAX;
+
     fn get(&self, row: u32, nf: usize) -> Option<&[f32]> {
-        self.slots.get(&row).map(|&s| &self.data[s * nf..(s + 1) * nf])
+        match self.slots.get(row as usize) {
+            Some(&s) if s != Self::ABSENT => Some(&self.data[s as usize * nf..][..nf]),
+            _ => None,
+        }
     }
 
-    /// The record of `row`, given a slot filled by `init` on first touch.
-    fn slot_mut(&mut self, row: u32, nf: usize, init: impl FnOnce(&mut Vec<f32>)) -> &mut [f32] {
-        let next = self.slots.len();
-        let s = *self.slots.entry(row).or_insert_with(|| {
+    /// The record of `row` (of `rows` in the table), given a slot filled by
+    /// `init` on first touch.
+    fn slot_mut(
+        &mut self,
+        row: u32,
+        rows: usize,
+        nf: usize,
+        init: impl FnOnce(&mut Vec<f32>),
+    ) -> &mut [f32] {
+        if self.slots.is_empty() {
+            self.slots = vec![Self::ABSENT; rows];
+        }
+        let s = &mut self.slots[row as usize];
+        if *s == Self::ABSENT {
             init(&mut self.data);
-            next
-        });
-        debug_assert_eq!(self.data.len(), self.slots.len() * nf);
-        &mut self.data[s * nf..(s + 1) * nf]
+            *s = u32::try_from(self.len).expect("overlay slots fit in u32");
+            self.len += 1;
+        }
+        debug_assert_eq!(self.data.len(), self.len * nf);
+        &mut self.data[*s as usize * nf..][..nf]
+    }
+
+    /// Whether any row in `rows` has a slot.
+    fn any_in(&self, rows: std::ops::Range<u64>) -> bool {
+        self.len > 0
+            && self.slots[rows.start as usize..rows.end as usize].iter().any(|&s| s != Self::ABSENT)
     }
 
     fn clear(&mut self) {
         self.slots.clear();
+        self.len = 0;
         self.data.clear();
     }
 }
@@ -492,7 +519,7 @@ impl PackTable {
     /// Rows currently patched over the base (written since open or replayed
     /// from the delta file).
     pub fn overlay_len(&self) -> usize {
-        self.overlay.slots.len()
+        self.overlay.len
     }
 
     /// Updates not yet flushed to the delta file.
@@ -540,7 +567,7 @@ impl PackTable {
     /// overlay and shard lookups of [`PackTable::record`].
     pub(crate) fn flat_records(&self) -> Option<&[f32]> {
         match self.shards.as_slice() {
-            [only] if self.overlay.slots.is_empty() => {
+            [only] if self.overlay.len == 0 => {
                 Some(only.data.f32s(0, self.rows * record_f32s(self.dim)))
             }
             _ => None,
@@ -571,7 +598,7 @@ impl PackTable {
             return f(self.shards[0].data.f32s_mut(row as usize * nf, nf));
         }
         let (shards, starts) = (&self.shards, &self.shard_starts);
-        f(self.overlay.slot_mut(row, nf, |data| {
+        f(self.overlay.slot_mut(row, self.rows, nf, |data| {
             data.extend_from_slice(Self::base_record(shards, starts, nf, row))
         }));
         self.pending.insert(row);
@@ -633,7 +660,7 @@ impl PackTable {
                 if row >= self.rows as u64 {
                     return Err(PackError::Corrupt(format!("{what}: delta row {row} out of range")));
                 }
-                let slot = self.overlay.slot_mut(row as u32, nf, |data| {
+                let slot = self.overlay.slot_mut(row as u32, self.rows, nf, |data| {
                     data.resize(data.len() + nf, 0.0)
                 });
                 for (v, c) in slot.iter_mut().zip(rec[8..].chunks_exact(4)) {
@@ -729,7 +756,7 @@ impl PackTable {
     /// pre-compaction state. Clean shards keep their files and mappings.
     /// An owned table has no overlay and no delta file: nothing to fold.
     pub fn compact(&mut self) -> Result<(), PackError> {
-        if self.overlay.slots.is_empty() && !self.has_delta_file() {
+        if self.overlay.len == 0 && !self.has_delta_file() {
             self.pending.clear();
             return Ok(());
         }
@@ -748,9 +775,7 @@ impl PackTable {
                 let m = &self.shards[s].meta;
                 (m.start_row, m.n_rows)
             };
-            let rows = start..start + n_rows;
-            let dirty = self.overlay.slots.keys().any(|&r| rows.contains(&(r as u64)));
-            if !dirty {
+            if !self.overlay.any_in(start..start + n_rows) {
                 continue;
             }
             let mut payload = Vec::with_capacity(n_rows as usize * record_bytes(dim));

@@ -46,8 +46,9 @@
 //! since open, else from the **base** shard bytes (mmap'd when possible,
 //! decoded to the heap when the platform or the alignment refuses the
 //! mapping). There is no cache tier: the mapping already serves rows
-//! zero-copy, so a gather is one hash probe plus a row copy — only the copy
-//! when one base shard holds every record and no overlay row shadows it.
+//! zero-copy, so a gather is one overlay-index load plus a row copy — only
+//! the copy when one base shard holds every record and no overlay row
+//! shadows it.
 //!
 //! ## Write path: one copy-on-write rule
 //!

@@ -4,10 +4,13 @@
 //! slices (`axpy` in the backward kernels, `add`/`mul`/... in the graph ops,
 //! scalar broadcasts in softmax). This module gives each of those loops an
 //! explicit lane-parallel implementation selected at runtime, and exports
-//! the same three backends as register-level `Lanes` types for the GEMM
-//! kernel in [`crate::linalg`], which keeps accumulators in registers across
-//! a whole loop nest instead of mapping one slice at a time:
+//! register-level `Lanes` types for the GEMM kernel in [`crate::linalg`],
+//! which keeps accumulators in registers across a whole loop nest instead of
+//! mapping one slice at a time:
 //!
+//! * **16 lanes** — AVX-512F (`_mm512_*`), used when the CPU reports
+//!   `avx512f` at runtime. A register backend only: the GEMM kernel runs
+//!   16-wide, while the slice kernels keep their 8-lane AVX bodies.
 //! * **8 lanes** — AVX (`core::arch::x86_64::_mm256_*`), used when the CPU
 //!   reports `avx` at runtime. The crate's baseline target is plain x86-64,
 //!   so without this the compiler never emits 256-bit ops.
@@ -21,7 +24,7 @@
 //! sequence (`c + a*x`, `a - s`, `a / s`, ...), and none of the vector paths
 //! use FMA (`vfmadd*` contracts `a*x + c` into one rounding — bits would
 //! move). IEEE-754 `mul`/`add`/`sub`/`div` are exact per element, so the
-//! 8/4/1-lane paths are **bitwise identical**, pinned by in-module tests,
+//! 16/8/4/1-lane paths are **bitwise identical**, pinned by in-module tests,
 //! `tests/simd_equivalence.rs`, the `tests/parallel_determinism.rs`
 //! composite pin, and the serving crate's `tests/mode_matrix.rs`, which
 //! crosses the SIMD toggle with thread count, WAL and telemetry.
@@ -40,18 +43,19 @@ use std::sync::OnceLock;
 
 /// Widest lane count any backend uses. Shape sweeps in tests cover
 /// `1..=2*MAX_LANES+1` so every tail-masking case is exercised.
-pub const MAX_LANES: usize = 8;
+pub const MAX_LANES: usize = 16;
 
 /// Whether SIMD kernels are requested; [`set_simd`] flips it.
 static SIMD_ON: AtomicBool = AtomicBool::new(true);
 
-/// Runtime-detected hardware lane width (8 = AVX, 4 = SSE2, 1 = scalar).
+/// Runtime-detected hardware lane width (16 = AVX-512F, 8 = AVX, 4 = SSE2,
+/// 1 = scalar).
 static DETECTED_LANES: OnceLock<usize> = OnceLock::new();
 
-/// Memoized [`active_lanes`] (0 = stale, recompute). Wide-slice dispatches
-/// consult this per call, so it must be exactly one relaxed load on the hot
-/// path — the enabled-check and CPUID resolution are folded in at
-/// [`set_simd`]/first-use time, not per call.
+/// Memoized [`active_lanes`]: 16, 8, 4 or 1 lanes, or 0 = stale, recompute.
+/// Wide-slice dispatches consult this per call, so it must be exactly one
+/// relaxed load on the hot path — the enabled-check and CPUID resolution
+/// are folded in at [`set_simd`]/first-use time, not per call.
 static ACTIVE_LANES: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
 
 /// Whether SIMD kernels are requested (on unless [`set_simd`] turned them
@@ -74,6 +78,15 @@ pub fn detected_lanes() -> usize {
     *DETECTED_LANES.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
+            // To the compiler `avx512f` implies `avx2` and `fma` (never
+            // used here, see `avx512`), so a function built with it is
+            // sound to call only when all three are present.
+            if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                return 16;
+            }
             if std::arch::is_x86_feature_detected!("avx") {
                 return 8;
             }
@@ -573,6 +586,47 @@ mod avx {
     }
 }
 
+/// AVX-512F 16-lane register backend, for the GEMM kernel only: the slice
+/// kernels above stay 8-wide under AVX-512 (see `dispatch!`). Gated behind
+/// runtime detection of `avx512f` (see [`detected_lanes`]). Same rule as the
+/// `avx` module: `add_mul` is a separate multiply and add, never
+/// `_mm512_fmadd_ps`, and without fast-math flags the compiler never fuses
+/// the pair itself.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    /// The 16-lane register backend (see [`super::Lanes`]). Only ever
+    /// instantiated inside a `#[target_feature(enable = "avx512f")]`
+    /// caller, which is where these bodies become 512-bit ops.
+    pub(crate) struct Avx512;
+
+    impl super::Lanes for Avx512 {
+        const W: usize = 16;
+        type V = __m512;
+        #[inline(always)]
+        unsafe fn zero() -> __m512 {
+            _mm512_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> __m512 {
+            _mm512_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> __m512 {
+            _mm512_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: __m512) {
+            _mm512_storeu_ps(p, v)
+        }
+        #[inline(always)]
+        unsafe fn add_mul(acc: __m512, a: __m512, b: __m512) -> __m512 {
+            _mm512_add_ps(acc, _mm512_mul_ps(a, b))
+        }
+    }
+}
+
 /// One lane backend as register-level operations, for kernels that keep
 /// vector accumulators live across a whole loop nest (the register-tiled
 /// GEMM in [`crate::linalg`]). The kernel is written once, generic over
@@ -614,6 +668,8 @@ pub(crate) trait Lanes {
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) use avx::Avx;
+#[cfg(target_arch = "x86_64")]
+pub(crate) use avx512::Avx512;
 pub(crate) use scalar::Scalar;
 #[cfg(target_arch = "x86_64")]
 pub(crate) use sse::Sse;
@@ -645,13 +701,13 @@ pub(crate) use sse::Sse;
 /// Minimum slice length before an explicit wide kernel beats the inlined,
 /// auto-vectorized scalar loop, for the slice kernels below. It no longer
 /// governs matmul: the GEMM kernel in [`crate::linalg`] dispatches once per
-/// call and pays the AVX call boundary once per matmul, so it runs 8-wide
-/// lanes at every output width. The value was measured when the matmuls
-/// still ran on `axpy`, at three levels: `axpy_tune` (standalone kernel —
-/// AVX edges ahead near 64), inside `matmul` (64-wide slices still *lost*
-/// ~5% to the call boundary), and `bench_simd` end to end (64 → serve
-/// 0.90x, train 1.08x; 128 → serve parity, train 1.13x). The in-context
-/// crossover is what counts, hence 128.
+/// call and pays the `target_feature` call boundary once per matmul, so it
+/// runs full-width (8- or 16-lane) vectors at every output width. The value
+/// was measured when the matmuls still ran on `axpy`, at three levels:
+/// `axpy_tune` (standalone kernel — AVX edges ahead near 64), inside
+/// `matmul` (64-wide slices still *lost* ~5% to the call boundary), and
+/// `bench_simd` end to end (64 → serve 0.90x, train 1.08x; 128 → serve
+/// parity, train 1.13x). The in-context crossover is what counts, hence 128.
 const WIDE_MIN_LEN: usize = 128;
 
 macro_rules! dispatch {
@@ -661,9 +717,9 @@ macro_rules! dispatch {
         } else {
             match active_lanes() {
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: `active_lanes() == 8` implies
-                // `is_x86_feature_detected!("avx")`.
-                8 => unsafe { avx::$name($($arg),*) },
+                // SAFETY: `active_lanes()` is 8 only when the CPU has AVX,
+                // and 16 only when it has AVX-512F, which includes AVX.
+                16 | 8 => unsafe { avx::$name($($arg),*) },
                 #[cfg(target_arch = "x86_64")]
                 4 => sse::$name($($arg),*),
                 _ => scalar::$name($($arg),*),
@@ -765,11 +821,11 @@ mod tests {
         assert_eq!(bits(&wide), bits(&narrow));
     }
 
-    // Every length around the 4/8-lane boundaries (including 0 and 1) plus
-    // both sides of the wide-dispatch threshold.
+    // Every length around the 4/8/16-lane boundaries (including 0 and 1)
+    // plus both sides of the wide-dispatch threshold.
     fn lens() -> Vec<usize> {
         (0..=2 * MAX_LANES + 1)
-            .chain([31, 32, 33, 63, 64, 65])
+            .chain([63, 64, 65])
             .chain([WIDE_MIN_LEN - 1, WIDE_MIN_LEN, WIDE_MIN_LEN + 1, WIDE_MIN_LEN + 9])
             .collect()
     }
@@ -844,6 +900,6 @@ mod tests {
         set_simd(Some(true));
         assert_eq!(active_lanes(), detected_lanes());
         set_simd(None);
-        assert!(detected_lanes() == 1 || detected_lanes() == 4 || detected_lanes() == 8);
+        assert!([1, 4, 8, 16].contains(&detected_lanes()));
     }
 }

@@ -2,11 +2,13 @@
 //!
 //! The `basm_tensor::simd` contract: the SIMD toggle moves wall-clock only.
 //! Lanes map to distinct output elements, no accumulation chain is split,
-//! and no FMA contraction is emitted — so 8-lane AVX, 4-lane SSE2 and the
-//! scalar fallback round identically per element. These tests sweep every
-//! remainder-handling edge (`m`, `k`, `n` in `1 ..= 2·MAX_LANES + 1`, i.e.
-//! past two full 8-lane vectors plus a ragged tail) and compare raw bits
-//! between forced-off and forced-on runs of the same computation.
+//! and no FMA contraction is emitted — so 16-lane AVX-512, 8-lane AVX,
+//! 4-lane SSE2 and the scalar fallback round identically per element. These
+//! tests sweep every remainder-handling edge (`m`, `k`, `n` in
+//! `1 ..= 2·MAX_LANES + 1`, i.e. past two full 16-lane vectors plus a ragged
+//! tail) and compare raw bits between forced-off and forced-on runs of the
+//! same computation. Forced on is the widest backend the CPU has; the GEMM
+//! kernel's narrower backends are pinned by `linalg`'s unit tests.
 
 use basm_tensor::{linalg, pool, simd, Graph, Prng, Tensor};
 use proptest::prelude::*;
@@ -31,7 +33,8 @@ fn scalar_vs_simd<R>(f: impl Fn() -> R) -> (R, R) {
 }
 
 /// Dimension range covering sub-lane, exactly-one-lane, multi-lane and
-/// ragged-tail shapes for both the 4- and 8-lane backends.
+/// ragged-tail shapes for the 4-, 8- and 16-lane backends: `n` reaches the
+/// 32-wide two-vector tile, the 16-wide tile and the 8-lane AVX tail.
 const DIM_MAX: usize = 2 * simd::MAX_LANES + 1;
 
 proptest! {
@@ -126,7 +129,7 @@ proptest! {
 /// The remainder grid above sits below the elementwise dispatcher's
 /// wide-slice threshold (short slices run the scalar loop in both modes by
 /// design), so this sweep pins the *wide* region too: widths straddling the
-/// threshold and both lane widths' tails, where the AVX/SSE slice bodies
+/// threshold and every lane width's tails, where the AVX/SSE slice bodies
 /// execute. The matmuls ride along at the same widths.
 #[test]
 fn wide_slices_simd_matches_scalar_bitwise() {
@@ -195,11 +198,14 @@ fn three_entry_points(a: &Tensor, b: &Tensor, at: &Tensor, bt: &Tensor) -> [Tens
     [linalg::matmul(a, b), linalg::matmul_at_b(at, b), linalg::matmul_a_bt(a, bt)]
 }
 
-/// Tile-edge sweep: every row-tile remainder (`m` up to two 4-row tiles plus
-/// one), every column remainder of the two-vector, one-vector and scalar
-/// column tiles for both lane widths (`n` up to 33, around 64, and a wide
-/// 528), and `k` at zero, tiny, and either side of one and two `KC` seams.
-/// All three entry points must reproduce the naive loop bit for bit.
+/// Tile-edge sweep through the public entry points: every 4-row tile
+/// remainder (`m` up to two tiles plus one), the column remainders of the
+/// two-vector, one-vector and narrower column tiles (`n` up to 33, around
+/// 64, and a wide 528), and `k` at zero, tiny, and either side of one and
+/// two `KC` seams. All three entry points must reproduce the naive loop bit
+/// for bit in every thread and SIMD mode. The per-backend sweep, with the
+/// 8-row AVX-512 tiles, is `linalg`'s
+/// `every_backend_matches_naive_loop_at_tile_edges`.
 #[test]
 fn tile_edges_match_naive_loop_bitwise() {
     let kc = linalg::KC;
@@ -288,7 +294,7 @@ fn special_values_match_naive_loop() {
 fn lane_detection_and_override() {
     let _guard = SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
     let lanes = simd::detected_lanes();
-    assert!(lanes == 1 || lanes == 4 || lanes == 8, "unexpected lane width {lanes}");
+    assert!([1, 4, 8, 16].contains(&lanes), "unexpected lane width {lanes}");
     simd::set_simd(Some(false));
     assert_eq!(simd::active_lanes(), 1, "forced-off must run scalar");
     simd::set_simd(Some(true));

@@ -12,7 +12,9 @@
 # It also checks that README's environment-variable table lists exactly the
 # `BASM_*` names the code under crates/ passes to `std::env::var`, so a
 # deleted knob cannot linger in the docs and a new one cannot go
-# undocumented. And it checks that README's "Artifact index" table names
+# undocumented. It checks that no file under results/ names a `BASM_*`
+# variable the code no longer reads, so an artifact cannot describe a knob
+# that is gone. And it checks that README's "Artifact index" table names
 # exactly the files under results/ (brace forms like `x.{txt,json}` expand),
 # so a deleted artifact cannot keep its row and a new one cannot go unlisted.
 set -uo pipefail
@@ -89,6 +91,19 @@ elif [ "$read_knobs" != "$doc_knobs" ]; then
     diff <(printf '%s\n' "$read_knobs") <(printf '%s\n' "$doc_knobs") \
         | sed -nE 's/^< /  read in code, missing from README: /p; s/^> /  in README, read nowhere: /p' >&2
     fail=1
+fi
+
+# Stale knobs in artifacts: a file under results/ that names a `BASM_*`
+# variable no code under crates/ reads was made by, or describes, a build
+# that no longer exists.
+if [ -n "$read_knobs" ]; then
+    while IFS=: read -r artifact knob; do
+        [ -z "$knob" ] && continue
+        if ! printf '%s\n' "$read_knobs" | grep -qxF "$knob"; then
+            echo "check_docs: results/$artifact names $knob, which no code under crates/ reads" >&2
+            fail=1
+        fi
+    done < <(cd results && grep -roE 'BASM_[A-Z0-9_]+' . | sed 's|^\./||' | sort -u)
 fi
 
 # Artifacts: backticked names in the first column of the README table under
