@@ -110,16 +110,12 @@ fn bench_level(
     reps: usize,
 ) -> LoadLevel {
     let make_pipe = || {
-        #[allow(unused_mut)]
-        let mut pipe = ServingPipeline::new(
+        ServingPipeline::new(
             world,
             basm_baselines::build_model("BASM", &world.config, 1),
             pool,
             top_k,
-        );
-        #[cfg(feature = "faults")]
-        pipe.set_faults(None); // load timing stays fault-free
-        pipe
+        )
     };
     let run = |coalesce: bool| -> (LoadOutcome, f64) {
         let mut pipe = make_pipe(); // construction untimed

@@ -2,15 +2,14 @@
 //!
 //! Times the same block of training steps three ways:
 //!
-//! * `obs_off` — telemetry runtime-disabled (`basm_obs::set_enabled(false)`);
-//!   when the `obs` feature is compiled out this is the only real mode and
-//!   the hooks are no-ops by construction.
+//! * `obs_off` — telemetry off (`basm_obs::set_enabled(false)`, the
+//!   default): every hook is one relaxed atomic load and an untaken branch.
 //! * `obs_on` — spans/counters/histograms recording.
 //! * `obs_on_jsonl` — recording plus the per-step JSONL training log.
 //!
 //! Writes `BENCH_obs_overhead.json` with the measured overhead percentages.
-//! Policy (DESIGN.md §7): < 3% with `obs` enabled on the paper-scale
-//! workload, exactly 0 when compiled out. Two noise controls: the three
+//! Policy (DESIGN.md §7): < 3% with telemetry on, on the paper-scale
+//! workload. Two noise controls: the three
 //! modes are interleaved within every repetition (so slow machine drift
 //! hits all of them equally) and the artifact records best-of-`reps` wall
 //! times. `BASM_FAST=1` switches to the tiny world, where per-op work is so
@@ -26,8 +25,6 @@ use std::time::Instant;
 
 #[derive(Serialize)]
 struct ObsOverheadBench {
-    /// Whether the telemetry hooks were compiled in (`--features obs`).
-    compiled_in: bool,
     /// Training steps timed per measurement.
     steps: u64,
     /// Best-of-reps wall seconds with telemetry runtime-off.
@@ -61,7 +58,6 @@ fn main() {
     });
     let ds = &data.dataset;
     let (epochs, reps) = if env.fast { (1, 3) } else { (1, 4) };
-    let compiled_in = cfg!(feature = "obs");
     let log_path = basm_bench::artifact_path(&env, "BENCH_obs_overhead_train_log.jsonl");
 
     let mut steps = 0;
@@ -71,7 +67,7 @@ fn main() {
         // Warm-up pass: the first training run pays one-time costs (page
         // faults, allocator growth) that would otherwise bias whichever
         // mode happens to run first.
-        basm_obs::set_enabled(Some(false));
+        basm_obs::set_enabled(false);
         if rep == 0 {
             timed_train(ds, epochs, env.batch);
         }
@@ -79,7 +75,7 @@ fn main() {
         steps = s;
         obs_off_secs = obs_off_secs.min(off);
 
-        basm_obs::set_enabled(Some(true));
+        basm_obs::set_enabled(true);
         basm_obs::reset();
         let (_, on) = timed_train(ds, epochs, env.batch);
         obs_on_secs = obs_on_secs.min(on);
@@ -89,29 +85,24 @@ fn main() {
         basm_obs::jsonl::close_stream(TRAIN_LOG_STREAM);
         obs_on_jsonl_secs = obs_on_jsonl_secs.min(on_jsonl);
     }
-    basm_obs::set_enabled(None);
+    basm_obs::set_enabled(false);
     // The throwaway per-step log only exists to price JSONL emission.
     let _ = std::fs::remove_file(&log_path);
 
     let pct = |on: f64| 100.0 * (on - obs_off_secs) / obs_off_secs;
     let result = ObsOverheadBench {
-        compiled_in,
         steps,
         obs_off_secs,
         obs_on_secs,
         obs_on_jsonl_secs,
         overhead_pct: pct(obs_on_secs),
         overhead_jsonl_pct: pct(obs_on_jsonl_secs),
-        note: if compiled_in && env.fast {
-            "obs compiled in, BASM_FAST=1: tiny world inflates per-span cost; \
+        note: if env.fast {
+            "BASM_FAST=1: tiny world inflates per-span cost; \
              plumbing smoke check, not the policy measurement"
                 .into()
-        } else if compiled_in {
-            "obs feature compiled in; off/on differ only in the runtime toggle".into()
         } else {
-            "obs feature compiled OUT: all three modes run the same no-op hooks, \
-             differences are measurement noise"
-                .into()
+            "off/on differ only in the runtime switch (basm_obs::set_enabled)".into()
         },
     };
     println!(

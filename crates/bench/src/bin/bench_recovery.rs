@@ -161,20 +161,9 @@ fn main() {
     // weights from the checkpoint (they never change during serving), online
     // state from the WAL (replayed by the supervisor itself).
     let build = || {
-        #[allow(unused_mut)]
-        let mut pipe = ServingPipeline::new(
-            world,
-            {
-                let mut m = basm_baselines::build_model("BASM", &world.config, 1);
-                load_model_dir(m.as_mut(), &ckpt_dir).expect("replica restore");
-                m
-            },
-            pool,
-            top_k,
-        );
-        #[cfg(feature = "faults")]
-        pipe.set_faults(None);
-        pipe
+        let mut m = basm_baselines::build_model("BASM", &world.config, 1);
+        load_model_dir(m.as_mut(), &ckpt_dir).expect("replica restore");
+        ServingPipeline::new(world, m, pool, top_k)
     };
 
     // The injected kills below panic by design (the supervisor catches

@@ -10,29 +10,23 @@
 //! * `train_log.jsonl` — one JSON object per optimization step (step, epoch,
 //!   loss, lr, grad norm, examples/sec) plus a final `"event": "summary"`
 //!   line; see EXPERIMENTS.md for how to read it.
-//! * `OBS_telemetry.json` — per-op span table, pool occupancy counters and
+//! * `OBS_telemetry.json` — per-op span table, pool occupancy counters,
+//!   the buffer pool's reuse/miss totals (`pool.buffer_*` gauges) and
 //!   serving latency histograms (p50/p90/p99).
 //! * `OBS_telemetry.txt` — the same report, human-readable.
 //!
-//! Build with `--features obs` (and leave `BASM_OBS` unset or `1`);
-//! without the feature the binary still runs but records nothing, and the
-//! artifacts say so.
+//! The binary turns telemetry on itself.
 
 use basm_baselines::build_model;
 use basm_bench::BenchEnv;
 use basm_data::{Context, StatCounters, TimePeriod};
 use basm_serving::{score_sessions, LbsRecall, SessionRequest};
-use basm_tensor::Prng;
+use basm_tensor::{bufpool, Prng};
 use basm_trainer::{train_and_evaluate, TrainConfig, TRAIN_LOG_STREAM};
 
 fn main() {
     let env = BenchEnv::from_env();
-    if !basm_obs::enabled() {
-        eprintln!(
-            "[obs_telemetry] telemetry is OFF (need --features obs and BASM_OBS != 0); \
-             running anyway to prove the no-op path works"
-        );
-    }
+    basm_obs::set_enabled(true);
     basm_obs::reset();
 
     // ---- offline training with the per-step log attached ----------------
@@ -78,6 +72,10 @@ fn main() {
     eprintln!("[obs_telemetry] scored {} sessions", scores.len());
 
     // ---- report ----------------------------------------------------------
+    // The pool counts its traffic in its own atomics; publish the totals once.
+    let pool = bufpool::stats();
+    basm_obs::gauge_max("pool.buffer_reuse", pool.reuse);
+    basm_obs::gauge_max("pool.buffer_miss", pool.miss);
     let report = basm_obs::report();
     env.write("OBS_telemetry.txt", &report.to_table());
     env.write("OBS_telemetry.json", &report.to_json());

@@ -10,20 +10,18 @@
 //!   (it should shrink toward zero as faults push both arms onto the shared
 //!   statistics-prior rung).
 //!
-//! Build with both robustness features to get the obs counters in the JSON:
-//!
 //! ```sh
-//! cargo run --release --features faults,obs --bin table8_degraded_ab
+//! cargo run --release --bin table8_degraded_ab
 //! ```
 //!
-//! Without `obs` the experiment still runs but the retry/fallback/breach
-//! counters come out empty.
+//! The binary turns telemetry on itself: the retry/fallback/breach counters
+//! in the JSON come from `basm-obs`.
 
 use basm_baselines::build_model;
 use basm_bench::{format_table, BenchEnv};
 use basm_core::checkpoint::{load_model_dir, save_model_dir};
 use basm_core::CtrModel;
-use basm_faults::{FaultInjector, FaultProfile};
+use basm_serving::faults::{FaultInjector, FaultProfile};
 use basm_serving::{run_ab_test, AbConfig, ServingPipeline};
 use basm_trainer::{train, TrainConfig};
 use serde::Serialize;
@@ -48,7 +46,7 @@ struct RateRow {
     relative_ctr_improvement: f64,
     /// Every `serving.*` counter basm-obs recorded during this run:
     /// retries, per-class fault hits, per-rung fallbacks, deadline breaches,
-    /// recovered locks. Empty when the binary was built without `obs`.
+    /// recovered locks.
     serving_counters: Vec<(String, u64)>,
 }
 
@@ -106,9 +104,8 @@ fn main() {
         seed: 20_220_801, // same traffic stream as table7
     };
 
-    // The degradation counters are the point of this table: record them even
-    // when the user forgot BASM_OBS=1 (no-op without the `obs` feature).
-    basm_obs::set_enabled(Some(true));
+    // The degradation counters are the point of this table.
+    basm_obs::set_enabled(true);
 
     let mut rows = Vec::new();
     for (i, &rate) in [0.0f64, 0.01, 0.05, 0.20].iter().enumerate() {
@@ -124,8 +121,7 @@ fn main() {
             ab.recall_pool,
             ab.top_k,
         );
-        // Explicit injectors (rate 0 → none at all) so the sweep is immune
-        // to whatever BASM_FAULTS happens to be set in the environment.
+        // Rate 0 attaches no injector at all: the clean Table VII path.
         let inject = |arm_seed: u64| {
             (rate > 0.0)
                 .then(|| FaultInjector::new(FaultProfile::uniform(rate), arm_seed))
@@ -163,7 +159,7 @@ fn main() {
             serving_counters,
         });
     }
-    basm_obs::set_enabled(None);
+    basm_obs::set_enabled(false);
 
     let counter = |row: &RateRow, name: &str| -> u64 {
         row.serving_counters

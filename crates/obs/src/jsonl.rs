@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn unopened_stream_swallows_records() {
-        // Never opened: must be a silent no-op regardless of feature flags.
+        // Never opened: must be a silent no-op whether telemetry is on or off.
         emit("never_opened", &[("x", Value::from(1u64))]);
         assert!(!stream_open("never_opened"));
         assert_eq!(close_stream("never_opened"), None);

@@ -7,21 +7,18 @@
 //!
 //! ## Enabling telemetry
 //!
-//! Recording is double-gated:
-//!
-//! 1. **Compile time** — the `enabled` cargo feature (off by default).
-//!    Without it every recording entry point in this crate is an inlineable
-//!    no-op, so instrumented hot paths (`basm_tensor`'s kernels, the trainer
-//!    step loop, the serving scorer) carry zero overhead. Downstream crates
-//!    forward it as their own `obs` feature: `cargo build --features obs`.
-//! 2. **Run time** — the `BASM_OBS` environment variable, read once: unset
-//!    or any value other than `0`/`false`/`off`/`no` means *on*. Tests and
-//!    benchmarks can override it within one process via [`set_enabled`].
+//! Every build carries the recording hooks; one process-wide switch turns
+//! them on. Telemetry starts **off**: [`enabled`] is a single relaxed load
+//! of an atomic flag, so an instrumented hot path (`basm_tensor`'s kernels,
+//! the trainer step loop, the serving scorer) pays one load and an untaken
+//! branch per hook. [`set_enabled`] is the only switch — the binaries that
+//! report telemetry turn it on themselves.
 //!
 //! Telemetry **never** changes what the observed code computes: recording
 //! only reads clocks and writes side tables, so results are bitwise
-//! identical with telemetry on, off, or compiled out (pinned by
-//! `crates/tensor/tests/parallel_determinism.rs`).
+//! identical with telemetry on or off (pinned by
+//! `crates/tensor/tests/parallel_determinism.rs` and
+//! `crates/serving/tests/mode_matrix.rs`).
 //!
 //! ## Recording
 //!
@@ -38,8 +35,8 @@
 //! basm_obs::counter_add("pool.par_regions", 1);
 //! basm_obs::record_hist("serve.e2e_ns", 1_250);
 //!
-//! // Snapshot: merged per-op tables, counters, histogram digests. With the
-//! // `enabled` feature off (the default) the report is empty.
+//! // Snapshot: merged per-op tables, counters, histogram digests. Telemetry
+//! // starts off, so nothing above was recorded and the report is empty.
 //! let report = basm_obs::report();
 //! println!("{}", report.to_table());
 //! ```
@@ -63,53 +60,23 @@ pub use agg::{SpanStat, MAX_SPAN_DIMS};
 pub use hist::{Histogram, Summary};
 pub use report::{HistRow, Report, SpanRow};
 
-use std::sync::atomic::{AtomicI8, Ordering};
-#[cfg(feature = "enabled")]
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-/// Programmatic override: -1 = follow `BASM_OBS`, 0 = off, 1 = on.
-static ENABLED_OVERRIDE: AtomicI8 = AtomicI8::new(-1);
+/// The runtime switch; off until [`set_enabled`] turns it on.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// `BASM_OBS` resolution, computed once.
-#[cfg(feature = "enabled")]
-static ENV_ENABLED: OnceLock<bool> = OnceLock::new();
-
-#[cfg(feature = "enabled")]
-fn env_enabled() -> bool {
-    *ENV_ENABLED.get_or_init(|| {
-        match std::env::var("BASM_OBS") {
-            Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "false" | "off" | "no"),
-            Err(_) => true,
-        }
-    })
-}
-
-/// Whether telemetry is recording: requires the `enabled` cargo feature
-/// *and* the runtime toggle (`BASM_OBS` / [`set_enabled`]). Instrumented
-/// code computing expensive record fields should branch on this.
+/// Whether telemetry is recording. Instrumented code computing expensive
+/// record fields should branch on this.
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        match ENABLED_OVERRIDE.load(Ordering::Relaxed) {
-            -1 => env_enabled(),
-            0 => false,
-            _ => true,
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        false
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Override the runtime toggle (`Some(on)`), or restore the `BASM_OBS`
-/// default (`None`). Has no effect when the `enabled` feature is compiled
-/// out. Used by the determinism tests and the overhead benchmark to compare
-/// on/off within one process.
-pub fn set_enabled(on: Option<bool>) {
-    ENABLED_OVERRIDE.store(on.map_or(-1, |b| b as i8), Ordering::Relaxed);
+/// Turn recording on or off for the whole process. Used by the telemetry
+/// binaries, the determinism tests and the overhead benchmark.
+pub fn set_enabled(on: bool) {
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// RAII guard returned by [`span_start`]/[`span!`]; records its scope's
@@ -229,7 +196,7 @@ pub fn flush() {
 }
 
 /// Flush the calling thread and snapshot all recorded telemetry, ordered by
-/// name. Empty when telemetry is compiled out or disabled since start.
+/// name. Empty when telemetry has been off since start.
 pub fn report() -> Report {
     agg::flush_current_thread();
     let reg = agg::registry();
@@ -267,12 +234,11 @@ pub fn write_report_json(path: impl AsRef<std::path::Path>) -> std::io::Result<(
 mod tests {
     use super::*;
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn spans_counters_hists_round_trip() {
         let _guard = agg::registry_lock();
         reset();
-        set_enabled(Some(true));
+        set_enabled(true);
         {
             let rows = 8usize;
             let _span = span!("test.op", rows, cols = 3usize);
@@ -287,7 +253,7 @@ mod tests {
             let _t = hist_timer("test.timer_ns");
         }
         let r = report();
-        set_enabled(None);
+        set_enabled(false);
 
         let span = r.spans.iter().find(|s| s.name == "test.op").expect("span recorded");
         assert_eq!(span.calls, 1);
@@ -300,12 +266,13 @@ mod tests {
         reset();
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn runtime_toggle_gates_recording() {
         let _guard = agg::registry_lock();
+        // Off at start, and every test that turns it on turns it off again
+        // before releasing the lock.
+        assert!(!enabled(), "telemetry must start off");
         reset();
-        set_enabled(Some(false));
         {
             let _span = span!("test.disabled_op");
         }
@@ -313,7 +280,6 @@ mod tests {
         gauge_max("test.disabled_gauge", 1);
         record_hist("test.disabled_hist", 1);
         let r = report();
-        set_enabled(None);
         assert!(!r.spans.iter().any(|s| s.name == "test.disabled_op"));
         assert!(!r.counters.iter().any(|(n, _)| n == "test.disabled_counter"));
         assert!(!r.gauges.iter().any(|(n, _)| n == "test.disabled_gauge"));
@@ -321,12 +287,11 @@ mod tests {
         reset();
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn nested_and_parallel_spans_aggregate() {
         let _guard = agg::registry_lock();
         reset();
-        set_enabled(Some(true));
+        set_enabled(true);
         // Nested: outer total includes inner; both names appear once per call.
         {
             let _outer = span!("test.outer");
@@ -348,7 +313,7 @@ mod tests {
             }
         });
         let r = report();
-        set_enabled(None);
+        set_enabled(false);
         let by_name = |n: &str| r.spans.iter().find(|s| s.name == n).map(|s| s.calls);
         assert_eq!(by_name("test.outer"), Some(1));
         assert_eq!(by_name("test.inner"), Some(3));
@@ -357,26 +322,5 @@ mod tests {
         let inner = r.spans.iter().find(|s| s.name == "test.inner").unwrap();
         assert!(outer.total_ns >= inner.total_ns, "outer span covers nested inner spans");
         reset();
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn compiled_out_everything_is_inert() {
-        assert!(!enabled());
-        set_enabled(Some(true)); // must still be a no-op
-        {
-            let _span = span!("noop.op", n = 5usize);
-        }
-        counter_add("noop.counter", 1);
-        record_hist("noop.hist", 1);
-        let r = report();
-        assert!(!enabled());
-        // Entry points must have recorded nothing (other tests exercise the
-        // always-compiled internals directly, so don't assert global
-        // emptiness — just that *these* names never appeared).
-        assert!(!r.spans.iter().any(|s| s.name == "noop.op"));
-        assert!(!r.counters.iter().any(|(n, _)| n == "noop.counter"));
-        assert!(!r.hists.iter().any(|h| h.name == "noop.hist"));
-        set_enabled(None);
     }
 }

@@ -109,7 +109,7 @@ pub(crate) fn json_f64(v: f64) -> String {
 }
 
 impl Report {
-    /// `true` when nothing was recorded (e.g. telemetry compiled out).
+    /// `true` when nothing was recorded (e.g. telemetry was off).
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
             && self.counters.is_empty()

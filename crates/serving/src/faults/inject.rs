@@ -1,7 +1,7 @@
 //! The seeded fault decision source.
 
-use crate::clock::SimClock;
-use crate::profile::FaultProfile;
+use super::clock::SimClock;
+use super::profile::FaultProfile;
 use basm_tensor::Prng;
 
 /// Outcome of one feature-server fetch attempt.
@@ -57,13 +57,6 @@ impl FaultInjector {
     /// Injector with the given profile and decision seed.
     pub fn new(profile: FaultProfile, seed: u64) -> Self {
         Self { profile, prng: Prng::seeded(seed ^ 0xFA_17_5_EED), clock: SimClock::new() }
-    }
-
-    /// Injector from the `BASM_FAULTS` environment variable (`None` when the
-    /// variable is unset/zero/off). Seeded with a fixed default so env-driven
-    /// runs are reproducible.
-    pub fn from_env() -> Option<Self> {
-        FaultProfile::from_env().map(|p| Self::new(p, 0))
     }
 
     /// The active profile.

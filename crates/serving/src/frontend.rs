@@ -45,12 +45,12 @@
 //!    costs microseconds instead of a model pass. Availability stays 100%:
 //!    every admitted request is answered.
 //!
-//! With the `faults` feature and an injector attached, each drained request
-//! additionally draws the ladder's hop faults (stale/timed-out features,
-//! partial/empty recall, scorer stalls/errors); fault costs inflate the
-//! simulated service time, which in turn drives real queue growth and
-//! deadline sheds — the interaction `tests/frontend_determinism.rs`
-//! exercises under a hot profile.
+//! With an injector attached, each drained request additionally draws the
+//! ladder's hop faults (stale/timed-out features, partial/empty recall,
+//! scorer stalls/errors); fault costs inflate the simulated service time,
+//! which in turn drives real queue growth and deadline sheds — the
+//! interaction `tests/frontend_determinism.rs` exercises under a hot
+//! profile.
 
 use std::collections::VecDeque;
 
@@ -58,14 +58,12 @@ use basm_data::{BehaviorEvent, Context, World};
 use basm_tensor::Prng;
 
 use crate::arrivals::Arrival;
+use crate::faults::{FeatureFault, RecallFault, ScoreFault};
 #[allow(unused_imports)] // DeadlinePolicy: doc links only
-use crate::pipeline::{request_context, DeadlinePolicy, Exposure, Request, ServingPipeline};
+use crate::pipeline::{
+    request_context, stale_keep_len, DeadlinePolicy, Exposure, Request, ServingPipeline,
+};
 use crate::scorer::{score_microbatch, ScoreJob};
-
-#[cfg(feature = "faults")]
-use crate::pipeline::stale_keep_len;
-#[cfg(feature = "faults")]
-use basm_faults::{FeatureFault, RecallFault, ScoreFault};
 
 /// Nominal simulated service costs. Like the fault profile's hop costs,
 /// these are simulated-clock constants, not measurements — determinism is
@@ -273,7 +271,6 @@ impl LoadEngine {
         let budget_ns = pipe.policy.budget_ns;
         // Take the injector out for the batch (like `serve_degraded`) so
         // fault draws can interleave with mutable pipeline access.
-        #[cfg(feature = "faults")]
         let mut injector = pipe.faults.take();
 
         if self.queue.is_empty() {
@@ -344,13 +341,7 @@ impl LoadEngine {
             // degrade per the PR 3 ladder (no in-batch retries: a retry
             // would stall every batch-mate, so the batch regime goes
             // straight to the fallback rung).
-            #[allow(unused_mut)]
             let mut scorer_fault = false;
-            let healthy = |pipe: &ServingPipeline, rng: &mut Prng| {
-                let history = pipe.features.history_snapshot(a.uid);
-                (history, pipe.recall.candidates(city, a.geo, pipe.pool, rng))
-            };
-            #[cfg(feature = "faults")]
             let (history, candidates) = match injector.as_mut() {
                 Some(inj) => {
                     let profile = inj.profile().clone();
@@ -399,10 +390,11 @@ impl LoadEngine {
                     }
                     (history, candidates)
                 }
-                None => healthy(pipe, &mut rng),
+                None => {
+                    let history = pipe.features.history_snapshot(a.uid);
+                    (history, pipe.recall.candidates(city, a.geo, pipe.pool, &mut rng))
+                }
             };
-            #[cfg(not(feature = "faults"))]
-            let (history, candidates) = healthy(pipe, &mut rng);
 
             // Shed triage: would this request's own nominal scoring cost,
             // on top of its queue wait, overrun the budget?
@@ -516,10 +508,7 @@ impl LoadEngine {
             });
         }
 
-        #[cfg(feature = "faults")]
-        {
-            pipe.faults = injector;
-        }
+        pipe.faults = injector;
         self.now = now;
     }
 }

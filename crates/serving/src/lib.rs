@@ -14,12 +14,11 @@
 //!
 //! Serving is hardened for production-shaped failures (DESIGN.md §8): every
 //! request carries a [`DeadlinePolicy`] budget, malformed requests come back
-//! as typed [`ServeError`]s, and — with the `faults` cargo feature — an
-//! attached `basm_faults::FaultInjector` drives a graceful-degradation
-//! ladder (retry → stale/empty history → city-popularity recall →
-//! statistics-prior ranker) that never panics and never returns an empty
-//! response. With no injector (or `BASM_FAULTS=0`) the pipeline is bitwise
-//! identical to the pre-fault implementation.
+//! as typed [`ServeError`]s, and an attached [`faults::FaultInjector`]
+//! drives a graceful-degradation ladder (retry → stale/empty history →
+//! city-popularity recall → statistics-prior ranker) that never panics and
+//! never returns an empty response. With no injector (the default) or a
+//! zero-rate one the pipeline is bitwise identical to the fault-free path.
 //!
 //! On top of the per-request pipeline sits the batched front-end
 //! (DESIGN.md §10): [`arrivals`] generates deterministic Poisson traffic
@@ -61,6 +60,7 @@
 
 pub mod ab_test;
 pub mod arrivals;
+pub mod faults;
 pub mod feature_server;
 pub mod frontend;
 pub mod journal;

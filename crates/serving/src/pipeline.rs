@@ -4,10 +4,10 @@
 //! ## Robustness model (DESIGN.md §8)
 //!
 //! `serve` validates its inputs (typed [`ServeError`] instead of a panic on
-//! out-of-range users or cells) and, when the `faults` feature is on and an
-//! injector is attached, runs every hop under a per-request **deadline
-//! budget** against the injector's simulated clock with a **degradation
-//! ladder**:
+//! out-of-range users or cells) and, when an injector is attached
+//! (`ServingPipeline::set_faults`), runs every hop under a per-request
+//! **deadline budget** against the injector's simulated clock with a
+//! **degradation ladder**:
 //!
 //! 1. **Retry with backoff** — retryable hop faults (feature-fetch timeout,
 //!    empty recall, scorer error) are retried up to
@@ -21,8 +21,8 @@
 //! Every retry, fallback, and breach is counted through `basm-obs`
 //! (`serving.retries`, `serving.fault.*`, `serving.fallback.*`,
 //! `serving.deadline_breach`). With no injector attached the plain fast path
-//! runs and is bitwise identical to a build without the `faults` feature
-//! (pinned by `tests/fault_ladder.rs`).
+//! runs; a zero-rate injector is bitwise identical to it (pinned by
+//! `tests/fault_ladder.rs`).
 //!
 //! ## One path
 //!
@@ -38,12 +38,10 @@ use basm_data::{BehaviorEvent, Context, TimePeriod, World};
 use basm_tensor::Prng;
 use std::collections::VecDeque;
 
+use crate::faults::{FaultInjector, FeatureFault, RecallFault, ScoreFault};
 use crate::feature_server::FeatureServer;
 use crate::recall::LbsRecall;
 use crate::scorer::{score_microbatch, ScoreJob};
-
-#[cfg(feature = "faults")]
-use basm_faults::{FaultInjector, FeatureFault, RecallFault, ScoreFault};
 
 /// One exposed item with its rank and model score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,7 +160,6 @@ impl Default for DeadlinePolicy {
 /// history, but always drop at least one trailing event when any exist.
 /// (The naive `len - len/4` is a no-op for histories shorter than 4: the
 /// stale counter fired but the serving path saw the fully fresh sequence.)
-#[cfg(feature = "faults")]
 pub(crate) fn stale_keep_len(len: usize) -> usize {
     len.saturating_sub((len / 4).max(usize::from(len > 0)))
 }
@@ -177,7 +174,6 @@ pub struct ServingPipeline {
     pub(crate) top_k: usize,
     pub(crate) pool: usize,
     pub(crate) policy: DeadlinePolicy,
-    #[cfg(feature = "faults")]
     pub(crate) faults: Option<FaultInjector>,
 }
 
@@ -186,10 +182,8 @@ impl ServingPipeline {
     /// exposure list length.
     ///
     /// The arm starts unjournaled; attach a write-ahead log with
-    /// `pipeline.features.attach_journal` (DESIGN.md §13). With the `faults`
-    /// feature on, a fault injector is attached automatically when
-    /// `BASM_FAULTS` selects a nonzero profile (see `basm_faults`); use
-    /// `ServingPipeline::set_faults` to override.
+    /// `pipeline.features.attach_journal` (DESIGN.md §13), and fault-free;
+    /// attach an injector with [`ServingPipeline::set_faults`].
     pub fn new(world: &World, model: Box<dyn CtrModel>, pool: usize, top_k: usize) -> Self {
         Self {
             model,
@@ -202,8 +196,7 @@ impl ServingPipeline {
             top_k,
             pool,
             policy: DeadlinePolicy::default(),
-            #[cfg(feature = "faults")]
-            faults: FaultInjector::from_env(),
+            faults: None,
         }
     }
 
@@ -213,9 +206,7 @@ impl ServingPipeline {
         self.policy = policy;
     }
 
-    /// Attach (or detach, with `None`) a fault injector, overriding whatever
-    /// `BASM_FAULTS` selected at construction.
-    #[cfg(feature = "faults")]
+    /// Attach (or detach, with `None`) a fault injector (module docs).
     pub fn set_faults(&mut self, faults: Option<FaultInjector>) {
         self.faults = faults;
     }
@@ -239,7 +230,6 @@ impl ServingPipeline {
         if req.geo.0 as usize >= grid || req.geo.1 as usize >= grid {
             return Err(ServeError::GeoOutOfRange { geo: req.geo, grid });
         }
-        #[cfg(feature = "faults")]
         if self.faults.is_some() {
             return Ok(self.serve_degraded(world, req, rng));
         }
@@ -262,7 +252,6 @@ impl ServingPipeline {
     /// Run the degradation ladder with the attached injector. The injector
     /// is taken out of `self` for the duration so the ladder can borrow the
     /// pipeline mutably alongside it.
-    #[cfg(feature = "faults")]
     fn serve_degraded(&mut self, world: &World, req: Request, rng: &mut Prng) -> Vec<Exposure> {
         let mut inj = self.faults.take().expect("serve_degraded requires an injector");
         let out = self.serve_under_faults(world, req, rng, &mut inj);
@@ -272,7 +261,6 @@ impl ServingPipeline {
 
     /// The deadline-budgeted ladder: per-hop faults, bounded retries with
     /// backoff against the simulated clock, then stage fallbacks.
-    #[cfg(feature = "faults")]
     fn serve_under_faults(
         &mut self,
         world: &World,
@@ -393,7 +381,6 @@ impl ServingPipeline {
     }
 
     /// Deadline breached mid-request: count it and fall back to the prior.
-    #[cfg(feature = "faults")]
     fn breach_to_prior(&self, candidates: &[u32]) -> Vec<f32> {
         basm_obs::counter_add("serving.deadline_breach", 1);
         basm_obs::counter_add("serving.fallback.ranker", 1);
@@ -403,8 +390,7 @@ impl ServingPipeline {
     /// Statistics-prior ranker (the last ladder rung): smoothed item CTR
     /// from the click/exposure counters the feature server already holds.
     /// Deterministic and model-free. Also the shed rung of the batched
-    /// front-end (`frontend.rs`), so it compiles without the `faults`
-    /// feature.
+    /// front-end (`frontend.rs`).
     pub(crate) fn prior_scores(&self, candidates: &[u32]) -> Vec<f32> {
         self.features.with_counters(|c| {
             candidates
@@ -419,7 +405,6 @@ impl ServingPipeline {
 
     /// City-popularity recall (LBS-failure rung): the city's most-clicked
     /// items by the feature server's counters, ties broken by item id.
-    #[cfg(feature = "faults")]
     pub(crate) fn popularity_candidates(&self, city: u16) -> Vec<u32> {
         self.features.with_counters(|c| {
             let mut pool = self.recall.city_pool(city).to_vec();
@@ -495,16 +480,6 @@ mod tests {
     use basm_baselines::build_model;
     use basm_data::WorldConfig;
 
-    fn clean_pipeline(world: &World, model: Box<dyn CtrModel>, pool: usize, k: usize) -> ServingPipeline {
-        #[allow(unused_mut)]
-        let mut pipe = ServingPipeline::new(world, model, pool, k);
-        // Tests must not inherit an injector from the ambient BASM_FAULTS
-        // (tier1.sh runs the suite under a nonzero profile).
-        #[cfg(feature = "faults")]
-        pipe.set_faults(None);
-        pipe
-    }
-
     #[test]
     fn serves_top_k_in_score_order() {
         let cfg = WorldConfig::tiny();
@@ -545,7 +520,7 @@ mod tests {
         let cfg = WorldConfig::tiny();
         let world = World::generate(cfg.clone());
         let model = build_model("Wide&Deep", &cfg, 1);
-        let mut pipe = clean_pipeline(&world, model, 10, 3);
+        let mut pipe = ServingPipeline::new(&world, model, 10, 3);
         let mut rng = Prng::seeded(3);
 
         // uid past the end of the user table used to index out of bounds.
@@ -594,7 +569,7 @@ mod tests {
         let world = World::generate(cfg.clone());
         // top_k == candidate count so every scored candidate is exposed,
         // including the NaN one — it must come last.
-        let mut pipe = clean_pipeline(&world, build_model("Wide&Deep", &cfg, 1), 8, 8);
+        let mut pipe = ServingPipeline::new(&world, build_model("Wide&Deep", &cfg, 1), 8, 8);
         let scores = vec![0.3, f32::NAN, 0.9, f32::INFINITY, 0.1, f32::NEG_INFINITY];
         let candidates: Vec<u32> = (0..scores.len() as u32).collect();
         let exposures = pipe.rank_and_expose(scores, candidates.clone());
@@ -640,7 +615,6 @@ mod tests {
     /// The stale rung must actually shed trailing history: `len - len/4`
     /// kept histories shorter than 4 fully intact while the fault counter
     /// claimed staleness.
-    #[cfg(feature = "faults")]
     #[test]
     fn stale_truncation_drops_at_least_one_event() {
         assert_eq!(stale_keep_len(0), 0);
@@ -657,14 +631,13 @@ mod tests {
     /// Exposures for a fixed seed, pinned. Any change to the zero-fault
     /// serving path shows up here — the degradation ladder must be invisible
     /// when no faults are injected (see also `tests/fault_ladder.rs`, which
-    /// pins no-injector vs zero-rate-injector equality when the `faults`
-    /// feature is on).
+    /// pins no-injector vs zero-rate-injector equality).
     #[test]
     fn zero_fault_exposures_are_pinned() {
         let cfg = WorldConfig::tiny();
         let world = World::generate(cfg.clone());
         let model = build_model("Wide&Deep", &cfg, 1);
-        let mut pipe = clean_pipeline(&world, model, 12, 4);
+        let mut pipe = ServingPipeline::new(&world, model, 12, 4);
         let mut rng = Prng::seeded(42);
         let mut served: Vec<Vec<u32>> = Vec::new();
         for uid in 0..4usize {

@@ -95,11 +95,7 @@ fn world_and_arrivals() -> (World, Vec<basm_serving::Arrival>) {
 /// (`common::seed_one_click_per_item`), so the replayed exposure counters
 /// reach the scores the supervised pins compare.
 fn replica(world: &World) -> ServingPipeline {
-    #[allow(unused_mut)]
-    let mut pipe =
-        ServingPipeline::new(world, build_model("Wide&Deep", &world.config, 1), 16, 6);
-    #[cfg(feature = "faults")]
-    pipe.set_faults(None); // a supervised sweep must be fault-free to pin bits
+    let pipe = ServingPipeline::new(world, build_model("Wide&Deep", &world.config, 1), 16, 6);
     common::seed_one_click_per_item(&pipe, world);
     pipe
 }

@@ -41,10 +41,7 @@ fn run_with_store(
         store.export_pack_dir(&dir).unwrap();
         store.attach_pack_dir(&dir).unwrap();
     }
-    #[allow(unused_mut)]
     let mut pipe = ServingPipeline::new(world, model, 16, 6);
-    #[cfg(feature = "faults")]
-    pipe.set_faults(None);
     let out = run_load(&mut pipe, world, arrivals, &FrontendConfig::default());
     let in_dir = pipe.model.embedder().emb.tables().all(|t| t.pack().dir().is_some());
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,30 +1,26 @@
-//! The degradation ladder's contract (DESIGN.md §8), tested under the
-//! `faults` feature:
+//! The degradation ladder's contract (DESIGN.md §8):
 //!
 //! 1. **Invisibility at rate zero** — a zero-rate injector produces bitwise
-//!    identical exposures to no injector at all (which in turn is the
-//!    feature-off path; `pipeline.rs` pins its exposures directly).
+//!    identical exposures to no injector at all (whose exposures
+//!    `pipeline.rs` pins directly).
 //! 2. **No panics, ever** — property test over arbitrary fault profiles,
 //!    deadline policies, and request streams (including out-of-range
 //!    requests, which must come back as typed errors).
 //! 3. **The ladder actually degrades** — total outage still serves from the
 //!    city-popularity + statistics-prior rungs; a breached deadline swaps
 //!    the model's scores for the prior's.
-
-#![cfg(feature = "faults")]
+//! 4. **The A/B loop runs degraded** — a closed-loop A/B with both arms
+//!    faulting still tallies consistently and replays bit for bit.
 
 use basm_baselines::build_model;
 use basm_data::{World, WorldConfig};
-use basm_faults::{FaultInjector, FaultProfile};
-use basm_serving::{DeadlinePolicy, Request, ServingPipeline};
+use basm_serving::faults::{FaultInjector, FaultProfile};
+use basm_serving::{run_ab_test, AbConfig, DeadlinePolicy, Request, ServingPipeline};
 use basm_tensor::Prng;
 use proptest::prelude::*;
 
 fn pipeline(world: &World, pool: usize, top_k: usize) -> ServingPipeline {
-    let mut pipe =
-        ServingPipeline::new(world, build_model("Wide&Deep", &world.config, 1), pool, top_k);
-    pipe.set_faults(None); // don't inherit the ambient BASM_FAULTS profile
-    pipe
+    ServingPipeline::new(world, build_model("Wide&Deep", &world.config, 1), pool, top_k)
 }
 
 fn requests(world: &World, n: usize) -> Vec<Request> {
@@ -42,9 +38,8 @@ fn requests(world: &World, n: usize) -> Vec<Request> {
 }
 
 /// Rung-zero pin: attaching an injector whose profile never fires must not
-/// change a single exposure relative to running without one. Guards both the
-/// extra clock/injector plumbing and the env gate (`BASM_FAULTS=0`), which
-/// resolves to exactly this "no injector" state.
+/// change a single exposure relative to running without one: the extra
+/// clock/injector plumbing must be invisible.
 #[test]
 fn zero_rate_schedule_is_bitwise_identical_to_no_injector() {
     let cfg = WorldConfig::tiny();
@@ -151,6 +146,46 @@ fn partial_recall_halves_the_candidate_set() {
     let full = plain.serve(&world, req, &mut Prng::seeded(3)).expect("in-range");
     let half = partial.serve(&world, req, &mut Prng::seeded(3)).expect("in-range");
     assert_eq!(half.len(), full.len().div_ceil(2), "partial recall should halve the pool");
+}
+
+/// Contract 4: the closed-loop A/B with both arms under a 5% fault rate on
+/// every hop. Each arm's segment and city tallies add up to its day totals,
+/// both CTRs stay proper rates, and a same-seed rerun is bit-identical.
+#[test]
+fn ab_test_under_faults_tallies_consistently_and_replays() {
+    let cfg = WorldConfig::tiny();
+    let world = World::generate(cfg.clone());
+    let ab = AbConfig { days: 2, sessions_per_day: 80, recall_pool: 10, top_k: 4, seed: 3 };
+    let run = || {
+        let mut base = ServingPipeline::new(&world, build_model("Wide&Deep", &cfg, 1), 10, 4);
+        let mut treat = ServingPipeline::new(&world, build_model("DIN", &cfg, 2), 10, 4);
+        base.set_faults(Some(FaultInjector::new(FaultProfile::uniform(0.05), 11)));
+        treat.set_faults(Some(FaultInjector::new(FaultProfile::uniform(0.05), 12)));
+        let res = run_ab_test(&world, &mut base, &mut treat, &ab);
+        let counters = |p: &ServingPipeline| {
+            p.features.with_counters(|c| (c.item_exposures.clone(), c.item_clicks.clone()))
+        };
+        (res, counters(&base), counters(&treat))
+    };
+    let (res, base_counters, treat_counters) = run();
+    assert_eq!(res.days.len(), ab.days);
+    let (bctr, tctr, _) = res.overall();
+    assert!(bctr > 0.0 && bctr < 1.0, "base CTR {bctr} outside (0, 1)");
+    assert!(tctr > 0.0 && tctr < 1.0, "treatment CTR {tctr} outside (0, 1)");
+    let sum = |ts: &[basm_serving::Tally]| -> (u64, u64) {
+        ts.iter().fold((0, 0), |(e, c), t| (e + t.exposures, c + t.clicks))
+    };
+    let base_days: Vec<_> = res.days.iter().map(|d| d.base).collect();
+    let treat_days: Vec<_> = res.days.iter().map(|d| d.treatment).collect();
+    for seg in [&res.by_time_period, &res.by_city] {
+        assert_eq!(sum(&seg.base), sum(&base_days), "base segments vs days: {:?}", seg.labels);
+        assert_eq!(sum(&seg.treatment), sum(&treat_days), "treatment segments vs days");
+    }
+
+    let (again, base_again, treat_again) = run();
+    assert_eq!(format!("{res:?}"), format!("{again:?}"), "fault-injected A/B did not replay");
+    assert_eq!(base_counters, base_again);
+    assert_eq!(treat_counters, treat_again);
 }
 
 proptest! {

@@ -10,28 +10,21 @@
 //! 3. **Overload degrades, never drops** — a full queue sheds at the door,
 //!    a hopeless deadline sheds to the statistics prior, and every admitted
 //!    request still gets a non-empty exposure list.
-//! 4. (`faults` feature) **The ladder composes with batching** — a hot
+//! 4. **The ladder composes with batching** — a hot
 //!    fault profile degrades requests and inflates the simulated clock but
 //!    never panics, never drops, and stays run-to-run deterministic.
 
 use basm_baselines::build_model;
 use basm_data::{World, WorldConfig};
+use basm_serving::faults::{FaultInjector, FaultProfile};
 use basm_serving::{
     generate_arrivals, run_load, ArrivalConfig, CostModel, DeadlinePolicy, FrontendConfig,
     LoadOutcome, Request, ServingPipeline, ShedReason,
 };
 use basm_tensor::{pool, Prng};
 
-#[cfg(feature = "faults")]
-use basm_faults::{FaultInjector, FaultProfile};
-
 fn pipeline(world: &World, seed: u64) -> ServingPipeline {
-    #[allow(unused_mut)]
-    let mut pipe =
-        ServingPipeline::new(world, build_model("Wide&Deep", &world.config, seed), 16, 6);
-    #[cfg(feature = "faults")]
-    pipe.set_faults(None); // don't inherit the ambient BASM_FAULTS profile
-    pipe
+    ServingPipeline::new(world, build_model("Wide&Deep", &world.config, seed), 16, 6)
 }
 
 /// Everything observable about a load run, bit-exact: per-request identity,
@@ -197,12 +190,11 @@ fn overload_sheds_at_the_door_and_degrades_at_the_deadline() {
     }
 }
 
-/// Contract 4 (`faults` feature): a hot fault profile on top of batching.
+/// Contract 4: a hot fault profile on top of batching.
 /// Hop faults fire constantly, stale/empty histories and partial/empty
 /// recalls flow through the microbatch, scorer errors shed to the prior —
 /// and the whole thing still answers every admitted request and replays
 /// bit-for-bit with a same-seeded injector.
-#[cfg(feature = "faults")]
 #[test]
 fn hot_fault_profile_degrades_but_answers_every_admitted_request() {
     let world = World::generate(WorldConfig::tiny());

@@ -1,9 +1,7 @@
-//! Telemetry contract of the batched front-end, tested under the `obs`
-//! feature. This lives in its own integration-test binary on purpose: the
-//! obs registry is process-global, and sharing a process with the other
-//! front-end tests (which also run `run_load`) would race the counts.
-
-#![cfg(feature = "obs")]
+//! Telemetry contract of the batched front-end. This lives in its own
+//! integration-test binary on purpose: the obs registry is process-global,
+//! and sharing a process with the other front-end tests (which also run
+//! `run_load`) would race the counts.
 
 use basm_baselines::build_model;
 use basm_data::{World, WorldConfig};
@@ -15,7 +13,7 @@ use basm_serving::{generate_arrivals, run_load, ArrivalConfig, FrontendConfig, S
 /// with the run summary.
 #[test]
 fn load_run_telemetry_reconciles_with_the_summary() {
-    basm_obs::set_enabled(Some(true));
+    basm_obs::set_enabled(true);
     basm_obs::reset();
 
     let world = World::generate(WorldConfig::tiny());
@@ -25,8 +23,6 @@ fn load_run_telemetry_reconciles_with_the_summary() {
     );
     let mut pipe =
         ServingPipeline::new(&world, build_model("Wide&Deep", &world.config, 1), 16, 6);
-    #[cfg(feature = "faults")]
-    pipe.set_faults(None);
     let cfg = FrontendConfig { queue_capacity: 64, ..FrontendConfig::default() };
     let out = run_load(&mut pipe, &world, &arrivals, &cfg);
     let s = &out.summary;
@@ -68,6 +64,6 @@ fn load_run_telemetry_reconciles_with_the_summary() {
     assert_eq!(counter("serving.frontend.shed_queue_full"), s.shed_queue_full as u64);
     assert_eq!(counter("serving.frontend.deadline_shed"), s.deadline_shed as u64);
 
-    basm_obs::set_enabled(None);
+    basm_obs::set_enabled(false);
     basm_obs::reset();
 }

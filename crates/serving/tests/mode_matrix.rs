@@ -10,8 +10,7 @@
 //!   tiny shapes take the partitioned kernels;
 //! * SIMD lanes {off, on} (`simd::set_simd`);
 //! * an online-state WAL {none, attached} (`FeatureServer::attach_journal`);
-//! * telemetry {off, on} (`basm_obs::set_enabled`; live only under
-//!   `--features obs`, so other builds run the off half).
+//! * telemetry {off, on} (`basm_obs::set_enabled`).
 //!
 //! Every configuration must produce the digest of the serial, scalar,
 //! unjournaled, untraced run. The toggles are process-global, so this file
@@ -107,10 +106,7 @@ fn replica(
     mode: Mode,
     wals: &RefCell<Vec<PathBuf>>,
 ) -> ServingPipeline {
-    #[allow(unused_mut)]
     let mut pipe = ServingPipeline::new(world, build_model(model, &world.config, 1), 16, 6);
-    #[cfg(feature = "faults")]
-    pipe.set_faults(None); // the ambient BASM_FAULTS profile would move bits
     common::seed_one_click_per_item(&pipe, world);
     if mode.wal {
         let path = fresh_wal_path();
@@ -125,7 +121,7 @@ fn replica(
 fn run_flow(fx: &Fixture, mode: Mode) -> Digest {
     pool::set_threads(mode.threads);
     simd::set_simd(Some(mode.simd));
-    basm_obs::set_enabled(Some(mode.obs));
+    basm_obs::set_enabled(mode.obs);
     let wals = RefCell::new(Vec::new());
     let world = &fx.world;
 
@@ -198,8 +194,6 @@ fn run_flow(fx: &Fixture, mode: Mode) -> Digest {
 fn every_execution_mode_computes_the_same_bits() {
     let fx = fixture();
     pool::set_min_work(0);
-    basm_obs::set_enabled(Some(true));
-    let obs_modes: &[bool] = if basm_obs::enabled() { &[false, true] } else { &[false] };
 
     let reference =
         run_flow(&fx, Mode { threads: 1, simd: false, wal: false, obs: false });
@@ -208,7 +202,7 @@ fn every_execution_mode_computes_the_same_bits() {
     for threads in [1, 4] {
         for simd in [false, true] {
             for wal in [false, true] {
-                for &obs in obs_modes {
+                for obs in [false, true] {
                     let mode = Mode { threads, simd, wal, obs };
                     let digest = run_flow(&fx, mode);
                     let diverged: Vec<&str> = FLOWS
@@ -229,5 +223,5 @@ fn every_execution_mode_computes_the_same_bits() {
     pool::set_threads(0);
     pool::set_min_work(usize::MAX);
     simd::set_simd(None);
-    basm_obs::set_enabled(None);
+    basm_obs::set_enabled(false);
 }

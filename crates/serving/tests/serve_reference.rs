@@ -24,8 +24,7 @@ const POOL: usize = 12;
 const TOP_K: usize = 5;
 
 /// A BASM pipeline whose embedding tables own their records, or are
-/// exported to `dir` and attached to it. Tests must not inherit an ambient
-/// injector from `BASM_FAULTS`.
+/// exported to `dir` and attached to it.
 fn pipeline(world: &World, attach_to: Option<&std::path::Path>) -> ServingPipeline {
     let mut model = build_model("BASM", &world.config, 1);
     if let Some(dir) = attach_to {
@@ -33,10 +32,7 @@ fn pipeline(world: &World, attach_to: Option<&std::path::Path>) -> ServingPipeli
         store.export_pack_dir(dir).unwrap();
         store.attach_pack_dir(dir).unwrap();
     }
-    #[allow(unused_mut)]
     let mut pipe = ServingPipeline::new(world, model, POOL, TOP_K);
-    #[cfg(feature = "faults")]
-    pipe.set_faults(None);
     let in_dir = pipe.model.embedder().emb.tables().all(|t| t.pack().dir() == attach_to);
     assert!(in_dir, "store not attached as asked");
     pipe

@@ -28,9 +28,9 @@
 //!   buffers and oversized requests (> [`MAX_POOLED_LEN`]) bypass the pool,
 //!   so retained memory is bounded and observable via [`retained_bytes`].
 //!
-//! When the `obs` feature is on, the pool reports `pool.buffer_reuse` /
-//! `pool.buffer_miss` counters (a hit serves from the free list; a miss
-//! allocates), alongside the always-on [`stats`] used by tests.
+//! The pool counts its traffic in [`stats`] (a reuse serves from the free
+//! list; a miss allocates); the `obs_telemetry` binary publishes the totals
+//! as `pool.buffer_reuse` / `pool.buffer_miss` gauges.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -81,18 +81,9 @@ fn checkout(len: usize) -> Option<Vec<f32>> {
             .unwrap_or_else(|p| p.into_inner());
         bucket.pop()
     };
-    match hit {
-        Some(buf) => {
-            REUSE.fetch_add(1, Ordering::Relaxed);
-            basm_obs::counter_add("pool.buffer_reuse", 1);
-            Some(buf)
-        }
-        None => {
-            MISS.fetch_add(1, Ordering::Relaxed);
-            basm_obs::counter_add("pool.buffer_miss", 1);
-            None
-        }
-    }
+    let tally = if hit.is_some() { &REUSE } else { &MISS };
+    tally.fetch_add(1, Ordering::Relaxed);
+    hit
 }
 
 /// A zeroed buffer of exactly `len` floats, recycled when possible. The
@@ -176,8 +167,8 @@ pub fn retained_bytes() -> usize {
         .sum()
 }
 
-/// Cumulative pool traffic since process start (always recorded, independent
-/// of the `obs` feature, so tests can assert on reuse behaviour).
+/// Cumulative pool traffic since process start — the one record of reuse
+/// behaviour, read by tests, `benchmark/` and `obs_telemetry`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// Acquires served from the free list.

@@ -205,7 +205,8 @@ impl Graph {
     /// high-water mark as the `graph.peak_bytes` gauge before releasing
     /// anything.
     pub fn reset(&mut self) {
-        if !self.nodes.is_empty() {
+        // The argument walks the whole tape, so skip it when telemetry is off.
+        if basm_obs::enabled() && !self.nodes.is_empty() {
             basm_obs::gauge_max("graph.peak_bytes", self.memory_bytes() as u64);
         }
         for node in self.nodes.drain(..) {

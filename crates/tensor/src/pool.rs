@@ -20,7 +20,7 @@
 //! Thread count resolution order: [`set_threads`] override (used by tests
 //! and benchmarks) → `BASM_THREADS` env var → available parallelism.
 //!
-//! When the `obs` feature is enabled the helpers report pool occupancy to
+//! While telemetry is on the helpers report pool occupancy to
 //! `basm-obs`: `pool.par_regions` / `pool.serial_regions` count how many
 //! regions actually fanned out versus fell back to the serial path, and
 //! `pool.par_threads` sums the threads granted to parallel regions (so

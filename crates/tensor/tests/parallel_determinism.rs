@@ -114,17 +114,15 @@ fn forward_backward_bitwise_identical_across_thread_counts() {
     assert_eq!(serial, with_pool(3, forward_backward_bits));
 }
 
-/// Telemetry must be purely observational: with the `obs` feature compiled
-/// in, flipping `BASM_OBS` (here via the programmatic override) must not
-/// change a single bit of any computed value, serial or parallel. Without
-/// the feature the hooks are no-ops and this pins that they stay that way.
+/// Telemetry must be purely observational: turning it on must not change a
+/// single bit of any computed value, serial or parallel.
 #[test]
 fn telemetry_on_off_bitwise_identical() {
     let _guard = SETTINGS.lock().unwrap();
     let run = |obs: bool, threads: usize| {
-        basm_obs::set_enabled(Some(obs));
+        basm_obs::set_enabled(obs);
         let out = with_pool(threads, forward_backward_bits);
-        basm_obs::set_enabled(None);
+        basm_obs::set_enabled(false);
         out
     };
     let baseline = run(false, 1);

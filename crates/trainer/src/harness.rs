@@ -58,7 +58,8 @@ pub struct TrainOutcome {
 /// Name of the [`basm_obs::jsonl`] stream the trainer writes per-step
 /// records to. Experiment binaries opt in with
 /// `basm_obs::jsonl::open_stream(TRAIN_LOG_STREAM, "results/train_log.jsonl")`;
-/// without that call (and the `obs` feature) training emits nothing.
+/// without that call (and telemetry on, `basm_obs::set_enabled`) training
+/// emits nothing.
 ///
 /// Each step record carries `step`, `epoch`, `loss`, `lr`, `grad_norm`
 /// (post-clip global norm) and `examples_per_sec`; one final record with

@@ -12,9 +12,14 @@
 # It also checks that README's environment-variable table lists exactly the
 # `BASM_*` names the code under crates/ passes to `std::env::var`, so a
 # deleted knob cannot linger in the docs and a new one cannot go
-# undocumented. It checks that no file under results/ names a `BASM_*`
-# variable the code no longer reads, so an artifact cannot describe a knob
-# that is gone. And it checks that README's "Artifact index" table names
+# undocumented, and that README's sentence "The library crates read …"
+# names exactly the knobs read outside crates/bench (the experiment
+# harness). It checks that every cargo feature the docs tell an operator to
+# pass (a `--features` flag in README, DESIGN, EXPERIMENTS, scripts/ or the
+# verify skill) is declared by a workspace manifest, so a deleted feature
+# cannot linger in a build command. It checks that no file under results/
+# names a `BASM_*` variable the code no longer reads, so an artifact cannot
+# describe a knob that is gone. And it checks that README's "Artifact index" table names
 # exactly the files under results/ (brace forms like `x.{txt,json}` expand),
 # so a deleted artifact cannot keep its row and a new one cannot go unlisted.
 set -uo pipefail
@@ -93,6 +98,42 @@ elif [ "$read_knobs" != "$doc_knobs" ]; then
     fail=1
 fi
 
+# Library knobs: names read under crates/ outside the bench harness vs the
+# backticked names in README's "The library crates read ..." sentence.
+lib_knobs=$(grep -rhE --include='*.rs' 'env::var(_os)?\("BASM_' crates --exclude-dir=bench \
+    | grep -vE '^[[:space:]]*//' \
+    | grep -oE 'env::var(_os)?\("BASM_[A-Z0-9_]+"' \
+    | grep -oE 'BASM_[A-Z0-9_]+' | sort -u)
+doc_lib_knobs=$(grep -E '^The library crates read' README.md \
+    | grep -oE '`BASM_[A-Z0-9_]+`' | tr -d '`' | sort -u)
+if [ "$lib_knobs" != "$doc_lib_knobs" ]; then
+    echo "check_docs: README's library-knob sentence names '$(echo $doc_lib_knobs)'," \
+        "but the library crates read '$(echo $lib_knobs)'" >&2
+    fail=1
+fi
+
+# Cargo features: every name after a `--features` flag (comma lists and
+# the `=` form included) in the operator docs must be declared in some
+# workspace manifest's [features] table. `crate/feature` names are checked
+# by their feature part.
+feature_docs=(README.md DESIGN.md EXPERIMENTS.md scripts/* .claude/skills/verify/SKILL.md)
+declared=$(for m in Cargo.toml crates/*/Cargo.toml; do
+        sed -n '/^\[features\]/,/^\[/p' "$m" | grep -oE '^[A-Za-z0-9_-]+ *=' | tr -d ' ='
+    done | sort -u)
+for doc in "${feature_docs[@]}"; do
+    [ -f "$doc" ] || continue
+    while IFS=: read -r line flags; do
+        [ -z "$flags" ] && continue
+        for f in $(printf '%s\n' "$flags" | sed -E 's/^--features[= ]+//' | tr ',' ' '); do
+            f=${f##*/}
+            if ! printf '%s\n' "$declared" | grep -qxF "$f"; then
+                echo "check_docs: $doc:$line names cargo feature '$f', which no workspace manifest declares" >&2
+                fail=1
+            fi
+        done
+    done < <(grep -noE -- '--features[= ]+[A-Za-z0-9_,/-]+' "$doc")
+done
+
 # Stale knobs in artifacts: a file under results/ that names a `BASM_*`
 # variable no code under crates/ reads was made by, or describes, a build
 # that no longer exists.
@@ -140,4 +181,4 @@ if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAILED" >&2
     exit 1
 fi
-echo "check_docs: OK (${files[*]}; env knobs: $(echo $read_knobs); artifacts: $(echo "$have_artifacts" | wc -l))"
+echo "check_docs: OK (${files[*]}; env knobs: $(echo $read_knobs); library knobs: $(echo $lib_knobs); artifacts: $(echo "$have_artifacts" | wc -l))"
