@@ -1,10 +1,10 @@
 //! Reliability diagram (calibration curve): predicted-probability buckets vs
 //! empirical click rate — the debias story (§V-D) made measurable.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One calibration bucket.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CalibrationBucket {
     /// Bucket lower edge (predicted probability).
     pub lo: f64,

@@ -19,7 +19,7 @@
 use basm_baselines::build_model;
 use basm_bench::BenchEnv;
 use basm_data::{generate_dataset, WorldConfig};
-use basm_trainer::{train, TrainConfig, TRAIN_LOG_STREAM};
+use basm_trainer::{close_train_log, open_train_log, train, TrainConfig};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -80,9 +80,9 @@ fn main() {
         let (_, on) = timed_train(ds, epochs, env.batch);
         obs_on_secs = obs_on_secs.min(on);
 
-        basm_obs::jsonl::open_stream(TRAIN_LOG_STREAM, &log_path).expect("open train log");
+        open_train_log(&log_path).expect("open train log");
         let (_, on_jsonl) = timed_train(ds, epochs, env.batch);
-        basm_obs::jsonl::close_stream(TRAIN_LOG_STREAM);
+        close_train_log();
         obs_on_jsonl_secs = obs_on_jsonl_secs.min(on_jsonl);
     }
     basm_obs::set_enabled(false);

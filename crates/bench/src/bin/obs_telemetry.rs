@@ -2,13 +2,13 @@
 //!
 //! Runs a full offline training run (the paper's protocol on the
 //! `BASM_FAST`-selected dataset) with the trainer's per-step JSONL log
-//! attached, then pushes a batch of LBS-recalled serving requests through
+//! open, then pushes a batch of LBS-recalled serving requests through
 //! `score_sessions`, and dumps the merged span / counter / histogram report.
 //!
 //! Artifacts (under `BASM_OUT`, default `results/`):
 //!
 //! * `train_log.jsonl` — one JSON object per optimization step (step, epoch,
-//!   loss, lr, grad norm, examples/sec) plus a final `"event": "summary"`
+//!   loss, lr, grad norm, examples/sec) plus a final `"event":"summary"`
 //!   line; see EXPERIMENTS.md for how to read it.
 //! * `OBS_telemetry.json` — per-op span table, pool occupancy counters,
 //!   the buffer pool's reuse/miss totals (`pool.buffer_*` gauges) and
@@ -22,7 +22,93 @@ use basm_bench::BenchEnv;
 use basm_data::{Context, StatCounters, TimePeriod};
 use basm_serving::{score_sessions, LbsRecall, SessionRequest};
 use basm_tensor::{bufpool, Prng};
-use basm_trainer::{train_and_evaluate, TrainConfig, TRAIN_LOG_STREAM};
+use basm_trainer::{close_train_log, open_train_log, train_and_evaluate, TrainConfig};
+use serde::{Serialize, Value};
+
+/// `OBS_telemetry.json`: [`basm_obs::Report`]'s rows, section by section.
+#[derive(Serialize)]
+struct Telemetry {
+    spans: Vec<SpanJson>,
+    counters: Vec<NamedValue>,
+    gauges: Vec<NamedValue>,
+    histograms: Vec<HistJson>,
+}
+
+#[derive(Serialize)]
+struct SpanJson {
+    name: String,
+    calls: u64,
+    total_ns: u64,
+    mean_ns: f64,
+    max_ns: u64,
+    /// Per-dimension value sums, keyed by dimension name.
+    dims: Value,
+}
+
+#[derive(Serialize)]
+struct NamedValue {
+    name: String,
+    value: u64,
+}
+
+#[derive(Serialize)]
+struct HistJson {
+    name: String,
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    mean: f64,
+    p50: u64,
+    p90: u64,
+    p99: u64,
+}
+
+impl Telemetry {
+    fn from_report(r: &basm_obs::Report) -> Self {
+        let named = |rows: &[(String, u64)]| {
+            rows.iter()
+                .map(|(name, value)| NamedValue { name: name.clone(), value: *value })
+                .collect()
+        };
+        Self {
+            spans: r
+                .spans
+                .iter()
+                .map(|s| SpanJson {
+                    name: s.name.clone(),
+                    calls: s.calls,
+                    total_ns: s.total_ns,
+                    mean_ns: s.mean_ns,
+                    max_ns: s.max_ns,
+                    dims: Value::Object(
+                        s.dims.iter().map(|(n, v)| (n.clone(), v.to_json_value())).collect(),
+                    ),
+                })
+                .collect(),
+            counters: named(&r.counters),
+            gauges: named(&r.gauges),
+            histograms: r
+                .hists
+                .iter()
+                .map(|h| {
+                    let s = &h.summary;
+                    HistJson {
+                        name: h.name.clone(),
+                        count: s.count,
+                        sum: s.sum,
+                        min: s.min,
+                        max: s.max,
+                        mean: s.mean,
+                        p50: s.p50,
+                        p90: s.p90,
+                        p99: s.p99,
+                    }
+                })
+                .collect(),
+        }
+    }
+}
 
 fn main() {
     let env = BenchEnv::from_env();
@@ -33,11 +119,11 @@ fn main() {
     let data = env.eleme();
     let ds = &data.dataset;
     let log_path = basm_bench::artifact_path(&env, "train_log.jsonl");
-    basm_obs::jsonl::open_stream(TRAIN_LOG_STREAM, &log_path).expect("open train log");
+    open_train_log(&log_path).expect("open train log");
     let mut model = build_model("BASM", &ds.config, env.seeds[0]);
     let tc = TrainConfig::default_for(ds, env.epochs, env.batch, env.seeds[0]);
     let outcome = train_and_evaluate(model.as_mut(), ds, &tc);
-    if let Some(path) = basm_obs::jsonl::close_stream(TRAIN_LOG_STREAM) {
+    if let Some(path) = close_train_log() {
         eprintln!("[artifact] {}", path.display());
     }
     eprintln!(
@@ -78,5 +164,46 @@ fn main() {
     basm_obs::gauge_max("pool.buffer_miss", pool.miss);
     let report = basm_obs::report();
     env.write("OBS_telemetry.txt", &report.to_table());
-    env.write("OBS_telemetry.json", &report.to_json());
+    env.write_json("OBS_telemetry.json", &Telemetry::from_report(&report));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use basm_obs::{HistRow, Histogram, Report, SpanRow};
+
+    #[test]
+    fn telemetry_json_keeps_the_report_schema() {
+        let mut h = Histogram::new();
+        for v in [10u64, 20, 30] {
+            h.record(v);
+        }
+        let report = Report {
+            spans: vec![SpanRow {
+                name: "tensor.matmul".into(),
+                calls: 2,
+                total_ns: 300,
+                mean_ns: 150.0,
+                max_ns: 200,
+                dims: vec![("rows".into(), 96), ("cols".into(), 8)],
+            }],
+            counters: vec![("pool.par_regions".into(), 4)],
+            gauges: vec![("graph.peak_bytes".into(), 4096)],
+            hists: vec![HistRow { name: "serving.e2e_ns".into(), summary: h.summary() }],
+        };
+        let json = serde_json::to_string(&Telemetry::from_report(&report)).unwrap();
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"spans":[{"name":"tensor.matmul","calls":2,"total_ns":300,"mean_ns":150.0,"#,
+                r#""max_ns":200,"dims":{"rows":96,"cols":8}}],"#,
+                r#""counters":[{"name":"pool.par_regions","value":4}],"#,
+                r#""gauges":[{"name":"graph.peak_bytes","value":4096}],"#,
+                r#""histograms":[{"name":"serving.e2e_ns","count":3,"sum":60,"min":10,"max":30,"#,
+                r#""mean":20.0,"p50":20,"p90":30,"p99":30}]}"#,
+            )
+        );
+        let empty = serde_json::to_string(&Telemetry::from_report(&Report::default())).unwrap();
+        assert_eq!(empty, r#"{"spans":[],"counters":[],"gauges":[],"histograms":[]}"#);
+    }
 }

@@ -1,13 +1,16 @@
 //! # basm-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper (see
-//! `DESIGN.md` §3 for the index) plus Criterion microbenches.
+//! `DESIGN.md` §3 for the index) plus the `bench_*` wall-clock comparisons,
+//! which share the [`timing`] scaffolding.
 //!
 //! Every binary honours these environment variables:
 //!
 //! * `BASM_FAST=1` — run on the `tiny` dataset configuration (smoke test,
 //!   seconds instead of minutes).
 //! * `BASM_EPOCHS=n` — override training epochs.
+//! * `BASM_BATCH=n` — override the minibatch size (default 512, 128 under
+//!   `BASM_FAST=1`).
 //! * `BASM_SEEDS=a,b,c` — override the repetition seeds (paper: five).
 //! * `BASM_OUT=dir` — where result artifacts (text + JSON) are written
 //!   (default `results/`).
@@ -121,7 +124,8 @@ pub fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Check whether file `path` exists under the artifact dir.
+/// The path of artifact `name` under the artifact dir (joined only; the
+/// file need not exist).
 pub fn artifact_path(env: &BenchEnv, name: &str) -> PathBuf {
     Path::new(&env.out_dir).join(name)
 }

@@ -1,11 +1,11 @@
 //! World/dataset configuration and the two paper-shaped presets.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of the synthetic spatiotemporal world and of the impression log
 /// generated from it. All sizes are laptop-scale by default but preserve the
 /// paper datasets' *relative* structure; scale them up freely.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct WorldConfig {
     /// Dataset name used in reports.
     pub name: String,

@@ -1,10 +1,10 @@
 //! Feature schema: fields, time-periods and the categorical/dense layout
 //! shared by every model (Table I of the paper).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The paper's five meal time-periods (§III-A2: STAR uses them as domains).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum TimePeriod {
     Breakfast,
     Lunch,
@@ -64,7 +64,7 @@ impl TimePeriod {
 
 /// The paper's five feature fields (Table I). StAEL learns one adaptive
 /// weight per *other* field conditioned on the spatiotemporal context field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Field {
     /// User ID, profiles, user statistics.
     User,

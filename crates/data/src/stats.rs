@@ -3,11 +3,11 @@
 
 use crate::dataset::Dataset;
 use crate::schema::TIME_PERIODS;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashSet;
 
 /// The Table III row for one dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DatasetStats {
     /// Dataset name.
     pub name: String,
@@ -52,7 +52,7 @@ impl DatasetStats {
 }
 
 /// Exposure count and CTR per bucket (hour / city / time-period).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct BucketStat {
     /// Bucket label.
     pub label: String,

@@ -4,7 +4,7 @@ use crate::auc::auc;
 use crate::grouped::grouped_auc;
 use crate::logloss::{calibration, logloss};
 use crate::ndcg::ndcg_at_k;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Accumulates predictions across evaluation batches, then computes every
 /// metric the paper reports (AUC, TAUC, CAUC, NDCG3, NDCG10, Logloss).
@@ -74,7 +74,7 @@ impl EvalAccumulator {
 }
 
 /// One Table IV row: every offline metric for one model on one dataset.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct MetricReport {
     /// Global AUC.
     pub auc: f64,

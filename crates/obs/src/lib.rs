@@ -2,8 +2,8 @@
 //!
 //! A dependency-light observability layer: **spans** (scoped wall-clock
 //! timers aggregated into per-op tables), **counters**, and log-linear-bucket
-//! **histograms** with p50/p90/p99 readout, plus two sinks — a human-readable
-//! table dump and JSONL emitters (see [`jsonl`]).
+//! **histograms** with p50/p90/p99 readout, read out as a [`Report`] whose
+//! public rows a binary can print ([`Report::to_table`]) or serialize.
 //!
 //! ## Enabling telemetry
 //!
@@ -51,7 +51,6 @@
 //! its children's time; the table is a flat per-op profile, not a call tree.
 
 pub mod hist;
-pub mod jsonl;
 pub mod report;
 
 mod agg;
@@ -217,17 +216,6 @@ pub fn report() -> Report {
 /// are unaffected.
 pub fn reset() {
     agg::reset();
-}
-
-/// Write [`report()`]'s JSON rendering to `path`, creating parent directories.
-pub fn write_report_json(path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, report().to_json())
 }
 
 #[cfg(test)]

@@ -1,20 +1,7 @@
-//! Read-out sinks: a point-in-time [`Report`] snapshot renderable as a
-//! human-readable table or a JSON document.
-//!
-//! JSON is hand-rolled (this crate is dependency-light by design); the
-//! format is a stable three-section object:
-//!
-//! ```json
-//! {
-//!   "spans":    [{"name": "matmul", "calls": 12, "total_ns": 34,
-//!                 "mean_ns": 2.8, "max_ns": 9, "dims": {"rows": 96}}],
-//!   "counters": [{"name": "pool.par_regions", "value": 4}],
-//!   "gauges":   [{"name": "graph.peak_bytes", "value": 524288}],
-//!   "histograms": [{"name": "serving.e2e_ns", "count": 7, "sum": 700,
-//!                   "min": 90, "max": 120, "mean": 100.0,
-//!                   "p50": 99, "p90": 118, "p99": 120}]
-//! }
-//! ```
+//! Read-out: a point-in-time [`Report`] snapshot with public rows, renderable
+//! as a human-readable table. This crate writes no JSON; a binary that
+//! publishes telemetry as JSON maps the rows onto its own serializable
+//! records (`obs_telemetry` does).
 
 use crate::agg::SpanStat;
 use crate::hist::Summary;
@@ -80,31 +67,6 @@ fn fmt_ns(ns: f64) -> String {
         format!("{:.3} µs", ns / 1e3)
     } else {
         format!("{ns:.0} ns")
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Format an `f64` as a JSON number (`null` for non-finite values).
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -190,68 +152,6 @@ impl Report {
         }
         out
     }
-
-    /// Serialize as a stable JSON document (see the module docs for the
-    /// schema).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"spans\": [");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let dims = s
-                .dims
-                .iter()
-                .map(|(n, v)| format!("\"{}\": {v}", json_escape(n)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!(
-                "\n    {{\"name\": \"{}\", \"calls\": {}, \"total_ns\": {}, \
-                 \"mean_ns\": {}, \"max_ns\": {}, \"dims\": {{{dims}}}}}",
-                json_escape(&s.name),
-                s.calls,
-                s.total_ns,
-                json_f64(s.mean_ns),
-                s.max_ns,
-            ));
-        }
-        out.push_str("\n  ],\n  \"counters\": [");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {{\"name\": \"{}\", \"value\": {v}}}", json_escape(name)));
-        }
-        out.push_str("\n  ],\n  \"gauges\": [");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {{\"name\": \"{}\", \"value\": {v}}}", json_escape(name)));
-        }
-        out.push_str("\n  ],\n  \"histograms\": [");
-        for (i, h) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let s = &h.summary;
-            out.push_str(&format!(
-                "\n    {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \"min\": {}, \
-                 \"max\": {}, \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                json_escape(&h.name),
-                s.count,
-                s.sum,
-                s.min,
-                s.max,
-                json_f64(s.mean),
-                s.p50,
-                s.p90,
-                s.p99,
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -296,29 +196,10 @@ mod tests {
     }
 
     #[test]
-    fn json_is_stable_and_balanced() {
-        let j = sample_report().to_json();
-        assert!(j.contains("\"spans\""));
-        assert!(j.contains("\"gauges\""));
-        assert!(j.contains("\"calls\": 2"));
-        assert!(j.contains("\"rows\": 96"));
-        assert!(j.contains("\"value\": 4096"));
-        assert!(j.contains("\"p50\": 20"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-    }
-
-    #[test]
     fn empty_report_renders_placeholder() {
         let r = Report::default();
         assert!(r.is_empty());
         assert!(r.to_table().contains("no telemetry"));
-        assert!(r.to_json().contains("\"spans\": [\n  ]"));
-    }
-
-    #[test]
-    fn escaping_handles_quotes() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

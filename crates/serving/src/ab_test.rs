@@ -9,12 +9,12 @@
 
 use basm_data::{BehaviorEvent, BehaviorSummary, Context, TimePeriod, World, TIME_PERIODS};
 use basm_tensor::Prng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::pipeline::{Request, ServingPipeline};
 
 /// Exposure/click tallies for one bucket.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct Tally {
     /// Exposures.
     pub exposures: u64,
@@ -34,7 +34,7 @@ impl Tally {
 }
 
 /// One day's A/B outcome (one Table VII row).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct DayResult {
     /// Day index (1-based like the paper).
     pub day: usize,
@@ -57,7 +57,7 @@ impl DayResult {
 }
 
 /// Per-segment tallies for both arms (Fig. 12 panels).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SegmentBreakdown {
     /// Segment labels.
     pub labels: Vec<String>,
@@ -68,7 +68,7 @@ pub struct SegmentBreakdown {
 }
 
 /// Full A/B experiment outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AbResult {
     /// Daily CTRs (Table VII).
     pub days: Vec<DayResult>,

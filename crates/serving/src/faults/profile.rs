@@ -1,6 +1,6 @@
 //! Per-hop fault rates and the simulated latency cost model.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 const MS: u64 = 1_000_000;
 
@@ -11,7 +11,7 @@ const MS: u64 = 1_000_000;
 /// mutually exclusive (a feature fetch either times out, returns stale, or
 /// succeeds), so the two rates of a hop should sum to at most 1 — rates are
 /// clamped at draw time if they don't.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultProfile {
     /// Feature-server fetch exceeds its per-call timeout (retryable).
     pub feature_timeout: f64,

@@ -33,7 +33,8 @@
 //!
 //! ## Admission control & shedding
 //!
-//! Two mechanisms protect the deadline budget ([`DeadlinePolicy`]):
+//! Two mechanisms protect the deadline budget
+//! ([`DeadlinePolicy`](crate::pipeline::DeadlinePolicy)):
 //!
 //! 1. **Queue-full shedding** — an arrival finding the bounded queue full
 //!    is turned away immediately (`serving.frontend.shed_queue_full`), the
@@ -59,10 +60,7 @@ use basm_tensor::Prng;
 
 use crate::arrivals::Arrival;
 use crate::faults::{FeatureFault, RecallFault, ScoreFault};
-#[allow(unused_imports)] // DeadlinePolicy: doc links only
-use crate::pipeline::{
-    request_context, stale_keep_len, DeadlinePolicy, Exposure, Request, ServingPipeline,
-};
+use crate::pipeline::{request_context, stale_keep_len, Exposure, Request, ServingPipeline};
 use crate::scorer::{score_microbatch, ScoreJob};
 
 /// Nominal simulated service costs. Like the fault profile's hop costs,

@@ -10,11 +10,11 @@
 
 use basm_core::model::{predict, CtrModel};
 use basm_data::Dataset;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Replay outcome for one policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ReplayReport {
     /// Policy (model) name.
     pub policy: String,

@@ -213,7 +213,7 @@ impl Optimizer for Adam {
 }
 
 /// Learning-rate schedule.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, serde::Serialize)]
 pub enum LrSchedule {
     /// A constant learning rate.
     Constant(f32),

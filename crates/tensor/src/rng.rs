@@ -8,7 +8,8 @@ use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Deterministic RNG used across the workspace (ChaCha-based `StdRng`).
+/// Deterministic RNG used across the workspace: the vendored `StdRng`,
+/// xoshiro256++ seeded by SplitMix64.
 pub struct Prng {
     inner: StdRng,
     /// Cached second value from the Box-Muller transform.

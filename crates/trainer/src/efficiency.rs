@@ -8,11 +8,11 @@ use basm_core::model::{train_step, CtrModel};
 use basm_data::Dataset;
 use basm_tensor::optim::{AdagradDecay, Optimizer};
 use basm_tensor::{Graph, Prng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Instant;
 
 /// One Table VI row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct EfficiencyReport {
     /// Model name.
     pub model: String,

@@ -1,15 +1,16 @@
 //! Train/evaluate loop over a [`Dataset`].
 
+use crate::log::{self, StepRecord, SummaryRecord};
 use basm_core::model::{predict, train_step_checked, CtrModel};
 use basm_data::Dataset;
 use basm_metrics::{EvalAccumulator, MetricReport};
 use basm_tensor::optim::{AdagradDecay, LrSchedule};
 use basm_tensor::Prng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// Offline training protocol parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TrainConfig {
     /// Passes over the training days.
     pub epochs: usize,
@@ -41,7 +42,7 @@ impl TrainConfig {
 }
 
 /// Everything a training run produces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TrainOutcome {
     /// The model's Table IV row label.
     pub model: String,
@@ -55,20 +56,14 @@ pub struct TrainOutcome {
     pub final_train_loss: f64,
 }
 
-/// Name of the [`basm_obs::jsonl`] stream the trainer writes per-step
-/// records to. Experiment binaries opt in with
-/// `basm_obs::jsonl::open_stream(TRAIN_LOG_STREAM, "results/train_log.jsonl")`;
-/// without that call (and telemetry on, `basm_obs::set_enabled`) training
-/// emits nothing.
-///
-/// Each step record carries `step`, `epoch`, `loss`, `lr`, `grad_norm`
-/// (post-clip global norm) and `examples_per_sec`; one final record with
-/// `"event": "summary"` closes the run (total steps, wall seconds, mean
-/// final-epoch loss, aggregate throughput).
-pub const TRAIN_LOG_STREAM: &str = "train";
-
 /// Train a model in place (no evaluation). Returns `(steps, mean loss of the
 /// final epoch)`.
+///
+/// If [`open_train_log`](crate::open_train_log) opened the training log,
+/// each step appends one record (`step`, `epoch`, `loss`, `lr`, `grad_norm`
+/// post-clip, `examples_per_sec`) and the run closes with one
+/// `"event": "summary"` record (total steps and examples, wall seconds,
+/// mean final-epoch loss, aggregate throughput).
 pub fn train(
     model: &mut dyn CtrModel,
     ds: &Dataset,
@@ -77,8 +72,8 @@ pub fn train(
     let _span = basm_obs::span!("trainer.train", epochs = cfg.epochs, batch = cfg.batch_size);
     let train_idx = ds.train_indices();
     assert!(!train_idx.is_empty(), "no training examples");
-    // Resolved once: the stream can only be opened before training starts.
-    let log_steps = basm_obs::jsonl::stream_open(TRAIN_LOG_STREAM);
+    // Resolved once: the log is opened before training starts.
+    let log_steps = log::train_log_open();
     let run_start = Instant::now();
     let mut rng = Prng::seeded(cfg.seed ^ 0x7EA1_B00C);
     let mut opt = AdagradDecay::paper_default();
@@ -107,17 +102,14 @@ pub fn train(
             let step_secs = step_start.elapsed().as_secs_f64();
             basm_obs::record_hist("trainer.step_ns", (step_secs * 1e9) as u64);
             if log_steps {
-                basm_obs::jsonl::emit(
-                    TRAIN_LOG_STREAM,
-                    &[
-                        ("step", step.into()),
-                        ("epoch", (epoch as u64).into()),
-                        ("loss", out.loss.into()),
-                        ("lr", lr.into()),
-                        ("grad_norm", out.grad_norm.into()),
-                        ("examples_per_sec", (chunk.len() as f64 / step_secs.max(1e-12)).into()),
-                    ],
-                );
+                log::write_record(&StepRecord {
+                    step,
+                    epoch: epoch as u64,
+                    loss: out.loss,
+                    lr,
+                    grad_norm: out.grad_norm,
+                    examples_per_sec: chunk.len() as f64 / step_secs.max(1e-12),
+                });
             }
         }
         last_epoch_loss = epoch_loss / batches.max(1) as f64;
@@ -125,18 +117,15 @@ pub fn train(
     refresh_batch_norm(model, ds, &train_idx, cfg, &mut rng);
     if log_steps {
         let wall_secs = run_start.elapsed().as_secs_f64();
-        basm_obs::jsonl::emit(
-            TRAIN_LOG_STREAM,
-            &[
-                ("event", "summary".into()),
-                ("model", model.name().into()),
-                ("steps", step.into()),
-                ("examples", examples.into()),
-                ("wall_secs", wall_secs.into()),
-                ("final_train_loss", last_epoch_loss.into()),
-                ("examples_per_sec", (examples as f64 / wall_secs.max(1e-12)).into()),
-            ],
-        );
+        log::write_record(&SummaryRecord {
+            event: "summary",
+            model: model.name().into(),
+            steps: step,
+            examples,
+            wall_secs,
+            final_train_loss: last_epoch_loss,
+            examples_per_sec: examples as f64 / wall_secs.max(1e-12),
+        });
     }
     (step, last_epoch_loss)
 }

@@ -7,10 +7,12 @@
 
 pub mod efficiency;
 pub mod harness;
+mod log;
 pub mod online;
 pub mod repeat;
 
 pub use efficiency::{measure_efficiency, EfficiencyReport};
-pub use harness::{evaluate, train, train_and_evaluate, TrainConfig, TrainOutcome, TRAIN_LOG_STREAM};
+pub use harness::{evaluate, train, train_and_evaluate, TrainConfig, TrainOutcome};
+pub use log::{close_train_log, open_train_log};
 pub use online::{train_online, OnlineDay, OnlineOutcome};
 pub use repeat::{run_repeated, RepeatedOutcome};

@@ -13,10 +13,10 @@ use basm_data::Dataset;
 use basm_metrics::{EvalAccumulator, MetricReport};
 use basm_tensor::optim::{AdagradDecay, LrSchedule};
 use basm_tensor::Prng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One day of the online trajectory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct OnlineDay {
     /// 0-based day index in the recorded log.
     pub day: usize,
@@ -27,7 +27,7 @@ pub struct OnlineDay {
 }
 
 /// Full online-training outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct OnlineOutcome {
     /// Model name.
     pub model: String,

@@ -4,12 +4,12 @@
 use basm_data::{Dataset, WorldConfig};
 use basm_metrics::MetricReport;
 use basm_tensor::pool;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::harness::{train_and_evaluate, TrainConfig, TrainOutcome};
 
 /// Averaged outcome of repeated runs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RepeatedOutcome {
     /// Model name.
     pub model: String,

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, one workspace test launch, rustdoc with
-# warnings denied, and the docs gate.
+# Tier-1 gate: the benchmark's lock file check, release build, one
+# workspace test launch, rustdoc with warnings denied, and the docs gate.
 #
 # There is one build and the suite runs once. Execution modes are not swept
 # by relaunching the suite under different builds or environments: every
@@ -16,6 +16,13 @@
 # suites (`crash_sweep`, `crash_recovery`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# `benchmark/` is a package of its own with its own lock file, built from
+# the library crates' manifests. A manifest change that would make cargo
+# rewrite that lock (a dependency added to or dropped from a crate the
+# benchmark builds) fails here instead of silently changing the benchmark.
+echo "== tier1: benchmark lock file is current =="
+cargo metadata --locked --offline --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null
 
 echo "== tier1: cargo build --release =="
 cargo build --release
