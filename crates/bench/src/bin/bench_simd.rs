@@ -46,15 +46,14 @@ fn compare(workload: String, reps: usize, warmup: usize, f: impl FnMut(usize)) -
         reps,
         warmup,
         || {
-            simd::set_simd(Some(false));
+            simd::set_simd(false);
             f.borrow_mut()(0);
         },
         || {
-            simd::set_simd(Some(true));
+            simd::set_simd(true);
             f.borrow_mut()(1);
         },
     );
-    simd::set_simd(None);
     eprintln!(
         "[bench_simd] {workload}: scalar {:.1}µs, simd {:.1}µs ({:.2}x)",
         run.baseline.median_secs * 1e6,
@@ -76,11 +75,9 @@ fn main() {
     // --- contract cross-check before any clock starts ---------------------
     let probe = ds.batch(&(0..32).collect::<Vec<_>>());
     let bits_for = |on: bool| -> Vec<u32> {
-        simd::set_simd(Some(on));
+        simd::set_simd(on);
         let mut m = basm_baselines::build_model("BASM", &cfg, 1);
-        let bits = predict(m.as_mut(), &probe).iter().map(|p| p.to_bits()).collect();
-        simd::set_simd(None);
-        bits
+        predict(m.as_mut(), &probe).iter().map(|p| p.to_bits()).collect()
     };
     assert_eq!(
         bits_for(false),
@@ -126,7 +123,7 @@ fn main() {
     let note = format!(
         "measured on a {host_threads}-core host dispatching {detected_lanes} f32 lanes. \
          Arms interleave rep by rep; speedups are medians of per-pair ratios \
-         (basm_bench::timing). scalar = set_simd(Some(false)), simd = the default \
+         (basm_bench::timing). scalar = set_simd(false), simd = the default \
          (widest lanes the host supports). Scalar and SIMD results are bitwise \
          identical (asserted before timing).",
     );

@@ -1,19 +1,22 @@
 //! **OBS_telemetry**: exercise the observability layer end to end.
 //!
-//! Runs a full offline training run (the paper's protocol on the
-//! `BASM_FAST`-selected dataset) with the trainer's per-step JSONL log
-//! open, then pushes a batch of LBS-recalled serving requests through
-//! `score_sessions`, and dumps the merged span / counter / histogram report.
+//! Three phases, each reported on its own: `train` (the paper's offline
+//! protocol on the `BASM_FAST`-selected dataset, with the trainer's
+//! per-step JSONL log open), `evaluate` (the test day, at the training
+//! batch size) and `serve` (LBS-recalled 30-candidate sessions through
+//! `score_sessions`). Each phase's report holds its BASM module spans
+//! (`basm.<module>.fwd` / `.bwd`, with µs per row), its trainer or serving
+//! spans and histograms, and its buffer-pool traffic.
 //!
 //! Artifacts (under `BASM_OUT`, default `results/`):
 //!
 //! * `train_log.jsonl` — one JSON object per optimization step (step, epoch,
 //!   loss, lr, grad norm, examples/sec) plus a final `"event":"summary"`
 //!   line; see EXPERIMENTS.md for how to read it.
-//! * `OBS_telemetry.json` — per-op span table, pool occupancy counters,
-//!   the buffer pool's reuse/miss totals (`pool.buffer_*` gauges) and
-//!   serving latency histograms (p50/p90/p99).
-//! * `OBS_telemetry.txt` — the same report, human-readable.
+//! * `OBS_telemetry.json` — per phase: the span table, counters, gauges
+//!   (`graph.peak_bytes`, the phase's buffer-pool reuse/miss as
+//!   `pool.buffer_*`) and latency histograms (p50/p90/p99).
+//! * `OBS_telemetry.txt` — the same reports, human-readable.
 //!
 //! The binary turns telemetry on itself.
 
@@ -22,12 +25,14 @@ use basm_bench::BenchEnv;
 use basm_data::{Context, StatCounters, TimePeriod};
 use basm_serving::{score_sessions, LbsRecall, SessionRequest};
 use basm_tensor::{bufpool, Prng};
-use basm_trainer::{close_train_log, open_train_log, train_and_evaluate, TrainConfig};
+use basm_trainer::{close_train_log, evaluate, open_train_log, train, TrainConfig};
 use serde::{Serialize, Value};
 
-/// `OBS_telemetry.json`: [`basm_obs::Report`]'s rows, section by section.
+/// One phase's [`basm_obs::Report`] rows, section by section;
+/// `OBS_telemetry.json` is the list of phases.
 #[derive(Serialize)]
-struct Telemetry {
+struct Phase {
+    phase: String,
     spans: Vec<SpanJson>,
     counters: Vec<NamedValue>,
     gauges: Vec<NamedValue>,
@@ -64,14 +69,15 @@ struct HistJson {
     p99: u64,
 }
 
-impl Telemetry {
-    fn from_report(r: &basm_obs::Report) -> Self {
+impl Phase {
+    fn from_report(phase: &str, r: &basm_obs::Report) -> Self {
         let named = |rows: &[(String, u64)]| {
             rows.iter()
                 .map(|(name, value)| NamedValue { name: name.clone(), value: *value })
                 .collect()
         };
         Self {
+            phase: phase.to_string(),
             spans: r
                 .spans
                 .iter()
@@ -110,10 +116,24 @@ impl Telemetry {
     }
 }
 
+/// Close a phase: publish its buffer-pool traffic since `pool` as gauges,
+/// append its table to `text`, and clear the telemetry.
+fn end_phase(name: &str, pool: &mut bufpool::PoolStats, text: &mut String) -> Phase {
+    let now = bufpool::stats();
+    basm_obs::gauge_max("pool.buffer_reuse", now.reuse - pool.reuse);
+    basm_obs::gauge_max("pool.buffer_miss", now.miss - pool.miss);
+    *pool = now;
+    let report = basm_obs::report();
+    basm_obs::reset();
+    text.push_str(&format!("#### phase: {name}\n{}\n", report.to_table()));
+    Phase::from_report(name, &report)
+}
+
 fn main() {
     let env = BenchEnv::from_env();
     basm_obs::set_enabled(true);
     basm_obs::reset();
+    let (mut pool, mut text, mut phases) = (bufpool::stats(), String::new(), Vec::new());
 
     // ---- offline training with the per-step log attached ----------------
     let data = env.eleme();
@@ -122,14 +142,15 @@ fn main() {
     open_train_log(&log_path).expect("open train log");
     let mut model = build_model("BASM", &ds.config, env.seeds[0]);
     let tc = TrainConfig::default_for(ds, env.epochs, env.batch, env.seeds[0]);
-    let outcome = train_and_evaluate(model.as_mut(), ds, &tc);
+    let (steps, _) = train(model.as_mut(), ds, &tc);
     if let Some(path) = close_train_log() {
         eprintln!("[artifact] {}", path.display());
     }
-    eprintln!(
-        "[obs_telemetry] {}: AUC {:.4}, {} steps in {:.1}s",
-        outcome.model, outcome.report.auc, outcome.steps, outcome.train_secs
-    );
+    phases.push(end_phase("train", &mut pool, &mut text));
+
+    let auc = evaluate(model.as_mut(), ds, &ds.test_indices(), tc.batch_size).report().auc;
+    eprintln!("[obs_telemetry] {}: AUC {auc:.4} after {steps} steps", model.name());
+    phases.push(end_phase("evaluate", &mut pool, &mut text));
 
     // ---- serving latency distributions ----------------------------------
     let world = &data.world;
@@ -156,15 +177,10 @@ fn main() {
     let make_model = || build_model("BASM", &world.config, env.seeds[0]);
     let scores = score_sessions(make_model, world, &requests, &counters);
     eprintln!("[obs_telemetry] scored {} sessions", scores.len());
+    phases.push(end_phase("serve", &mut pool, &mut text));
 
-    // ---- report ----------------------------------------------------------
-    // The pool counts its traffic in its own atomics; publish the totals once.
-    let pool = bufpool::stats();
-    basm_obs::gauge_max("pool.buffer_reuse", pool.reuse);
-    basm_obs::gauge_max("pool.buffer_miss", pool.miss);
-    let report = basm_obs::report();
-    env.write("OBS_telemetry.txt", &report.to_table());
-    env.write_json("OBS_telemetry.json", &Telemetry::from_report(&report));
+    env.write("OBS_telemetry.txt", &text);
+    env.write_json("OBS_telemetry.json", &phases);
 }
 
 #[cfg(test)]
@@ -180,30 +196,34 @@ mod tests {
         }
         let report = Report {
             spans: vec![SpanRow {
-                name: "tensor.matmul".into(),
+                name: "basm.ststl.fwd".into(),
                 calls: 2,
                 total_ns: 300,
                 mean_ns: 150.0,
                 max_ns: 200,
-                dims: vec![("rows".into(), 96), ("cols".into(), 8)],
+                dims: vec![("rows".into(), 96)],
             }],
-            counters: vec![("pool.par_regions".into(), 4)],
+            counters: vec![("serving.retries".into(), 4)],
             gauges: vec![("graph.peak_bytes".into(), 4096)],
             hists: vec![HistRow { name: "serving.e2e_ns".into(), summary: h.summary() }],
         };
-        let json = serde_json::to_string(&Telemetry::from_report(&report)).unwrap();
+        let json = serde_json::to_string(&Phase::from_report("train", &report)).unwrap();
         assert_eq!(
             json,
             concat!(
-                r#"{"spans":[{"name":"tensor.matmul","calls":2,"total_ns":300,"mean_ns":150.0,"#,
-                r#""max_ns":200,"dims":{"rows":96,"cols":8}}],"#,
-                r#""counters":[{"name":"pool.par_regions","value":4}],"#,
+                r#"{"phase":"train","#,
+                r#""spans":[{"name":"basm.ststl.fwd","calls":2,"total_ns":300,"mean_ns":150.0,"#,
+                r#""max_ns":200,"dims":{"rows":96}}],"#,
+                r#""counters":[{"name":"serving.retries","value":4}],"#,
                 r#""gauges":[{"name":"graph.peak_bytes","value":4096}],"#,
                 r#""histograms":[{"name":"serving.e2e_ns","count":3,"sum":60,"min":10,"max":30,"#,
                 r#""mean":20.0,"p50":20,"p90":30,"p99":30}]}"#,
             )
         );
-        let empty = serde_json::to_string(&Telemetry::from_report(&Report::default())).unwrap();
-        assert_eq!(empty, r#"{"spans":[],"counters":[],"gauges":[],"histograms":[]}"#);
+        let empty = vec![Phase::from_report("serve", &Report::default())];
+        assert_eq!(
+            serde_json::to_string(&empty).unwrap(),
+            r#"[{"phase":"serve","spans":[],"counters":[],"gauges":[],"histograms":[]}]"#
+        );
     }
 }

@@ -148,9 +148,16 @@ pub mod timing {
 
     /// Median by `f64::total_cmp` (panics on an empty slice, like the
     /// indexing the callers used to do).
-    pub fn median(mut xs: Vec<f64>) -> f64 {
+    pub fn median(xs: Vec<f64>) -> f64 {
+        quartiles(xs)[1]
+    }
+
+    /// `[q1, median, q3]` by `f64::total_cmp`: the sorted elements at
+    /// `len/4`, `len/2` and `3·len/4` (panics on an empty slice).
+    pub fn quartiles(mut xs: Vec<f64>) -> [f64; 3] {
         xs.sort_by(f64::total_cmp);
-        xs[xs.len() / 2]
+        let n = xs.len();
+        [xs[n / 4], xs[n / 2], xs[3 * n / 4]]
     }
 
     /// Median of per-pair `baseline[i] / candidate[i]` ratios — the drift-
@@ -258,6 +265,7 @@ mod tests {
     #[test]
     fn timing_median_and_pairwise_speedup() {
         assert_eq!(timing::median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(timing::quartiles((0..10).rev().map(f64::from).collect()), [2.0, 5.0, 7.0]);
         // Per-pair ratios: 2.0, 2.0, 4.0 → median 2.0 even though the raw
         // medians (ruined by the straggler pair) would say otherwise.
         let base = vec![2.0, 4.0, 40.0];

@@ -5,7 +5,7 @@ pub mod stabt;
 pub mod stael;
 pub mod ststl;
 
-pub use model::{Basm, BasmConfig};
+pub use model::{Basm, BasmConfig, MODULES};
 pub use stabt::{StAbt, StAbtLayer};
 pub use stael::StAel;
 pub use ststl::StStl;

@@ -12,10 +12,14 @@
 //!   *static* linear map of identical width, isolating "dynamic vs static"
 //!   rather than capacity;
 //! * `use_stabt = false` — a plain FC+BN tower of identical widths.
+//!
+//! The forward tags its tape nodes with the module that pushed them
+//! ([`MODULES`]), so telemetry reports each module's forward and backward
+//! time (`basm.<module>.fwd` / `.bwd` spans, DESIGN.md §7).
 
 use basm_data::Batch;
 use basm_tensor::nn::{Activation, Linear, TargetAttention};
-use basm_tensor::{Graph, ParamStore, Prng};
+use basm_tensor::{Graph, Module, ParamStore, Prng};
 
 use crate::basm::stabt::StAbt;
 use crate::basm::stael::StAel;
@@ -23,6 +27,17 @@ use crate::basm::ststl::StStl;
 use crate::features::{EmbDims, FeatureEmbedder};
 use crate::model::{CtrModel, Forward};
 use crate::tower::PlainBnTower;
+
+static EMBED: Module = Module { fwd: "basm.embed.fwd", bwd: "basm.embed.bwd" };
+static ATTENTION: Module = Module { fwd: "basm.attention.fwd", bwd: "basm.attention.bwd" };
+static STAEL: Module = Module { fwd: "basm.stael.fwd", bwd: "basm.stael.bwd" };
+static STSTL: Module = Module { fwd: "basm.ststl.fwd", bwd: "basm.ststl.bwd" };
+static STABT: Module = Module { fwd: "basm.stabt.fwd", bwd: "basm.stabt.bwd" };
+
+/// The module tags of [`Basm::forward`], in forward order: field
+/// embeddings, behavior attention, StAEL, StSTL and the StABT tower. An
+/// ablated module's stand-in keeps its tag.
+pub static MODULES: [&Module; 5] = [&EMBED, &ATTENTION, &STAEL, &STSTL, &STABT];
 
 /// Hyperparameters of a BASM instance.
 #[derive(Debug, Clone)]
@@ -197,6 +212,7 @@ impl CtrModel for Basm {
         let store = &self.store;
 
         // Field embeddings (Table I).
+        g.set_module(Some(&EMBED));
         let ctx_emb = fe.context_field(g, batch);
         let ctx_direct = fe.context_direct(g, batch);
         let ctx = g.concat_cols(&[ctx_emb, ctx_direct]);
@@ -208,11 +224,13 @@ impl CtrModel for Basm {
         let query = fe.query_emb(g, batch);
         let seq = fe.seq_embs(g, batch);
         let mask = g.input(batch.mask.clone());
+        g.set_module(Some(&ATTENTION));
         let (behavior, _att_w) =
             self.attention.forward(g, store, query, seq, mask, batch.seq_len);
 
         // StAEL: field-granular spatiotemporal weight adaptation (Eq. 5/6).
         let fields = [user, behavior, cand, comb];
+        g.set_module(Some(&STAEL));
         let (adapted, alphas) = match &self.stael {
             Some(stael) => stael.forward(g, store, &fields, ctx),
             None => (fields.to_vec(), Vec::new()),
@@ -225,7 +243,9 @@ impl CtrModel for Basm {
         let h_hat = g.concat_cols(&parts);
 
         // StSTL condition: spatiotemporal context ⊕ st-filtered behavior.
+        g.set_module(Some(&EMBED));
         let h_ui = fe.behavior_field_st(g, batch);
+        g.set_module(Some(&STSTL));
         let cond = g.concat_cols(&[ctx, h_ui]);
         let h_star = match &self.semantic {
             SemanticLayer::Dynamic(ststl) => ststl.forward(g, store, h_hat, cond),
@@ -233,10 +253,12 @@ impl CtrModel for Basm {
         };
 
         // Classification tower.
+        g.set_module(Some(&STABT));
         let (logits, hidden) = match &mut self.tower {
             Tower::Adaptive(t) => t.forward(g, store, h_star, ctx, training),
             Tower::Plain(t) => t.forward(g, store, h_star, training),
         };
+        g.set_module(None);
 
         Forward { logits, hidden, alphas }
     }

@@ -405,7 +405,7 @@ mod tests {
         pool::set_min_work(0);
         let parallel = ds.batch(&idx);
         pool::set_threads(0);
-        pool::set_min_work(usize::MAX);
+        pool::set_min_work(pool::DEFAULT_MIN_WORK);
         assert_eq!(serial.labels.data(), parallel.labels.data());
         assert_eq!(serial.dense.data(), parallel.dense.data());
         assert_eq!(serial.mask.data(), parallel.mask.data());

@@ -1,23 +1,17 @@
 //! Thread-local recording and global aggregation.
 //!
-//! Recording is lock-free on the hot path: every thread owns a fixed-capacity
-//! ring buffer of finished [`SpanEvent`]s plus local counter/histogram maps.
-//! When the ring fills it is drained into the thread's local per-op table;
-//! the local state merges into the process-global [`registry`] when the
-//! thread exits (scoped pool workers do this automatically) or when
-//! [`flush_current_thread`] is called. The global registry uses `BTreeMap`s
-//! so reports iterate in a deterministic name order.
+//! Recording is lock-free on the hot path: every thread owns its own
+//! [`Aggregates`], and a finished span folds straight into its name's row.
+//! A thread's tables merge into the process-global [`registry`] when the
+//! thread exits or when [`flush_current_thread`] is called.
 
 use crate::hist::Histogram;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
 /// Maximum `key = value` dimensions a span can carry (extra ones are dropped).
 pub const MAX_SPAN_DIMS: usize = 4;
-
-/// Finished-span events buffered per thread before aggregation.
-const RING_CAPACITY: usize = 1024;
 
 /// Fixed-size dimension list attached to a span (`rows = 128`, ...).
 #[derive(Clone, Copy, Default)]
@@ -37,20 +31,10 @@ impl SpanDims {
         out
     }
 
-    fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.entries[..self.len as usize].iter().copied()
+    /// The captured pairs.
+    pub fn as_slice(&self) -> &[(&'static str, u64)] {
+        &self.entries[..self.len as usize]
     }
-}
-
-/// One completed span, as pushed into the thread-local ring buffer.
-#[derive(Clone, Copy)]
-pub struct SpanEvent {
-    /// Static span name (`"matmul"`).
-    pub name: &'static str,
-    /// Wall-clock duration in nanoseconds.
-    pub dur_ns: u64,
-    /// Captured dimensions.
-    pub dims: SpanDims,
 }
 
 /// Aggregate statistics for one span name.
@@ -67,23 +51,13 @@ pub struct SpanStat {
 }
 
 impl SpanStat {
-    fn absorb_event(&mut self, ev: &SpanEvent) {
-        self.calls += 1;
-        self.total_ns = self.total_ns.saturating_add(ev.dur_ns);
-        self.max_ns = self.max_ns.max(ev.dur_ns);
-        for (name, v) in ev.dims.iter() {
-            match self.dims.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, sum)) => *sum = sum.saturating_add(v),
-                None => self.dims.push((name, v)),
-            }
-        }
-    }
-
-    fn absorb_stat(&mut self, other: &SpanStat) {
-        self.calls += other.calls;
-        self.total_ns = self.total_ns.saturating_add(other.total_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-        for &(name, v) in &other.dims {
+    /// Fold in `calls` spans totalling `total_ns`, the longest `max_ns`, with
+    /// per-dimension sums `dims`: one finished span, or another table's row.
+    fn absorb(&mut self, calls: u64, total_ns: u64, max_ns: u64, dims: &[(&'static str, u64)]) {
+        self.calls += calls;
+        self.total_ns = self.total_ns.saturating_add(total_ns);
+        self.max_ns = self.max_ns.max(max_ns);
+        for &(name, v) in dims {
             match self.dims.iter_mut().find(|(n, _)| *n == name) {
                 Some((_, sum)) => *sum = sum.saturating_add(v),
                 None => self.dims.push((name, v)),
@@ -92,9 +66,9 @@ impl SpanStat {
     }
 }
 
-/// Merged telemetry state: per-op span tables, counters, gauges and
-/// histograms.
-#[derive(Default)]
+/// Telemetry tables: spans, counters, gauges and histograms by name. Each
+/// thread records into its own; the process-global [`registry`] merges them.
+/// `BTreeMap`s, so reports iterate in a deterministic name order.
 pub struct Aggregates {
     /// Span name → aggregate stats.
     pub spans: BTreeMap<&'static str, SpanStat>,
@@ -107,78 +81,48 @@ pub struct Aggregates {
 }
 
 impl Aggregates {
-    fn merge_from(&mut self, local: &mut Local) {
-        local.drain_ring();
-        for (name, stat) in local.spans.drain_all() {
-            self.spans.entry(name).or_default().absorb_stat(&stat);
-        }
-        for (name, v) in local.counters.drain_all() {
-            *self.counters.entry(name).or_insert(0) += v;
-        }
-        for (name, v) in local.gauges.drain_all() {
-            let slot = self.gauges.entry(name).or_insert(0);
-            *slot = (*slot).max(v);
-        }
-        for (name, h) in local.hists.drain_all() {
-            self.hists.entry(name).or_insert_with(Histogram::new).merge(&h);
-        }
-    }
-}
-
-/// Tiny association list keyed by `&'static str`; spans/counters per thread
-/// are few (tens), so linear probing beats hashing and keeps first-seen order.
-struct NameMap<V>(Vec<(&'static str, V)>);
-
-impl<V: Default> NameMap<V> {
-    const fn new() -> Self {
-        Self(Vec::new())
-    }
-
-    fn get_mut(&mut self, name: &'static str) -> &mut V {
-        if let Some(i) = self.0.iter().position(|(n, _)| *n == name) {
-            return &mut self.0[i].1;
-        }
-        self.0.push((name, V::default()));
-        &mut self.0.last_mut().expect("just pushed").1
-    }
-
-    fn drain_all(&mut self) -> impl Iterator<Item = (&'static str, V)> + '_ {
-        self.0.drain(..)
-    }
-}
-
-/// Per-thread recording state.
-struct Local {
-    ring: Vec<SpanEvent>,
-    spans: NameMap<SpanStat>,
-    counters: NameMap<u64>,
-    gauges: NameMap<u64>,
-    hists: NameMap<Histogram>,
-}
-
-impl Local {
     const fn new() -> Self {
         Self {
-            ring: Vec::new(),
-            spans: NameMap::new(),
-            counters: NameMap::new(),
-            gauges: NameMap::new(),
-            hists: NameMap::new(),
+            spans: BTreeMap::new(),
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            hists: BTreeMap::new(),
         }
     }
 
-    fn drain_ring(&mut self) {
-        for i in 0..self.ring.len() {
-            let ev = self.ring[i];
-            self.spans.get_mut(ev.name).absorb_event(&ev);
+    fn span(&mut self, name: &'static str) -> &mut SpanStat {
+        self.spans.entry(name).or_default()
+    }
+
+    fn gauge_max(&mut self, name: &'static str, v: u64) {
+        let slot = self.gauges.entry(name).or_insert(0);
+        *slot = (*slot).max(v);
+    }
+
+    fn hist(&mut self, name: &'static str) -> &mut Histogram {
+        self.hists.entry(name).or_insert_with(Histogram::new)
+    }
+
+    /// Move everything in `other` into these tables.
+    fn merge_from(&mut self, other: &mut Aggregates) {
+        for (name, stat) in std::mem::take(&mut other.spans) {
+            self.span(name).absorb(stat.calls, stat.total_ns, stat.max_ns, &stat.dims);
         }
-        self.ring.clear();
+        for (name, v) in std::mem::take(&mut other.counters) {
+            *self.counters.entry(name).or_insert(0) += v;
+        }
+        for (name, v) in std::mem::take(&mut other.gauges) {
+            self.gauge_max(name, v);
+        }
+        for (name, h) in std::mem::take(&mut other.hists) {
+            self.hist(name).merge(&h);
+        }
     }
 }
 
-/// Wrapper whose `Drop` flushes the thread's telemetry into the global
-/// registry when the thread exits.
-struct LocalCell(RefCell<Local>);
+/// The calling thread's tables, whose `Drop` merges them into the registry
+/// when the thread exits.
+struct LocalCell(RefCell<Aggregates>);
 
 impl Drop for LocalCell {
     fn drop(&mut self) {
@@ -187,87 +131,62 @@ impl Drop for LocalCell {
 }
 
 thread_local! {
-    static LOCAL: LocalCell = const { LocalCell(RefCell::new(Local::new())) };
+    static LOCAL: LocalCell = const { LocalCell(RefCell::new(Aggregates::new())) };
 }
 
-static REGISTRY: OnceLock<Mutex<Aggregates>> = OnceLock::new();
+fn with_local<R>(f: impl FnOnce(&mut Aggregates) -> R) -> R {
+    LOCAL.with(|cell| f(&mut cell.0.borrow_mut()))
+}
+
+static REGISTRY: Mutex<Aggregates> = Mutex::new(Aggregates::new());
 
 /// Lock the process-global merged aggregates.
 pub fn registry() -> MutexGuard<'static, Aggregates> {
-    REGISTRY
-        .get_or_init(|| Mutex::new(Aggregates::default()))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+    REGISTRY.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Push a finished span event into the calling thread's ring buffer.
-pub fn push_span(ev: SpanEvent) {
-    LOCAL.with(|cell| {
-        let mut local = cell.0.borrow_mut();
-        if local.ring.len() >= RING_CAPACITY {
-            local.drain_ring();
-        }
-        local.ring.push(ev);
-    });
+/// Fold one finished span into the calling thread's table.
+pub fn record_span(name: &'static str, dur_ns: u64, dims: &[(&'static str, u64)]) {
+    with_local(|local| local.span(name).absorb(1, dur_ns, dur_ns, dims));
 }
 
-/// Add to a counter in the calling thread's local table.
+/// Add to a counter in the calling thread's table.
 pub fn add_counter(name: &'static str, n: u64) {
-    LOCAL.with(|cell| {
-        let mut local = cell.0.borrow_mut();
-        *local.counters.get_mut(name) += n;
-    });
+    with_local(|local| *local.counters.entry(name).or_insert(0) += n);
 }
 
-/// Raise a high-water-mark gauge in the calling thread's local table; the
-/// global value after merging is the max observed on any thread.
+/// Raise a high-water-mark gauge in the calling thread's table; the global
+/// value after merging is the max observed on any thread.
 pub fn gauge_max(name: &'static str, v: u64) {
-    LOCAL.with(|cell| {
-        let mut local = cell.0.borrow_mut();
-        let slot = local.gauges.get_mut(name);
-        *slot = (*slot).max(v);
-    });
+    with_local(|local| local.gauge_max(name, v));
 }
 
-/// Record a histogram sample in the calling thread's local table.
+/// Record a histogram sample in the calling thread's table.
 pub fn record_hist(name: &'static str, v: u64) {
-    LOCAL.with(|cell| {
-        let mut local = cell.0.borrow_mut();
-        local.hists.get_mut(name).record(v);
-    });
+    with_local(|local| local.hist(name).record(v));
 }
 
-/// Merge the calling thread's local state into the global registry. Pool
-/// worker threads flush automatically on exit; the main thread should flush
-/// (via [`crate::report`] or [`crate::flush`]) before reading results.
+/// Merge the calling thread's tables into the global registry. Threads
+/// merge on exit too; the main thread should flush (via [`crate::report`]
+/// or [`crate::flush`]) before reading results.
 pub fn flush_current_thread() {
-    LOCAL.with(|cell| {
-        let mut local = cell.0.borrow_mut();
-        if local.ring.is_empty()
-            && local.spans.0.is_empty()
-            && local.counters.0.is_empty()
-            && local.gauges.0.is_empty()
-            && local.hists.0.is_empty()
-        {
-            return; // nothing recorded: skip the registry lock
+    with_local(|local| {
+        let recorded = !(local.spans.is_empty()
+            && local.counters.is_empty()
+            && local.gauges.is_empty()
+            && local.hists.is_empty());
+        // Nothing recorded: skip the registry lock.
+        if recorded {
+            registry().merge_from(local);
         }
-        registry().merge_from(&mut local);
     });
 }
 
 /// Clear all global state (local state of *other* live threads is untouched;
 /// the calling thread's is discarded). Test/bench helper.
 pub fn reset() {
-    LOCAL.with(|cell| {
-        let mut local = cell.0.borrow_mut();
-        local.ring.clear();
-        local.spans.0.clear();
-        local.counters.0.clear();
-        local.gauges.0.clear();
-        local.hists.0.clear();
-    });
-    let mut reg = registry();
-    *reg = Aggregates::default();
+    with_local(|local| *local = Aggregates::new());
+    *registry() = Aggregates::new();
 }
 
 /// The registry is process-global; unit tests that read or reset it must
@@ -282,15 +201,11 @@ pub(crate) fn registry_lock() -> MutexGuard<'static, ()> {
 mod tests {
     use super::*;
 
-    fn ev(name: &'static str, dur_ns: u64, dims: &[(&'static str, u64)]) -> SpanEvent {
-        SpanEvent { name, dur_ns, dims: SpanDims::capture(dims) }
-    }
-
     #[test]
     fn events_aggregate_per_name_with_dim_sums() {
         let mut stat = SpanStat::default();
-        stat.absorb_event(&ev("matmul", 100, &[("rows", 8), ("cols", 4)]));
-        stat.absorb_event(&ev("matmul", 50, &[("rows", 2), ("cols", 6)]));
+        stat.absorb(1, 100, 100, &[("rows", 8), ("cols", 4)]);
+        stat.absorb(1, 50, 50, &[("rows", 2), ("cols", 6)]);
         assert_eq!(stat.calls, 2);
         assert_eq!(stat.total_ns, 150);
         assert_eq!(stat.max_ns, 100);
@@ -299,18 +214,14 @@ mod tests {
 
     #[test]
     fn stat_merge_matches_event_stream() {
-        let events =
-            [ev("op", 10, &[("n", 1)]), ev("op", 20, &[("n", 2)]), ev("op", 5, &[("n", 3)])];
-        let mut all = SpanStat::default();
-        for e in &events {
-            all.absorb_event(e);
+        let spans = [(10, [("n", 1)]), (20, [("n", 2)]), (5, [("n", 3)])];
+        let (mut all, mut a, mut b) = <(SpanStat, SpanStat, SpanStat)>::default();
+        for (i, (dur, dims)) in spans.iter().enumerate() {
+            all.absorb(1, *dur, *dur, dims);
+            let part: &mut SpanStat = if i == 0 { &mut a } else { &mut b };
+            part.absorb(1, *dur, *dur, dims);
         }
-        let mut a = SpanStat::default();
-        a.absorb_event(&events[0]);
-        let mut b = SpanStat::default();
-        b.absorb_event(&events[1]);
-        b.absorb_event(&events[2]);
-        a.absorb_stat(&b);
+        a.absorb(b.calls, b.total_ns, b.max_ns, &b.dims);
         assert_eq!(a.calls, all.calls);
         assert_eq!(a.total_ns, all.total_ns);
         assert_eq!(a.max_ns, all.max_ns);
@@ -322,8 +233,7 @@ mod tests {
         let dims: Vec<(&'static str, u64)> =
             vec![("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5), ("f", 6)];
         let captured = SpanDims::capture(&dims);
-        let collected: Vec<_> = captured.iter().collect();
-        assert_eq!(collected, dims[..MAX_SPAN_DIMS].to_vec());
+        assert_eq!(captured.as_slice(), &dims[..MAX_SPAN_DIMS]);
     }
 
     #[test]
@@ -334,7 +244,7 @@ mod tests {
             let handles: Vec<_> = (0..3)
                 .map(|t| {
                     s.spawn(move || {
-                        push_span(ev("worker_op", 10 * (t + 1), &[]));
+                        record_span("worker_op", 10 * (t + 1), &[]);
                         add_counter("worker_count", 1);
                         record_hist("worker_hist", t);
                     })
@@ -375,21 +285,5 @@ mod tests {
             }
         });
         assert_eq!(registry().gauges["peak"], 30);
-    }
-
-    #[test]
-    fn ring_overflow_drains_into_table() {
-        let _guard = registry_lock();
-        // More events than RING_CAPACITY on one thread must not lose any.
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for _ in 0..RING_CAPACITY + 10 {
-                    push_span(ev("overflow_op", 1, &[]));
-                }
-                flush_current_thread();
-                let reg = registry();
-                assert_eq!(reg.spans["overflow_op"].calls, (RING_CAPACITY + 10) as u64);
-            });
-        });
     }
 }

@@ -9,10 +9,10 @@
 //!
 //! Every build carries the recording hooks; one process-wide switch turns
 //! them on. Telemetry starts **off**: [`enabled`] is a single relaxed load
-//! of an atomic flag, so an instrumented hot path (`basm_tensor`'s kernels,
-//! the trainer step loop, the serving scorer) pays one load and an untaken
-//! branch per hook. [`set_enabled`] is the only switch — the binaries that
-//! report telemetry turn it on themselves.
+//! of an atomic flag, so an instrumented path (a BASM forward's module
+//! boundaries, the trainer step loop, the serving scorer) pays one load and
+//! an untaken branch per hook. [`set_enabled`] is the only switch — the
+//! binaries that report telemetry turn it on themselves.
 //!
 //! Telemetry **never** changes what the observed code computes: recording
 //! only reads clocks and writes side tables, so results are bitwise
@@ -25,15 +25,15 @@
 //! ```
 //! // Time a scope, tagging it with work dimensions (bare identifiers or
 //! // `key = value` pairs). The guard records on drop.
-//! let rows = 64usize;
-//! let cols = 32usize;
+//! let sessions = 64usize;
 //! {
-//!     let _span = basm_obs::span!("matmul", rows, cols);
+//!     let _span = basm_obs::span!("serving.score_sessions", sessions);
 //!     // ... do the work being timed ...
 //! }
 //!
-//! basm_obs::counter_add("pool.par_regions", 1);
-//! basm_obs::record_hist("serve.e2e_ns", 1_250);
+//! basm_obs::record_span("basm.ststl.fwd", 180_000, &[("rows", 30)]); // timed by the caller
+//! basm_obs::counter_add("serving.retries", 1);
+//! basm_obs::record_hist("serving.e2e_ns", 1_250);
 //!
 //! // Snapshot: merged per-op tables, counters, histogram digests. Telemetry
 //! // starts off, so nothing above was recorded and the report is empty.
@@ -43,10 +43,11 @@
 //!
 //! ## Threading model
 //!
-//! Each thread records into its own ring buffer and local tables (no locks
-//! on the hot path); a thread's state merges into the process-global
-//! registry when the thread exits — `basm_tensor::pool`'s scoped workers do
-//! so automatically — or when [`flush`]/[`report()`] runs on that thread.
+//! Each thread records into its own tables (no locks on the hot path): a
+//! finished span folds straight into its name's row. A thread's state
+//! merges into the process-global registry when the thread exits or when
+//! [`flush`]/[`report()`] runs on that thread; `basm_tensor::pool::par_map`'s
+//! workers flush before they return.
 //! Nested spans are each recorded in full, so a parent span's total includes
 //! its children's time; the table is a flat per-op profile, not a call tree.
 
@@ -79,21 +80,15 @@ pub fn set_enabled(on: bool) {
 }
 
 /// RAII guard returned by [`span_start`]/[`span!`]; records its scope's
-/// wall-clock duration into the thread-local ring buffer on drop.
+/// wall-clock duration into the thread's span table on drop.
 #[must_use = "a span guard records when dropped; binding it to `_` drops immediately"]
-pub struct SpanGuard(Option<ActiveSpan>);
-
-struct ActiveSpan {
-    name: &'static str,
-    dims: agg::SpanDims,
-    start: Instant,
-}
+pub struct SpanGuard(Option<(&'static str, agg::SpanDims, Instant)>);
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(active) = self.0.take() {
-            let dur_ns = active.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            agg::push_span(agg::SpanEvent { name: active.name, dur_ns, dims: active.dims });
+        if let Some((name, dims, start)) = self.0.take() {
+            let dur_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            agg::record_span(name, dur_ns, dims.as_slice());
         }
     }
 }
@@ -105,7 +100,7 @@ pub fn span_start(name: &'static str, dims: &[(&'static str, u64)]) -> SpanGuard
     if !enabled() {
         return SpanGuard(None);
     }
-    SpanGuard(Some(ActiveSpan { name, dims: agg::SpanDims::capture(dims), start: Instant::now() }))
+    SpanGuard(Some((name, agg::SpanDims::capture(dims), Instant::now())))
 }
 
 /// Time a scope and record it under `name`, optionally tagging work
@@ -134,6 +129,15 @@ macro_rules! span_dim {
     ($key:ident = $val:expr) => {
         (stringify!($key), $val as u64)
     };
+}
+
+/// Record one finished span of `dur_ns` nanoseconds under `name`, for work
+/// the caller timed itself. No-op when telemetry is off.
+#[inline]
+pub fn record_span(name: &'static str, dur_ns: u64, dims: &[(&'static str, u64)]) {
+    if enabled() {
+        agg::record_span(name, dur_ns, dims);
+    }
 }
 
 /// Add `n` to the named monotonic counter. No-op when telemetry is off.

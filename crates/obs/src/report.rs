@@ -79,7 +79,8 @@ impl Report {
             && self.hists.is_empty()
     }
 
-    /// Render the three aggregate tables as aligned, human-readable text.
+    /// Render the aggregate tables as aligned, human-readable text. A span
+    /// with a `rows` dimension also shows its total time per row.
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         if self.is_empty() {
@@ -88,38 +89,25 @@ impl Report {
         }
         if !self.spans.is_empty() {
             out.push_str("== spans ==\n");
-            let mut rows: Vec<[String; 5]> = vec![[
-                "name".into(),
-                "calls".into(),
-                "total".into(),
-                "mean".into(),
-                "max".into(),
-            ]];
+            let w = self.spans.iter().map(|s| s.name.chars().count()).max().unwrap_or(0);
+            let header = ["name", "calls", "total", "mean", "max", "per row"];
+            let [name, calls, total, mean, max, per_row] = header;
+            out.push_str(&format!(
+                "  {name:w$} {calls:>8} {total:>11} {mean:>11} {max:>11} {per_row:>11}\n"
+            ));
             for s in &self.spans {
-                rows.push([
-                    s.name.clone(),
-                    s.calls.to_string(),
+                let per_row = match s.dims.iter().find(|(n, _)| n == "rows") {
+                    Some(&(_, r)) if r > 0 => fmt_ns(s.total_ns as f64 / r as f64),
+                    _ => "-".into(),
+                };
+                out.push_str(&format!(
+                    "  {:w$} {:>8} {:>11} {:>11} {:>11} {per_row:>11}\n",
+                    s.name,
+                    s.calls,
                     fmt_ns(s.total_ns as f64),
                     fmt_ns(s.mean_ns),
                     fmt_ns(s.max_ns as f64),
-                ]);
-            }
-            let mut widths = [0usize; 5];
-            for row in &rows {
-                for (w, cell) in widths.iter_mut().zip(row.iter()) {
-                    *w = (*w).max(cell.chars().count());
-                }
-            }
-            for row in &rows {
-                for (i, (cell, w)) in row.iter().zip(widths.iter()).enumerate() {
-                    let pad = w - cell.chars().count();
-                    if i == 0 {
-                        out.push_str(&format!("  {cell}{} ", " ".repeat(pad)));
-                    } else {
-                        out.push_str(&format!(" {}{cell} ", " ".repeat(pad)));
-                    }
-                }
-                out.push('\n');
+                ));
             }
         }
         if !self.counters.is_empty() {
@@ -166,14 +154,14 @@ mod tests {
         }
         Report {
             spans: vec![SpanRow {
-                name: "matmul".into(),
+                name: "basm.ststl.fwd".into(),
                 calls: 2,
                 total_ns: 300,
                 mean_ns: 150.0,
                 max_ns: 200,
                 dims: vec![("rows".into(), 96)],
             }],
-            counters: vec![("pool.par_regions".into(), 4)],
+            counters: vec![("serving.retries".into(), 4)],
             gauges: vec![("graph.peak_bytes".into(), 4096)],
             hists: vec![HistRow { name: "serve.e2e_ns".into(), summary: h.summary() }],
         }
@@ -184,9 +172,10 @@ mod tests {
         let t = sample_report().to_table();
         for needle in [
             "== spans ==",
-            "matmul",
+            "basm.ststl.fwd",
+            "3 ns",
             "== counters ==",
-            "pool.par_regions",
+            "serving.retries",
             "== gauges ==",
             "graph.peak_bytes",
             "serve.e2e_ns",

@@ -120,7 +120,7 @@ fn replica(
 
 fn run_flow(fx: &Fixture, mode: Mode) -> Digest {
     pool::set_threads(mode.threads);
-    simd::set_simd(Some(mode.simd));
+    simd::set_simd(mode.simd);
     basm_obs::set_enabled(mode.obs);
     let wals = RefCell::new(Vec::new());
     let world = &fx.world;
@@ -221,7 +221,7 @@ fn every_execution_mode_computes_the_same_bits() {
     }
 
     pool::set_threads(0);
-    pool::set_min_work(usize::MAX);
-    simd::set_simd(None);
+    pool::set_min_work(pool::DEFAULT_MIN_WORK);
+    simd::set_simd(true);
     basm_obs::set_enabled(false);
 }

@@ -1,7 +1,7 @@
 //! Per-length `axpy` cost, scalar-vs-SIMD — the measurement behind
 //! `simd::WIDE_MIN_LEN`.
 //!
-//! `simd::set_simd(Some(false))` runs the inlined scalar loop (which LLVM
+//! `simd::set_simd(false)` runs the inlined scalar loop (which LLVM
 //! auto-vectorizes with unrolling); SIMD on dispatches to the explicit wide
 //! backend once a slice crosses the threshold. The crossover printed here is where
 //! the AVX call boundary (`#[target_feature]` functions cannot inline into
@@ -25,7 +25,7 @@ fn main() {
         // so host-speed drift hits both arms equally.
         for trial in 0..5 {
             for (mi, on) in [false, true].into_iter().enumerate() {
-                simd::set_simd(Some(on));
+                simd::set_simd(on);
                 let t = Instant::now();
                 for r in 0..reps {
                     // Vary `a` so the loop cannot be hoisted.
@@ -38,7 +38,6 @@ fn main() {
                 std::hint::black_box(&acc);
             }
         }
-        simd::set_simd(None);
         println!(
             "n={n:5}  off={:8.1}ms  on={:8.1}ms  on-speedup={:.3}",
             best[0] * 1e3,

@@ -1,7 +1,7 @@
 //! Matmul SIMD-vs-scalar cost at the serve path's actual shapes.
 //!
 //! Times `linalg::matmul` with the GEMM kernel's scalar instance
-//! (`simd::set_simd(Some(false))`) against its widest one, at the shapes the BASM serve
+//! (`simd::set_simd(false)`) against its widest one, at the shapes the BASM serve
 //! path runs (tower layers `[cands,150]→64→32→1`, attention projections at
 //! width 32). The kernel is dispatched once per call, so narrow outputs
 //! get wide lanes too; `axpy_tune` measures the per-slice crossover
@@ -32,7 +32,7 @@ fn main() {
         // so host-speed drift hits both arms equally.
         for trial in 0..5 {
             for (mi, on) in [false, true].into_iter().enumerate() {
-                simd::set_simd(Some(on));
+                simd::set_simd(on);
                 let t = Instant::now();
                 for _ in 0..reps {
                     std::hint::black_box(linalg::matmul(&a, &b));
@@ -43,7 +43,6 @@ fn main() {
                 }
             }
         }
-        simd::set_simd(None);
         println!(
             "[{m},{k}]x[{k},{n}] reps={reps}  off={:7.1}ms on={:7.1}ms  on-speedup={:.3}",
             best[0] * 1e3,

@@ -5,15 +5,17 @@
 //! finite-difference check in `tests/gradcheck.rs`.
 
 use crate::bufpool;
-use crate::graph::{select, stable_sigmoid, Graph, Op, Saved, Var, DIN_BLOCK};
+use crate::graph::{add_ns, select, stable_sigmoid, Graph, Op, Saved, Var, DIN_BLOCK};
 use crate::linalg;
 use crate::pool;
 use crate::simd;
 use crate::tensor::Tensor;
+use std::time::Instant;
 
 impl Graph {
     /// Run backpropagation from a scalar `loss` node, accumulating gradients
-    /// into every upstream node with `requires_grad`.
+    /// into every upstream node with `requires_grad`. Records module
+    /// backward spans ([`Graph::set_module`]).
     pub fn backward(&mut self, loss: Var) {
         assert_eq!(
             self.value(loss).shape(),
@@ -28,18 +30,27 @@ impl Graph {
         let _span = basm_obs::span!("tensor.backward", nodes = self.nodes.len());
         self.accum_grad(loss.0, Tensor::full_pooled(1, 1, 1.0));
 
+        let timing = basm_obs::enabled();
+        let mut module_ns = Vec::new();
         for i in (0..=loss.0).rev() {
             let Some(gout) = self.nodes[i].grad.take() else { continue };
             if !self.nodes[i].requires_grad {
                 self.nodes[i].grad = Some(gout);
                 continue;
             }
+            let start = timing.then(Instant::now);
             let op = self.nodes[i].op.clone();
             let contributions = self.local_grads(i, &op, &gout);
             for (j, g) in contributions {
                 self.accum_grad(j, g);
             }
             self.nodes[i].grad = Some(gout);
+            if let (Some(start), Some(m)) = (start, self.nodes[i].module) {
+                add_ns(&mut module_ns, m, start.elapsed());
+            }
+        }
+        for (m, ns) in module_ns {
+            basm_obs::record_span(m.bwd, ns, &[("rows", self.module_rows)]);
         }
     }
 
@@ -537,7 +548,6 @@ impl Graph {
         let (qv, sv) = (self.val(query), self.val(seq));
         let (m, d) = qv.shape();
         let (rows, fw, h) = (m * t, 4 * d, acts.cols());
-        let _span = basm_obs::span!("tensor.din_scores.backward", rows = m, t, d, h);
         let gs = gout.data();
         let w2d = self.val(w2).data();
         // dpre = leaky'(A) ⊙ (0 + dS·w2): the score GEMM's input gradient

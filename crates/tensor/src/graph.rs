@@ -9,6 +9,9 @@
 //! Node ids are topologically ordered by construction, so the backward pass is
 //! a single reverse sweep over ids (see [`crate::backward`]).
 //!
+//! Nodes carry the tag of the model module that pushed them, and telemetry
+//! is recorded per module, never per op ([`Graph::set_module`]).
+//!
 //! Ops whose output elements are independent (elementwise maps, row-broadcast
 //! ops, per-row softmax and the fused sequence/meta-linear ops) fan out over
 //! [`crate::pool`] row blocks when shapes warrant; cross-row reductions
@@ -24,6 +27,7 @@ use crate::simd;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 /// Handle to a node in a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -154,6 +158,26 @@ pub(crate) struct Node {
     pub(crate) grad: Option<Tensor>,
     pub(crate) requires_grad: bool,
     pub(crate) saved: Option<Saved>,
+    pub(crate) module: Option<&'static Module>,
+}
+
+/// A module tag ([`Graph::set_module`]): the span names its forward and
+/// backward time record under.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Module {
+    /// Forward span name, e.g. `"basm.ststl.fwd"`.
+    pub fwd: &'static str,
+    /// Backward span name, e.g. `"basm.ststl.bwd"`.
+    pub bwd: &'static str,
+}
+
+/// Add `d` to `m`'s total in `sums`.
+pub(crate) fn add_ns(sums: &mut Vec<(&'static Module, u64)>, m: &'static Module, d: Duration) {
+    let ns = d.as_nanos() as u64;
+    match sums.iter_mut().find(|(t, _)| *t == m) {
+        Some((_, sum)) => *sum += ns,
+        None => sums.push((m, ns)),
+    }
 }
 
 /// A define-by-run autograd tape.
@@ -165,6 +189,12 @@ pub struct Graph {
     /// Inference-only tape: fused ops drop the buffers only backward reads.
     /// Set by `predict`, never by `train_step`; cleared on [`Graph::reset`].
     inference: bool,
+    /// The tag pushed nodes copy; while telemetry is on, when its stretch
+    /// began, each module's forward time so far, and the spans' `rows`.
+    module: Option<&'static Module>,
+    module_start: Option<Instant>,
+    module_ns: Vec<(&'static Module, u64)>,
+    pub(crate) module_rows: u64,
 }
 
 impl Graph {
@@ -221,6 +251,10 @@ impl Graph {
         self.param_cache.clear();
         self.param_of_node.clear();
         self.inference = false;
+        self.module = None;
+        self.module_start = None;
+        self.module_ns.clear();
+        self.module_rows = 0;
     }
 
     /// Mark (or unmark) this tape inference-only. Inference tapes keep no
@@ -228,6 +262,35 @@ impl Graph {
     /// once), so `train_step` must never see an inference tape.
     pub fn set_inference(&mut self, on: bool) {
         self.inference = on;
+    }
+
+    /// Tag every node pushed from here on with `module`; `None` untags.
+    /// While telemetry is on, each module's forward time is summed over its
+    /// stretches and recorded as one `module.fwd` span when the tag is
+    /// cleared, with `rows` = the height of the last node pushed (a model's
+    /// `[B, 1]` logits). [`Graph::backward`] sums each tagged node's time
+    /// into its module's `module.bwd` span of the same height.
+    pub fn set_module(&mut self, module: Option<&'static Module>) {
+        if basm_obs::enabled() {
+            let now = Instant::now();
+            if let (Some(m), Some(start)) = (self.module, self.module_start) {
+                add_ns(&mut self.module_ns, m, now - start);
+            }
+            self.module_start = Some(now);
+        }
+        self.module = module;
+        if module.is_none() {
+            self.module_rows = self.nodes.last().map_or(0, |n| n.value.rows() as u64);
+            for (m, ns) in self.module_ns.drain(..) {
+                basm_obs::record_span(m.fwd, ns, &[("rows", self.module_rows)]);
+            }
+            self.module_start = None;
+        }
+    }
+
+    /// The module tag of each node, in tape order.
+    pub fn modules(&self) -> impl Iterator<Item = Option<&'static Module>> + '_ {
+        self.nodes.iter().map(|n| n.module)
     }
 
     /// The forward value of `v`.
@@ -261,7 +324,8 @@ impl Graph {
         saved: Option<Saved>,
     ) -> Var {
         debug_assert!(value.all_finite(), "non-finite forward value from {op:?}");
-        self.nodes.push(Node { op, value, grad: None, requires_grad, saved });
+        let module = self.module;
+        self.nodes.push(Node { op, value, grad: None, requires_grad, saved, module });
         Var(self.nodes.len() - 1)
     }
 
@@ -606,7 +670,6 @@ impl Graph {
         let m = sv.rows();
         assert_eq!(sv.cols(), t * d, "seq_weighted_sum: seq cols {} != {t}*{d}", sv.cols());
         assert_eq!(wv.shape(), (m, t), "seq_weighted_sum: weights must be [{m},{t}]");
-        let _span = basm_obs::span!("tensor.seq_weighted_sum", rows = m, t, d);
         // Accumulating op (masked positions are skipped): needs exact zeros.
         let mut out = Tensor::zeros_pooled(m, d);
         let threads = pool::threads_for(m, m * t * d);
@@ -643,7 +706,6 @@ impl Graph {
             "meta_linear: w must be [{m},{}]",
             out_dim * in_dim
         );
-        let _span = basm_obs::span!("tensor.meta_linear", rows = m, out_dim, in_dim);
         let mut out = Tensor::scratch_pooled(m, out_dim);
         let threads = pool::threads_for(m, m * out_dim * in_dim);
         pool::par_row_blocks(out.data_mut(), out_dim, threads, |i0, block| {
@@ -680,7 +742,6 @@ impl Graph {
             "meta_linear_in_major: w must be [{m},{}]",
             out_dim * in_dim
         );
-        let _span = basm_obs::span!("tensor.meta_linear_in_major", rows = m, out_dim, in_dim);
         // Accumulating op (zero inputs are skipped): needs exact zeros.
         let mut out = Tensor::zeros_pooled(m, out_dim);
         let threads = pool::threads_for(m, m * out_dim * in_dim);
@@ -737,7 +798,6 @@ impl Graph {
         assert_eq!(self.value(b1).shape(), (1, h), "din_scores: b1 must be [1,{h}]");
         assert_eq!(self.value(w2).shape(), (h, 1), "din_scores: w2 must be [{h},1]");
         assert_eq!(self.value(b2).shape(), (1, 1), "din_scores: b2 must be [1,1]");
-        let _span = basm_obs::span!("tensor.din_scores", rows = m, t, d, h);
         let (w1d, b1d) = (self.value(w1).data(), self.value(b1).data());
         let w2d = self.value(w2).data();
         let b2v = self.value(b2).item();

@@ -45,7 +45,7 @@ pub mod rng;
 pub mod simd;
 pub mod tensor;
 
-pub use graph::{with_graph, Graph, Var};
+pub use graph::{with_graph, Graph, Module, Var};
 pub use params::{ParamId, ParamStore};
 pub use rng::Prng;
 pub use tensor::Tensor;

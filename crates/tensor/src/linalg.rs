@@ -22,7 +22,7 @@
 //! dispatched once per call to the widest backend the CPU has. The AVX-512
 //! and AVX instances each compile inside one `#[target_feature]` function,
 //! so the call boundary is paid per matmul, not per row.
-//! `simd::set_simd(Some(false))` runs the scalar instance of the same loop
+//! `simd::set_simd(false)` runs the scalar instance of the same loop
 //! order.
 //!
 //! **Bits.** Every output element sees exactly `acc = +0.0; acc = acc +
@@ -57,7 +57,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = a.shape();
     let (k2, n) = b.shape();
     assert_eq!(k, k2, "matmul: inner dims {k} vs {k2} (A {m}x{k}, B {k2}x{n})");
-    let _span = basm_obs::span!("tensor.matmul", rows = m, inner = k, cols = n);
     gemm(a.data(), k, 1, b.data(), m, k, n)
 }
 
@@ -66,7 +65,6 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
     let (k, m) = a.shape();
     let (k2, n) = b.shape();
     assert_eq!(k, k2, "matmul_at_b: outer dims {k} vs {k2}");
-    let _span = basm_obs::span!("tensor.matmul_at_b", rows = m, inner = k, cols = n);
     gemm(a.data(), 1, m, b.data(), m, k, n)
 }
 
@@ -75,7 +73,6 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = a.shape();
     let (n, k2) = b.shape();
     assert_eq!(k, k2, "matmul_a_bt: inner dims {k} vs {k2}");
-    let _span = basm_obs::span!("tensor.matmul_a_bt", rows = m, inner = k, cols = n);
     let bt = transpose_scratch(b);
     let c = gemm(a.data(), k, 1, &bt, m, k, n);
     bufpool::release(bt);

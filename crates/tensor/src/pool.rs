@@ -20,12 +20,10 @@
 //! Thread count resolution order: [`set_threads`] override (used by tests
 //! and benchmarks) → `BASM_THREADS` env var → available parallelism.
 //!
-//! While telemetry is on the helpers report pool occupancy to
-//! `basm-obs`: `pool.par_regions` / `pool.serial_regions` count how many
-//! regions actually fanned out versus fell back to the serial path, and
-//! `pool.par_threads` sums the threads granted to parallel regions (so
-//! `par_threads / par_regions` is the mean fan-out). Telemetry never changes
-//! what is computed — see DESIGN.md §7.
+//! The helpers record no telemetry: a row-block worker runs one kernel's
+//! slice and records nothing. [`par_map`]'s workers flush `basm-obs` before
+//! they return, because the serving scorer records spans inside them
+//! (DESIGN.md §7).
 //!
 //! ```
 //! use basm_tensor::pool;
@@ -47,8 +45,8 @@ pub const DEFAULT_MIN_WORK: usize = 64 * 1024;
 /// Runtime override for the thread count; 0 = unset.
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Runtime override for the parallelism threshold; `usize::MAX` = unset.
-static MIN_WORK_OVERRIDE: AtomicUsize = AtomicUsize::new(usize::MAX);
+/// The parallelism threshold; [`set_min_work`] changes it.
+static MIN_WORK: AtomicUsize = AtomicUsize::new(DEFAULT_MIN_WORK);
 
 /// `BASM_THREADS`/available-parallelism default, resolved once.
 static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
@@ -86,16 +84,13 @@ pub fn set_threads(n: usize) {
 
 /// Current minimum-work threshold for kernel parallelism.
 pub fn min_work() -> usize {
-    match MIN_WORK_OVERRIDE.load(Ordering::Relaxed) {
-        usize::MAX => DEFAULT_MIN_WORK,
-        n => n,
-    }
+    MIN_WORK.load(Ordering::Relaxed)
 }
 
-/// Override the minimum-work threshold (`usize::MAX` resets). Tests set this
-/// to 0 so tiny fixtures still exercise the parallel code paths.
+/// Set the minimum-work threshold. Tests set it to 0 so tiny fixtures still
+/// exercise the parallel code paths, then restore [`DEFAULT_MIN_WORK`].
 pub fn set_min_work(n: usize) {
-    MIN_WORK_OVERRIDE.store(n, Ordering::Relaxed);
+    MIN_WORK.store(n, Ordering::Relaxed);
 }
 
 /// Whether the current thread is already a pool worker.
@@ -198,13 +193,10 @@ pub fn par_row_blocks_n<const N: usize, F>(
     let rows = outs[0].len() / widths[0];
     debug_assert!((0..N).all(|i| outs[i].len() == rows * widths[i]));
     if threads <= 1 || rows <= 1 {
-        basm_obs::counter_add("pool.serial_regions", 1);
         f(0, outs);
         return;
     }
     let threads = threads.min(rows);
-    basm_obs::counter_add("pool.par_regions", 1);
-    basm_obs::counter_add("pool.par_threads", threads as u64);
     let chunk_rows = rows.div_ceil(threads);
     let mut rest = outs;
     let mut blocks = (0..rows.div_ceil(chunk_rows)).map(|_| {
@@ -220,14 +212,7 @@ pub fn par_row_blocks_n<const N: usize, F>(
         let first = blocks.next().expect("non-empty output");
         for (bi, block) in blocks.enumerate() {
             let first_row = (bi + 1) * chunk_rows;
-            scope.spawn(move || {
-                enter_pool(|| f(first_row, block));
-                // Flush inside the closure: `scope` may return before a
-                // worker's TLS destructors (the merge-on-exit backstop) run,
-                // so an eager flush makes this region's telemetry visible to
-                // `basm_obs::report()` as soon as the region completes.
-                basm_obs::flush();
-            });
+            scope.spawn(move || enter_pool(|| f(first_row, block)));
         }
         enter_pool(|| f(0, first));
     });
@@ -247,11 +232,8 @@ where
     let n = items.len();
     let threads = if in_pool() { 1 } else { num_threads().min(n.max(1)) };
     if threads <= 1 || n <= 1 {
-        basm_obs::counter_add("pool.serial_regions", 1);
         return items.iter().map(|item| f(item)).collect();
     }
-    basm_obs::counter_add("pool.par_regions", 1);
-    basm_obs::counter_add("pool.par_threads", threads as u64);
     let mut slots: Vec<Option<U>> = std::iter::repeat_with(|| None).take(n).collect();
     let chunk = n.div_ceil(threads);
     std::thread::scope(|scope| {
@@ -268,7 +250,9 @@ where
         for (chunk_items, chunk_slots) in pairs {
             scope.spawn(move || {
                 run_chunk(chunk_items, chunk_slots);
-                // See par_row_blocks: merge before the scope returns.
+                // Scorer spans run in these workers. `scope` may return
+                // before a worker's TLS destructors (the merge-on-exit
+                // backstop) run, so flush before the region completes.
                 basm_obs::flush();
             });
         }
@@ -292,7 +276,7 @@ mod tests {
         set_min_work(min_work);
         let out = f();
         set_threads(0);
-        set_min_work(usize::MAX);
+        set_min_work(DEFAULT_MIN_WORK);
         out
     }
 

@@ -33,44 +33,33 @@
 //! them would reassociate the accumulation order, which is exactly what the
 //! bitwise contract forbids.
 //!
-//! **Scalar reference.** [`set_simd`]`(Some(false))` forces the scalar path
+//! **Scalar reference.** [`set_simd`]`(false)` forces the scalar path
 //! in-process: a toggle that moves wall-clock, never bits. The equivalence
 //! tests use it as the reference and `bench_simd` as the interleaved
 //! baseline.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Widest lane count any backend uses. Shape sweeps in tests cover
 /// `1..=2*MAX_LANES+1` so every tail-masking case is exercised.
 pub const MAX_LANES: usize = 16;
 
-/// Whether SIMD kernels are requested; [`set_simd`] flips it.
-static SIMD_ON: AtomicBool = AtomicBool::new(true);
-
 /// Runtime-detected hardware lane width (16 = AVX-512F, 8 = AVX, 4 = SSE2,
 /// 1 = scalar).
 static DETECTED_LANES: OnceLock<usize> = OnceLock::new();
 
-/// Memoized [`active_lanes`]: 16, 8, 4 or 1 lanes, or 0 = stale, recompute.
+/// Memoized [`active_lanes`]: 16, 8, 4 or 1 lanes, or 0 = not yet resolved.
 /// Wide-slice dispatches consult this per call, so it must be exactly one
-/// relaxed load on the hot path — the enabled-check and CPUID resolution
-/// are folded in at [`set_simd`]/first-use time, not per call.
-static ACTIVE_LANES: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
+/// relaxed load on the hot path — the toggle and CPUID resolution are
+/// folded in at [`set_simd`]/first-use time, not per call.
+static ACTIVE_LANES: AtomicU8 = AtomicU8::new(0);
 
-/// Whether SIMD kernels are requested (on unless [`set_simd`] turned them
-/// off). The effective width still depends on [`detected_lanes`].
-#[inline]
-pub fn simd_enabled() -> bool {
-    SIMD_ON.load(Ordering::Relaxed)
-}
-
-/// Override the runtime toggle (`Some(on)`), or restore the default, on
-/// (`None`). Used by the determinism tests and `bench_simd` to compare lane
-/// widths within one process.
-pub fn set_simd(on: Option<bool>) {
-    SIMD_ON.store(on.unwrap_or(true), Ordering::Relaxed);
-    ACTIVE_LANES.store(0, Ordering::Relaxed); // recompute on next dispatch
+/// Turn the SIMD kernels on (the default) or off. Used by the determinism
+/// tests and `bench_simd` to compare lane widths within one process.
+pub fn set_simd(on: bool) {
+    let lanes = if on { detected_lanes() } else { 1 };
+    ACTIVE_LANES.store(lanes as u8, Ordering::Relaxed);
 }
 
 /// The widest lane count this CPU supports, detected once at runtime.
@@ -99,7 +88,7 @@ pub fn detected_lanes() -> usize {
 
 /// The lane width kernels dispatch on right now: [`detected_lanes`] when
 /// enabled, 1 when [`set_simd`] turned SIMD off. One relaxed load on the hot
-/// path; the override/CPUID resolution only reruns after [`set_simd`].
+/// path; CPUID is resolved on first use.
 #[inline]
 pub fn active_lanes() -> usize {
     match ACTIVE_LANES.load(Ordering::Relaxed) {
@@ -108,11 +97,14 @@ pub fn active_lanes() -> usize {
     }
 }
 
+/// First use: resolve CPUID, unless [`set_simd`] got there first.
 #[cold]
 fn refresh_active_lanes() -> usize {
-    let lanes = if simd_enabled() { detected_lanes() } else { 1 };
-    ACTIVE_LANES.store(lanes as u8, Ordering::Relaxed);
-    lanes
+    let detected = detected_lanes() as u8;
+    match ACTIVE_LANES.compare_exchange(0, detected, Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => detected as usize,
+        Err(set) => set as usize,
+    }
 }
 
 /// Scalar reference kernels — the semantics every vector path must replay
@@ -813,11 +805,11 @@ mod tests {
 
     fn assert_modes_match(mut f: impl FnMut() -> Vec<f32>) {
         let _guard = simd_lock();
-        set_simd(Some(true));
+        set_simd(true);
         let wide = f();
-        set_simd(Some(false));
+        set_simd(false);
         let narrow = f();
-        set_simd(None);
+        set_simd(true);
         assert_eq!(bits(&wide), bits(&narrow));
     }
 
@@ -893,13 +885,11 @@ mod tests {
     #[test]
     fn toggle_defaults_on_and_override_wins() {
         let _guard = simd_lock();
-        set_simd(None);
         assert_eq!(active_lanes(), detected_lanes(), "SIMD is on by default");
-        set_simd(Some(false));
+        set_simd(false);
         assert_eq!(active_lanes(), 1);
-        set_simd(Some(true));
+        set_simd(true);
         assert_eq!(active_lanes(), detected_lanes());
-        set_simd(None);
         assert!([1, 4, 8, 16].contains(&detected_lanes()));
     }
 }

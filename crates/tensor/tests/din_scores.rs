@@ -105,11 +105,11 @@ fn assert_pinned(case: &Case, label: &str) {
         for lanes_on in [false, true] {
             pool::set_threads(threads);
             pool::set_min_work(0);
-            simd::set_simd(Some(lanes_on));
+            simd::set_simd(lanes_on);
             let (fused, composite) = (case.run(true), case.run(false));
             pool::set_threads(0);
-            pool::set_min_work(usize::MAX);
-            simd::set_simd(None);
+            pool::set_min_work(pool::DEFAULT_MIN_WORK);
+            simd::set_simd(true);
             for ((f, c), name) in fused.iter().zip(&composite).zip(NAMES) {
                 assert!(f == c, "{label}: {name} differs (threads {threads}, simd {lanes_on})");
             }

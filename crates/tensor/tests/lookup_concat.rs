@@ -122,7 +122,7 @@ fn lookup_concat_matches_composite_bitwise() {
                 }
             }
             pool::set_threads(0);
-            pool::set_min_work(usize::MAX);
+            pool::set_min_work(pool::DEFAULT_MIN_WORK);
         }
     }
 }

@@ -21,7 +21,7 @@ fn with_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     pool::set_min_work(0);
     let out = f();
     pool::set_threads(0);
-    pool::set_min_work(usize::MAX);
+    pool::set_min_work(pool::DEFAULT_MIN_WORK);
     out
 }
 
@@ -181,9 +181,9 @@ fn poisoned_and_cleared_pool_bitwise_identical() {
 fn simd_on_off_bitwise_identical() {
     let _guard = SETTINGS.lock().unwrap();
     let run = |on: bool, threads: usize| {
-        simd::set_simd(Some(on));
+        simd::set_simd(on);
         let out = with_pool(threads, forward_backward_bits);
-        simd::set_simd(None);
+        simd::set_simd(true);
         out
     };
     let baseline = run(false, 1);

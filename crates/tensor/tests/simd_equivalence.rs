@@ -24,11 +24,10 @@ fn bits(t: &Tensor) -> Vec<u32> {
 /// Run `f` twice — SIMD forced off, then forced on — and return both results.
 fn scalar_vs_simd<R>(f: impl Fn() -> R) -> (R, R) {
     let _guard = SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
-    simd::set_simd(Some(false));
+    simd::set_simd(false);
     let scalar = f();
-    simd::set_simd(Some(true));
+    simd::set_simd(true);
     let vector = f();
-    simd::set_simd(None);
     (scalar, vector)
 }
 
@@ -183,13 +182,13 @@ fn for_each_kernel_mode(mut f: impl FnMut(&str)) {
     for threads in [1usize, 4] {
         pool::set_threads(threads);
         for on in [false, true] {
-            simd::set_simd(Some(on));
+            simd::set_simd(on);
             f(&format!("threads={threads} simd={on}"));
         }
     }
-    simd::set_simd(None);
+    simd::set_simd(true);
     pool::set_threads(0);
-    pool::set_min_work(usize::MAX);
+    pool::set_min_work(pool::DEFAULT_MIN_WORK);
 }
 
 /// All three entry points on `a · b`, with the operands laid out as each
@@ -295,9 +294,8 @@ fn lane_detection_and_override() {
     let _guard = SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
     let lanes = simd::detected_lanes();
     assert!([1, 4, 8, 16].contains(&lanes), "unexpected lane width {lanes}");
-    simd::set_simd(Some(false));
+    simd::set_simd(false);
     assert_eq!(simd::active_lanes(), 1, "forced-off must run scalar");
-    simd::set_simd(Some(true));
+    simd::set_simd(true);
     assert_eq!(simd::active_lanes(), lanes, "forced-on must use detected width");
-    simd::set_simd(None);
 }

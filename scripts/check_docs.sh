@@ -19,7 +19,9 @@
 # verify skill) is declared by a workspace manifest, so a deleted feature
 # cannot linger in a build command. It checks that no file under results/
 # names a `BASM_*` variable the code no longer reads, so an artifact cannot
-# describe a knob that is gone. And it checks that README's "Artifact index" table names
+# describe a knob that is gone. It checks DESIGN §7's "no hook in a kernel":
+# no `basm_obs::` call in basm-tensor's GEMM, SIMD or buffer-pool source,
+# and none in pool.rs but `par_map`'s flush. And it checks that README's "Artifact index" table names
 # exactly the files under results/ (brace forms like `x.{txt,json}` expand),
 # so a deleted artifact cannot keep its row and a new one cannot go unlisted.
 set -uo pipefail
@@ -145,6 +147,18 @@ if [ -n "$read_knobs" ]; then
             fail=1
         fi
     done < <(cd results && grep -roE 'BASM_[A-Z0-9_]+' . | sed 's|^\./||' | sort -u)
+fi
+
+# No hook in a kernel (DESIGN §7): kernels and the pool record nothing; the
+# only telemetry call left in pool.rs is par_map's worker flush. Comment
+# lines are skipped.
+kernel_hooks=$(grep -nE 'basm_obs::' crates/tensor/src/{linalg,simd,bufpool,pool}.rs \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
+    | grep -vE '^crates/tensor/src/pool\.rs:[0-9]+:[[:space:]]*basm_obs::flush\(\);$') || true
+if [ -n "$kernel_hooks" ]; then
+    echo "check_docs: telemetry hook in a kernel or the pool (DESIGN §7):" >&2
+    printf '%s\n' "$kernel_hooks" | sed 's/^/  /' >&2
+    fail=1
 fi
 
 # Artifacts: backticked names in the first column of the README table under
