@@ -107,11 +107,14 @@ impl Graph {
                 }
             }
             Op::Mul { a, b } => {
+                let mul = |o: &mut [f32], x: &[f32], y: &[f32]| {
+                    simd::binary(simd::BinOp::Mul, o, x, y)
+                };
                 if self.needs(a) {
-                    out.push((a, gout.par_binary(self.val(b), simd::BinOp::Mul)));
+                    out.push((a, gout.par_slices(self.val(b), mul)));
                 }
                 if self.needs(b) {
-                    out.push((b, gout.par_binary(self.val(a), simd::BinOp::Mul)));
+                    out.push((b, gout.par_slices(self.val(a), mul)));
                 }
             }
             Op::AddRow { a, b } => {
@@ -188,7 +191,7 @@ impl Graph {
             }
             Op::Scale { a, c } => {
                 if self.needs(a) {
-                    out.push((a, gout.par_scale(c)));
+                    out.push((a, gout.par_slices(gout, |o, x, _| simd::scale(o, x, c))));
                 }
             }
             Op::AddScalar { a, .. } => {

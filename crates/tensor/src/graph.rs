@@ -370,108 +370,99 @@ impl Graph {
 
     /// Elementwise sum; shapes must match.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).par_binary(self.value(b), simd::BinOp::Add);
-        let rg = self.rg(a.0) || self.rg(b.0);
-        self.push(Op::Add { a: a.0, b: b.0 }, v, rg)
+        self.elementwise(a, b, simd::BinOp::Add, Op::Add { a: a.0, b: b.0 })
     }
 
     /// Elementwise difference; shapes must match.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).par_binary(self.value(b), simd::BinOp::Sub);
-        let rg = self.rg(a.0) || self.rg(b.0);
-        self.push(Op::Sub { a: a.0, b: b.0 }, v, rg)
+        self.elementwise(a, b, simd::BinOp::Sub, Op::Sub { a: a.0, b: b.0 })
     }
 
     /// Elementwise (Hadamard) product; shapes must match.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).par_binary(self.value(b), simd::BinOp::Mul);
+        self.elementwise(a, b, simd::BinOp::Mul, Op::Mul { a: a.0, b: b.0 })
+    }
+
+    /// Forward of `add`/`sub`/`mul`: `a <op> b` over the pool's row blocks,
+    /// pushed as `node`.
+    fn elementwise(&mut self, a: Var, b: Var, op: simd::BinOp, node: Op) -> Var {
+        let v = self.value(a).par_slices(self.value(b), |o, x, y| simd::binary(op, o, x, y));
         let rg = self.rg(a.0) || self.rg(b.0);
-        self.push(Op::Mul { a: a.0, b: b.0 }, v, rg)
+        self.push(node, v, rg)
     }
 
     /// `a [m,n] + b [1,n]`, `b` broadcast over rows (bias add).
     pub fn add_row(&mut self, a: Var, b: Var) -> Var {
-        let (m, n) = self.value(a).shape();
-        assert_eq!(self.value(b).shape(), (1, n), "add_row: b must be [1,{n}]");
-        let bd = self.value(b).data();
-        let av = self.value(a);
-        let mut out = Tensor::scratch_pooled(m, n);
-        let threads = pool::threads_for(m, m * n);
-        pool::par_row_blocks(out.data_mut(), n, threads, |i0, block| {
-            for (ri, orow) in block.chunks_mut(n).enumerate() {
-                simd::binary(simd::BinOp::Add, orow, av.row(i0 + ri), bd);
-            }
-        });
-        let rg = self.rg(a.0) || self.rg(b.0);
-        self.push(Op::AddRow { a: a.0, b: b.0 }, out, rg)
+        let node = Op::AddRow { a: a.0, b: b.0 };
+        self.broadcast("add_row", a, b, true, node, |o, x, bd, _| {
+            simd::binary(simd::BinOp::Add, o, x, bd)
+        })
     }
 
     /// `a [m,n] * b [1,n]`, `b` broadcast over rows.
     pub fn mul_row(&mut self, a: Var, b: Var) -> Var {
-        let (m, n) = self.value(a).shape();
-        assert_eq!(self.value(b).shape(), (1, n), "mul_row: b must be [1,{n}]");
-        let bd = self.value(b).data();
-        let av = self.value(a);
-        let mut out = Tensor::scratch_pooled(m, n);
-        let threads = pool::threads_for(m, m * n);
-        pool::par_row_blocks(out.data_mut(), n, threads, |i0, block| {
-            for (ri, orow) in block.chunks_mut(n).enumerate() {
-                simd::binary(simd::BinOp::Mul, orow, av.row(i0 + ri), bd);
-            }
-        });
-        let rg = self.rg(a.0) || self.rg(b.0);
-        self.push(Op::MulRow { a: a.0, b: b.0 }, out, rg)
+        let node = Op::MulRow { a: a.0, b: b.0 };
+        self.broadcast("mul_row", a, b, true, node, |o, x, bd, _| {
+            simd::binary(simd::BinOp::Mul, o, x, bd)
+        })
     }
 
     /// `a [m,n] + b [m,1]`, `b` broadcast over columns.
     pub fn add_col(&mut self, a: Var, b: Var) -> Var {
-        let (m, n) = self.value(a).shape();
-        assert_eq!(self.value(b).shape(), (m, 1), "add_col: b must be [{m},1]");
-        let bd = self.value(b).data();
-        let av = self.value(a);
-        let mut out = Tensor::scratch_pooled(m, n);
-        let threads = pool::threads_for(m, m * n);
-        pool::par_row_blocks(out.data_mut(), n, threads, |i0, block| {
-            for (ri, orow) in block.chunks_mut(n).enumerate() {
-                let r = i0 + ri;
-                simd::add_scalar(orow, av.row(r), bd[r]);
-            }
-        });
-        let rg = self.rg(a.0) || self.rg(b.0);
-        self.push(Op::AddCol { a: a.0, b: b.0 }, out, rg)
+        let node = Op::AddCol { a: a.0, b: b.0 };
+        self.broadcast("add_col", a, b, false, node, |o, x, bd, r| simd::add_scalar(o, x, bd[r]))
     }
 
     /// `a [m,n] * b [m,1]`, `b` broadcast over columns (per-row scaling —
     /// how StAEL applies its field weight α).
     pub fn mul_col(&mut self, a: Var, b: Var) -> Var {
-        let (m, n) = self.value(a).shape();
-        assert_eq!(self.value(b).shape(), (m, 1), "mul_col: b must be [{m},1]");
-        let bd = self.value(b).data();
+        let node = Op::MulCol { a: a.0, b: b.0 };
+        self.broadcast("mul_col", a, b, false, node, |o, x, bd, r| simd::scale(o, x, bd[r]))
+    }
+
+    /// Forward of the four broadcast ops: `b` is one `[1,n]` row
+    /// (`rowwise`) or one `[m,1]` column, and `kernel(out_row, a_row, b, r)`
+    /// fills each row `r` of the output over the pool's row blocks. The
+    /// result goes on the tape as `node`.
+    fn broadcast(
+        &mut self,
+        name: &str,
+        a: Var,
+        b: Var,
+        rowwise: bool,
+        node: Op,
+        kernel: impl Fn(&mut [f32], &[f32], &[f32], usize) + Sync,
+    ) -> Var {
         let av = self.value(a);
+        let (m, n) = av.shape();
+        let (bm, bn) = if rowwise { (1, n) } else { (m, 1) };
+        assert_eq!(self.value(b).shape(), (bm, bn), "{name}: b must be [{bm},{bn}]");
+        let bd = self.value(b).data();
         let mut out = Tensor::scratch_pooled(m, n);
         let threads = pool::threads_for(m, m * n);
         pool::par_row_blocks(out.data_mut(), n, threads, |i0, block| {
             for (ri, orow) in block.chunks_mut(n).enumerate() {
-                let r = i0 + ri;
-                simd::scale(orow, av.row(r), bd[r]);
+                kernel(orow, av.row(i0 + ri), bd, i0 + ri);
             }
         });
         let rg = self.rg(a.0) || self.rg(b.0);
-        self.push(Op::MulCol { a: a.0, b: b.0 }, out, rg)
+        self.push(node, out, rg)
     }
 
     // ------------------------------------------------------------- unary ops
 
     /// `c * a`.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
-        let v = self.value(a).par_scale(c);
+        let av = self.value(a);
+        let v = av.par_slices(av, |o, x, _| simd::scale(o, x, c));
         let rg = self.rg(a.0);
         self.push(Op::Scale { a: a.0, c }, v, rg)
     }
 
     /// `a + c`.
     pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let v = self.value(a).par_add_scalar(c);
+        let av = self.value(a);
+        let v = av.par_slices(av, |o, x, _| simd::add_scalar(o, x, c));
         let rg = self.rg(a.0);
         self.push(Op::AddScalar { a: a.0, c }, v, rg)
     }

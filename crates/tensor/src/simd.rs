@@ -1,20 +1,24 @@
-//! Explicit-SIMD inner kernels — portable fixed-width `f32` lanes.
+//! SIMD inner kernels — portable fixed-width `f32` lanes.
 //!
 //! Most hot inner loops in this crate are *elementwise* maps over one or two
 //! slices (`axpy` in the backward kernels, `add`/`mul`/... in the graph ops,
-//! scalar broadcasts in softmax). This module gives each of those loops an
-//! explicit lane-parallel implementation selected at runtime, and exports
+//! scalar broadcasts in softmax). Each of those loops is written once, as a
+//! plain scalar loop, and compiled twice: inlined at the crate's baseline
+//! target, and inside one `#[target_feature(enable = "avx")]` function per
+//! kernel, selected at runtime for long slices. The module also exports
 //! register-level `Lanes` types for the GEMM kernel in [`crate::linalg`],
 //! which keeps accumulators in registers across a whole loop nest instead of
 //! mapping one slice at a time:
 //!
 //! * **16 lanes** — AVX-512F (`_mm512_*`), used when the CPU reports
 //!   `avx512f` at runtime. A register backend only: the GEMM kernel runs
-//!   16-wide, while the slice kernels keep their 8-lane AVX bodies.
+//!   16-wide, while the slice kernels run their AVX instance.
 //! * **8 lanes** — AVX (`core::arch::x86_64::_mm256_*`), used when the CPU
 //!   reports `avx` at runtime. The crate's baseline target is plain x86-64,
 //!   so without this the compiler never emits 256-bit ops.
 //! * **4 lanes** — SSE2 (`_mm_*`), the x86-64 floor; always available there.
+//!   A register backend only: on an SSE2-only host the slice kernels run
+//!   their inlined instance, which LLVM vectorizes 4-wide on its own.
 //! * **1 lane** — plain scalar loop, the portable fallback and the pinned
 //!   reference path on every other architecture.
 //!
@@ -23,11 +27,14 @@
 //! reassociates a reduction. Each element sees exactly the scalar op
 //! sequence (`c + a*x`, `a - s`, `a / s`, ...), and none of the vector paths
 //! use FMA (`vfmadd*` contracts `a*x + c` into one rounding — bits would
-//! move). IEEE-754 `mul`/`add`/`sub`/`div` are exact per element, so the
-//! 16/8/4/1-lane paths are **bitwise identical**, pinned by in-module tests,
-//! `tests/simd_equivalence.rs`, the `tests/parallel_determinism.rs`
-//! composite pin, and the serving crate's `tests/mode_matrix.rs`, which
-//! crosses the SIMD toggle with thread count, WAL and telemetry.
+//! move): the `avx` feature set does not include `fma`, and Rust never
+//! contracts or reassociates float ops on its own. IEEE-754
+//! `mul`/`add`/`sub`/`div` are exact per element, so the 16/8/4/1-lane
+//! paths are **bitwise identical**, pinned by in-module tests (ordinary and
+//! special values), `tests/simd_equivalence.rs`, the
+//! `tests/parallel_determinism.rs` composite pin, and the serving crate's
+//! `tests/mode_matrix.rs`, which crosses the SIMD toggle with thread count,
+//! WAL and telemetry.
 //!
 //! Reductions (`dot`, softmax max/sum folds, `exp`) stay scalar: vectorizing
 //! them would reassociate the accumulation order, which is exactly what the
@@ -107,8 +114,10 @@ fn refresh_active_lanes() -> usize {
     }
 }
 
-/// Scalar reference kernels — the semantics every vector path must replay
-/// bit-for-bit. These are also the portable fallback and the lane tails.
+/// Scalar reference kernels — the one body of each slice kernel, and the
+/// semantics every vector path must replay bit-for-bit. Inlined where called
+/// (`#[inline(always)]`), they compile to the baseline target's auto-vectorized
+/// loop at each call site and to 256-bit ops inside `avx`'s wrappers.
 mod scalar {
     /// `acc[i] += a * x[i]`.
     #[inline(always)]
@@ -231,153 +240,18 @@ pub enum BinOp {
     Mul,
 }
 
-/// SSE2 4-lane kernels. SSE2 is unconditionally present on x86-64, so these
-/// need no `target_feature` gate — only the intrinsics' `unsafe`.
+/// SSE2 4-lane register backend, for the GEMM kernel only. SSE2 is
+/// unconditionally present on x86-64, so it needs no `target_feature` gate —
+/// only the intrinsics' `unsafe`.
 #[cfg(target_arch = "x86_64")]
 mod sse {
     use std::arch::x86_64::*;
-
-    const W: usize = 4;
-
-    #[inline]
-    pub fn axpy(acc: &mut [f32], x: &[f32], a: f32) {
-        let n = acc.len();
-        let body = n - n % W;
-        unsafe {
-            let va = _mm_set1_ps(a);
-            let mut i = 0;
-            while i < body {
-                let vx = _mm_loadu_ps(x.as_ptr().add(i));
-                let vc = _mm_loadu_ps(acc.as_ptr().add(i));
-                _mm_storeu_ps(acc.as_mut_ptr().add(i), _mm_add_ps(vc, _mm_mul_ps(va, vx)));
-                i += W;
-            }
-        }
-        super::scalar::axpy(&mut acc[body..], &x[body..], a);
-    }
-
-    #[inline]
-    pub fn acc(acc: &mut [f32], x: &[f32]) {
-        let n = acc.len();
-        let body = n - n % W;
-        unsafe {
-            let mut i = 0;
-            while i < body {
-                let vx = _mm_loadu_ps(x.as_ptr().add(i));
-                let vc = _mm_loadu_ps(acc.as_ptr().add(i));
-                _mm_storeu_ps(acc.as_mut_ptr().add(i), _mm_add_ps(vc, vx));
-                i += W;
-            }
-        }
-        super::scalar::acc(&mut acc[body..], &x[body..]);
-    }
-
-    #[inline]
-    pub fn binary(op: super::BinOp, out: &mut [f32], a: &[f32], b: &[f32]) {
-        let n = out.len();
-        let body = n - n % W;
-        unsafe {
-            let mut i = 0;
-            while i < body {
-                let va = _mm_loadu_ps(a.as_ptr().add(i));
-                let vb = _mm_loadu_ps(b.as_ptr().add(i));
-                let r = match op {
-                    super::BinOp::Add => _mm_add_ps(va, vb),
-                    super::BinOp::Sub => _mm_sub_ps(va, vb),
-                    super::BinOp::Mul => _mm_mul_ps(va, vb),
-                };
-                _mm_storeu_ps(out.as_mut_ptr().add(i), r);
-                i += W;
-            }
-        }
-        super::scalar::binary(op, &mut out[body..], &a[body..], &b[body..]);
-    }
-
-    #[inline]
-    pub fn scale(out: &mut [f32], a: &[f32], c: f32) {
-        let n = out.len();
-        let body = n - n % W;
-        unsafe {
-            let vc = _mm_set1_ps(c);
-            let mut i = 0;
-            while i < body {
-                let va = _mm_loadu_ps(a.as_ptr().add(i));
-                _mm_storeu_ps(out.as_mut_ptr().add(i), _mm_mul_ps(vc, va));
-                i += W;
-            }
-        }
-        super::scalar::scale(&mut out[body..], &a[body..], c);
-    }
-
-    #[inline]
-    pub fn scale_inplace(x: &mut [f32], c: f32) {
-        let n = x.len();
-        let body = n - n % W;
-        unsafe {
-            let vc = _mm_set1_ps(c);
-            let mut i = 0;
-            while i < body {
-                let vx = _mm_loadu_ps(x.as_ptr().add(i));
-                _mm_storeu_ps(x.as_mut_ptr().add(i), _mm_mul_ps(vx, vc));
-                i += W;
-            }
-        }
-        super::scalar::scale_inplace(&mut x[body..], c);
-    }
-
-    #[inline]
-    pub fn add_scalar(out: &mut [f32], a: &[f32], s: f32) {
-        let n = out.len();
-        let body = n - n % W;
-        unsafe {
-            let vs = _mm_set1_ps(s);
-            let mut i = 0;
-            while i < body {
-                let va = _mm_loadu_ps(a.as_ptr().add(i));
-                _mm_storeu_ps(out.as_mut_ptr().add(i), _mm_add_ps(va, vs));
-                i += W;
-            }
-        }
-        super::scalar::add_scalar(&mut out[body..], &a[body..], s);
-    }
-
-    #[inline]
-    pub fn sub_scalar(out: &mut [f32], a: &[f32], s: f32) {
-        let n = out.len();
-        let body = n - n % W;
-        unsafe {
-            let vs = _mm_set1_ps(s);
-            let mut i = 0;
-            while i < body {
-                let va = _mm_loadu_ps(a.as_ptr().add(i));
-                _mm_storeu_ps(out.as_mut_ptr().add(i), _mm_sub_ps(va, vs));
-                i += W;
-            }
-        }
-        super::scalar::sub_scalar(&mut out[body..], &a[body..], s);
-    }
-
-    #[inline]
-    pub fn div_scalar_inplace(x: &mut [f32], s: f32) {
-        let n = x.len();
-        let body = n - n % W;
-        unsafe {
-            let vs = _mm_set1_ps(s);
-            let mut i = 0;
-            while i < body {
-                let vx = _mm_loadu_ps(x.as_ptr().add(i));
-                _mm_storeu_ps(x.as_mut_ptr().add(i), _mm_div_ps(vx, vs));
-                i += W;
-            }
-        }
-        super::scalar::div_scalar_inplace(&mut x[body..], s);
-    }
 
     /// The 4-lane register backend (see [`super::Lanes`]).
     pub(crate) struct Sse;
 
     impl super::Lanes for Sse {
-        const W: usize = W;
+        const W: usize = 4;
         type V = __m128;
         #[inline(always)]
         unsafe fn zero() -> __m128 {
@@ -402,149 +276,37 @@ mod sse {
     }
 }
 
-/// AVX 8-lane kernels. Gated behind runtime `is_x86_feature_detected!("avx")`
-/// (see [`detected_lanes`]); every fn carries `#[target_feature(enable =
-/// "avx")]` so the compiler emits 256-bit ops. **Never** enable `fma` here or
-/// call `_mm256_fmadd_ps`: fusing `a*x + c` into one rounding would break the
+/// The AVX instance of every slice kernel, and the 8-lane register backend.
+/// Each kernel is the `scalar` body compiled once more inside a
+/// `#[target_feature(enable = "avx")]` function, where LLVM vectorizes it to
+/// 256-bit ops; callers gate on runtime `is_x86_feature_detected!("avx")`
+/// (see [`detected_lanes`]). **Never** enable `fma` here or call
+/// `_mm256_fmadd_ps`: fusing `a*x + c` into one rounding would break the
 /// bitwise contract with the scalar path.
 #[cfg(target_arch = "x86_64")]
 mod avx {
     use std::arch::x86_64::*;
 
-    const W: usize = 8;
-
-    /// # Safety
-    /// Caller must have verified `is_x86_feature_detected!("avx")`.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn axpy(acc: &mut [f32], x: &[f32], a: f32) {
-        let n = acc.len();
-        let body = n - n % W;
-        let va = _mm256_set1_ps(a);
-        let mut i = 0;
-        while i < body {
-            let vx = _mm256_loadu_ps(x.as_ptr().add(i));
-            let vc = _mm256_loadu_ps(acc.as_ptr().add(i));
-            _mm256_storeu_ps(acc.as_mut_ptr().add(i), _mm256_add_ps(vc, _mm256_mul_ps(va, vx)));
-            i += W;
-        }
-        super::scalar::axpy(&mut acc[body..], &x[body..], a);
+    macro_rules! avx_instances {
+        ($($name:ident ( $($arg:ident : $ty:ty),* );)*) => {$(
+            /// # Safety
+            /// Caller must have verified `is_x86_feature_detected!("avx")`.
+            #[target_feature(enable = "avx")]
+            pub unsafe fn $name($($arg: $ty),*) {
+                super::scalar::$name($($arg),*)
+            }
+        )*};
     }
 
-    /// # Safety
-    /// Caller must have verified `is_x86_feature_detected!("avx")`.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn acc(acc: &mut [f32], x: &[f32]) {
-        let n = acc.len();
-        let body = n - n % W;
-        let mut i = 0;
-        while i < body {
-            let vx = _mm256_loadu_ps(x.as_ptr().add(i));
-            let vc = _mm256_loadu_ps(acc.as_ptr().add(i));
-            _mm256_storeu_ps(acc.as_mut_ptr().add(i), _mm256_add_ps(vc, vx));
-            i += W;
-        }
-        super::scalar::acc(&mut acc[body..], &x[body..]);
-    }
-
-    /// # Safety
-    /// Caller must have verified `is_x86_feature_detected!("avx")`.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn binary(op: super::BinOp, out: &mut [f32], a: &[f32], b: &[f32]) {
-        let n = out.len();
-        let body = n - n % W;
-        let mut i = 0;
-        while i < body {
-            let va = _mm256_loadu_ps(a.as_ptr().add(i));
-            let vb = _mm256_loadu_ps(b.as_ptr().add(i));
-            let r = match op {
-                super::BinOp::Add => _mm256_add_ps(va, vb),
-                super::BinOp::Sub => _mm256_sub_ps(va, vb),
-                super::BinOp::Mul => _mm256_mul_ps(va, vb),
-            };
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), r);
-            i += W;
-        }
-        super::scalar::binary(op, &mut out[body..], &a[body..], &b[body..]);
-    }
-
-    /// # Safety
-    /// Caller must have verified `is_x86_feature_detected!("avx")`.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn scale(out: &mut [f32], a: &[f32], c: f32) {
-        let n = out.len();
-        let body = n - n % W;
-        let vc = _mm256_set1_ps(c);
-        let mut i = 0;
-        while i < body {
-            let va = _mm256_loadu_ps(a.as_ptr().add(i));
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_mul_ps(vc, va));
-            i += W;
-        }
-        super::scalar::scale(&mut out[body..], &a[body..], c);
-    }
-
-    /// # Safety
-    /// Caller must have verified `is_x86_feature_detected!("avx")`.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn scale_inplace(x: &mut [f32], c: f32) {
-        let n = x.len();
-        let body = n - n % W;
-        let vc = _mm256_set1_ps(c);
-        let mut i = 0;
-        while i < body {
-            let vx = _mm256_loadu_ps(x.as_ptr().add(i));
-            _mm256_storeu_ps(x.as_mut_ptr().add(i), _mm256_mul_ps(vx, vc));
-            i += W;
-        }
-        super::scalar::scale_inplace(&mut x[body..], c);
-    }
-
-    /// # Safety
-    /// Caller must have verified `is_x86_feature_detected!("avx")`.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn add_scalar(out: &mut [f32], a: &[f32], s: f32) {
-        let n = out.len();
-        let body = n - n % W;
-        let vs = _mm256_set1_ps(s);
-        let mut i = 0;
-        while i < body {
-            let va = _mm256_loadu_ps(a.as_ptr().add(i));
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_add_ps(va, vs));
-            i += W;
-        }
-        super::scalar::add_scalar(&mut out[body..], &a[body..], s);
-    }
-
-    /// # Safety
-    /// Caller must have verified `is_x86_feature_detected!("avx")`.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn sub_scalar(out: &mut [f32], a: &[f32], s: f32) {
-        let n = out.len();
-        let body = n - n % W;
-        let vs = _mm256_set1_ps(s);
-        let mut i = 0;
-        while i < body {
-            let va = _mm256_loadu_ps(a.as_ptr().add(i));
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_sub_ps(va, vs));
-            i += W;
-        }
-        super::scalar::sub_scalar(&mut out[body..], &a[body..], s);
-    }
-
-    /// # Safety
-    /// Caller must have verified `is_x86_feature_detected!("avx")`.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn div_scalar_inplace(x: &mut [f32], s: f32) {
-        let n = x.len();
-        let body = n - n % W;
-        let vs = _mm256_set1_ps(s);
-        let mut i = 0;
-        while i < body {
-            let vx = _mm256_loadu_ps(x.as_ptr().add(i));
-            _mm256_storeu_ps(x.as_mut_ptr().add(i), _mm256_div_ps(vx, vs));
-            i += W;
-        }
-        super::scalar::div_scalar_inplace(&mut x[body..], s);
+    avx_instances! {
+        axpy(acc: &mut [f32], x: &[f32], a: f32);
+        acc(acc: &mut [f32], x: &[f32]);
+        binary(op: super::BinOp, out: &mut [f32], a: &[f32], b: &[f32]);
+        scale(out: &mut [f32], a: &[f32], c: f32);
+        scale_inplace(x: &mut [f32], c: f32);
+        add_scalar(out: &mut [f32], a: &[f32], s: f32);
+        sub_scalar(out: &mut [f32], a: &[f32], s: f32);
+        div_scalar_inplace(x: &mut [f32], s: f32);
     }
 
     /// The 8-lane register backend (see [`super::Lanes`]). Only ever
@@ -553,7 +315,7 @@ mod avx {
     pub(crate) struct Avx;
 
     impl super::Lanes for Avx {
-        const W: usize = W;
+        const W: usize = 8;
         type V = __m256;
         #[inline(always)]
         unsafe fn zero() -> __m256 {
@@ -579,7 +341,7 @@ mod avx {
 }
 
 /// AVX-512F 16-lane register backend, for the GEMM kernel only: the slice
-/// kernels above stay 8-wide under AVX-512 (see `dispatch!`). Gated behind
+/// kernels run their AVX instance under AVX-512 (see `dispatch!`). Gated behind
 /// runtime detection of `avx512f` (see [`detected_lanes`]). Same rule as the
 /// `avx` module: `add_mul` is a separate multiply and add, never
 /// `_mm512_fmadd_ps`, and without fast-math flags the compiler never fuses
@@ -667,31 +429,32 @@ pub(crate) use scalar::Scalar;
 pub(crate) use sse::Sse;
 
 // ---------------------------------------------------------------------------
-// Public dispatchers: pick the widest *worthwhile* backend per call.
+// Public dispatchers: pick the widest *worthwhile* instance per call.
 //
-// The AVX functions carry `#[target_feature]`, which makes them real calls:
-// the compiler cannot inline them into SSE-baseline callers, and each call
-// pays the boundary (argument spill + vzeroupper). For short slices — the
-// `n=1` output layers, per-row softmax passes over a 50-step sequence — that
-// boundary costs more than 256-bit lanes save. And below the boundary the
-// manual 4-wide loop is no better either: LLVM auto-vectorizes the plain
-// scalar loop with unrolling the hand-written body doesn't have. So slices
-// under [`WIDE_MIN_LEN`] run the scalar kernel (inlined, auto-vectorized —
-// the same machine code the scalar reference runs), and only longer slices dispatch
-// to the explicit wide backend.
+// Every slice kernel has one body, `scalar::$name`, and two instances of it:
+// inlined into the caller at the crate's baseline target (SSE2 on x86-64,
+// where LLVM auto-vectorizes and unrolls it 4-wide), and compiled once more
+// as `avx::$name`, where the same loop becomes 256-bit ops. The AVX instance
+// carries `#[target_feature]`, which makes it a real call: the compiler
+// cannot inline it into baseline callers, and each call pays the boundary
+// (argument spill + vzeroupper). For short slices — the `n=1` output layers,
+// per-row softmax passes over a 50-step sequence — that boundary costs more
+// than 256-bit lanes save. So slices under [`WIDE_MIN_LEN`] run the inlined
+// instance, and only longer slices on an AVX host call the AVX one. A host
+// without AVX runs the inlined instance at every length.
 //
 // Ordering matters: the length test comes FIRST, against a compile-time
 // constant, so the short-slice fast path never touches `active_lanes()` at
 // all. When the matmuls still ran on `axpy`, they called it once per output
 // element at `n = 1`, and even a relaxed atomic load per call showed up as
-// an 8–23% regression on those shapes before the check was reordered. Only slices long enough to
-// amortize it pay the one-load mode lookup. Every backend produces identical
-// bits (pinned below), so this routing is a pure wall-clock choice,
-// invisible to results.
+// an 8–23% regression on those shapes before the check was reordered. Only
+// slices long enough to amortize it pay the one-load mode lookup. Both
+// instances produce identical bits (pinned below), so this routing is a pure
+// wall-clock choice, invisible to results.
 // ---------------------------------------------------------------------------
 
-/// Minimum slice length before an explicit wide kernel beats the inlined,
-/// auto-vectorized scalar loop, for the slice kernels below. It no longer
+/// Minimum slice length before the AVX instance beats the inlined,
+/// auto-vectorized one, for the slice kernels below. It no longer
 /// governs matmul: the GEMM kernel in [`crate::linalg`] dispatches once per
 /// call and pays the `target_feature` call boundary once per matmul, so it
 /// runs full-width (8- or 16-lane) vectors at every output width. The value
@@ -712,8 +475,6 @@ macro_rules! dispatch {
                 // SAFETY: `active_lanes()` is 8 only when the CPU has AVX,
                 // and 16 only when it has AVX-512F, which includes AVX.
                 16 | 8 => unsafe { avx::$name($($arg),*) },
-                #[cfg(target_arch = "x86_64")]
-                4 => sse::$name($($arg),*),
                 _ => scalar::$name($($arg),*),
             }
         }
@@ -803,23 +564,31 @@ mod tests {
         LOCK.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn assert_modes_match(mut f: impl FnMut() -> Vec<f32>) {
+    /// `f` with SIMD on, then with SIMD off.
+    fn wide_and_scalar(mut f: impl FnMut() -> Vec<f32>) -> (Vec<f32>, Vec<f32>) {
         let _guard = simd_lock();
         set_simd(true);
         let wide = f();
         set_simd(false);
         let narrow = f();
         set_simd(true);
+        (wide, narrow)
+    }
+
+    fn assert_modes_match(f: impl FnMut() -> Vec<f32>) {
+        let (wide, narrow) = wide_and_scalar(f);
         assert_eq!(bits(&wide), bits(&narrow));
     }
+
+    /// Just below the wide-dispatch threshold, then every remainder of the
+    /// compiled AVX loop above it (LLVM unrolls it to 32 floats per
+    /// iteration, with vector and scalar epilogues).
+    const WIDE_LENS: std::ops::RangeInclusive<usize> = WIDE_MIN_LEN - 1..=WIDE_MIN_LEN + 32;
 
     // Every length around the 4/8/16-lane boundaries (including 0 and 1)
     // plus both sides of the wide-dispatch threshold.
     fn lens() -> Vec<usize> {
-        (0..=2 * MAX_LANES + 1)
-            .chain([63, 64, 65])
-            .chain([WIDE_MIN_LEN - 1, WIDE_MIN_LEN, WIDE_MIN_LEN + 1, WIDE_MIN_LEN + 9])
-            .collect()
+        (0..=2 * MAX_LANES + 1).chain([63, 64, 65]).chain(WIDE_LENS).collect()
     }
 
     #[test]
@@ -879,6 +648,72 @@ mod tests {
                 div_scalar_inplace(&mut x, 0.7);
                 x
             });
+        }
+    }
+
+    /// Special values through every slice kernel, wide against scalar: ±0,
+    /// ±∞, NaN, ±3e38 (overflows under `mul`/`scale`) and a subnormal, with
+    /// every one of them also as the broadcast operand (so
+    /// `div_scalar_inplace` divides by ±0). The output starts as `a`, the
+    /// second operand is `b`, and `a[i]`, `b[i]` walk all pairs of specials.
+    /// NaN compares by class, as in `linalg`'s special-values pin: payloads
+    /// are not part of the contract.
+    #[test]
+    fn special_values_match_scalar() {
+        const SPECIALS: [f32; 8] =
+            [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 3.0e38, -3.0e38, 1.0e-40];
+        assert!(SPECIALS[7].is_subnormal());
+        fn binary_inplace(op: BinOp, out: &mut [f32], y: &[f32]) {
+            let x = out.to_vec();
+            binary(op, out, &x, y)
+        }
+        type Kernel = fn(&mut [f32], &[f32], f32);
+        let kernels: [(&str, Kernel); 10] = [
+            ("axpy", axpy),
+            ("acc", |o, y, _| acc(o, y)),
+            ("add", |o, y, _| binary_inplace(BinOp::Add, o, y)),
+            ("sub", |o, y, _| binary_inplace(BinOp::Sub, o, y)),
+            ("mul", |o, y, _| binary_inplace(BinOp::Mul, o, y)),
+            ("scale", scale),
+            ("scale_inplace", |o, _, c| scale_inplace(o, c)),
+            ("add_scalar", add_scalar),
+            ("sub_scalar", sub_scalar),
+            ("div_scalar_inplace", |o, _, c| div_scalar_inplace(o, c)),
+        ];
+        for n in WIDE_LENS {
+            let a: Vec<f32> = (0..n).map(|i| SPECIALS[i % 8]).collect();
+            let b: Vec<f32> = (0..n).map(|i| SPECIALS[i / 8 % 8]).collect();
+            for c in SPECIALS.into_iter().chain([2.0, -0.5]) {
+                for (name, kernel) in kernels {
+                    let (wide, narrow) = wide_and_scalar(|| {
+                        let mut out = a.clone();
+                        kernel(&mut out, &b, c);
+                        out
+                    });
+                    for (i, (w, s)) in wide.iter().zip(&narrow).enumerate() {
+                        let same = if s.is_nan() { w.is_nan() } else { w.to_bits() == s.to_bits() };
+                        assert!(same, "{name}({c:?}) n={n} [{i}]: wide {w:?}, scalar {s:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `linalg`'s FMA-sensitive fixture on the slice path: `-(1 + 2⁻¹¹) +
+    /// (1 + 2⁻¹²)·(1 + 2⁻¹²)` is exactly `+0.0` as a multiply and an add,
+    /// and `2⁻²⁴` fused. So an `axpy` instance the compiler contracted to
+    /// `vfmadd` fails here at every element.
+    #[test]
+    fn axpy_rounds_multiply_and_add_separately() {
+        let (lo, hi) = (1.0 + 2f32.powi(-12), 1.0 + 2f32.powi(-11));
+        assert_eq!(lo.mul_add(lo, -hi), 2f32.powi(-24), "fixture must be FMA-sensitive");
+        for n in WIDE_LENS {
+            let (wide, narrow) = wide_and_scalar(|| {
+                let mut x = vec![-hi; n];
+                axpy(&mut x, &vec![lo; n], lo);
+                x
+            });
+            assert!(wide.iter().chain(&narrow).all(|v| v.to_bits() == 0), "n={n}");
         }
     }
 

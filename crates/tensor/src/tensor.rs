@@ -251,41 +251,33 @@ impl Tensor {
     /// Every element is transformed independently by the same `f`, so the
     /// result is bitwise identical to `map` for any thread count.
     pub fn par_map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-        let mut out = Tensor::scratch_pooled(self.rows, self.cols);
-        let len = self.data.len();
-        let threads = pool::threads_for(len, len);
-        let src = &self.data;
-        pool::par_row_blocks(&mut out.data, 1, threads, |i0, block| {
-            for (k, o) in block.iter_mut().enumerate() {
-                *o = f(src[i0 + k]);
+        self.par_slices(self, |out, x, _| {
+            for (o, &v) in out.iter_mut().zip(x) {
+                *o = f(v);
             }
-        });
-        out
+        })
     }
 
     /// Parallel sibling of [`Tensor::zip_map`]; same determinism contract as
     /// [`Tensor::par_map`].
     pub fn par_zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
-        assert_eq!(self.shape(), other.shape(), "zip_map shape mismatch");
-        let mut out = Tensor::scratch_pooled(self.rows, self.cols);
-        let len = self.data.len();
-        let threads = pool::threads_for(len, len);
-        let a = &self.data;
-        let b = &other.data;
-        pool::par_row_blocks(&mut out.data, 1, threads, |i0, block| {
-            for (k, o) in block.iter_mut().enumerate() {
-                *o = f(a[i0 + k], b[i0 + k]);
+        self.par_slices(other, |out, x, y| {
+            for ((o, &a), &b) in out.iter_mut().zip(x).zip(y) {
+                *o = f(a, b);
             }
-        });
-        out
+        })
     }
 
-    /// `self <op> other` elementwise through the lane-parallel
-    /// [`crate::simd`] kernels — the explicit-SIMD sibling of
-    /// [`Tensor::par_zip_map`] for the four arithmetic ops. Same parallel
-    /// partitioning, bitwise identical to the closure path per mode.
-    pub fn par_binary(&self, other: &Tensor, op: simd::BinOp) -> Tensor {
-        assert_eq!(self.shape(), other.shape(), "par_binary shape mismatch");
+    /// The row-block driver of the parallel elementwise maps:
+    /// `kernel(out, x, y)` fills each row block of a fresh pooled tensor from
+    /// the matching blocks of `self` and `other` (pass `self` twice for a
+    /// one-operand kernel), typically with one [`crate::simd`] slice kernel.
+    pub(crate) fn par_slices(
+        &self,
+        other: &Tensor,
+        kernel: impl Fn(&mut [f32], &[f32], &[f32]) + Sync,
+    ) -> Tensor {
+        assert_eq!(self.shape(), other.shape(), "elementwise shape mismatch");
         let mut out = Tensor::scratch_pooled(self.rows, self.cols);
         let len = self.data.len();
         let threads = pool::threads_for(len, len);
@@ -293,31 +285,7 @@ impl Tensor {
         let b = &other.data;
         pool::par_row_blocks(&mut out.data, 1, threads, |i0, block| {
             let hi = i0 + block.len();
-            simd::binary(op, block, &a[i0..hi], &b[i0..hi]);
-        });
-        out
-    }
-
-    /// `c * self` elementwise through the lane-parallel kernels.
-    pub fn par_scale(&self, c: f32) -> Tensor {
-        let mut out = Tensor::scratch_pooled(self.rows, self.cols);
-        let len = self.data.len();
-        let threads = pool::threads_for(len, len);
-        let a = &self.data;
-        pool::par_row_blocks(&mut out.data, 1, threads, |i0, block| {
-            simd::scale(block, &a[i0..i0 + block.len()], c);
-        });
-        out
-    }
-
-    /// `self + c` elementwise through the lane-parallel kernels.
-    pub fn par_add_scalar(&self, c: f32) -> Tensor {
-        let mut out = Tensor::scratch_pooled(self.rows, self.cols);
-        let len = self.data.len();
-        let threads = pool::threads_for(len, len);
-        let a = &self.data;
-        pool::par_row_blocks(&mut out.data, 1, threads, |i0, block| {
-            simd::add_scalar(block, &a[i0..i0 + block.len()], c);
+            kernel(block, &a[i0..hi], &b[i0..hi]);
         });
         out
     }

@@ -2,13 +2,16 @@
 //!
 //! The `basm_tensor::simd` contract: the SIMD toggle moves wall-clock only.
 //! Lanes map to distinct output elements, no accumulation chain is split,
-//! and no FMA contraction is emitted — so 16-lane AVX-512, 8-lane AVX,
-//! 4-lane SSE2 and the scalar fallback round identically per element. These
-//! tests sweep every remainder-handling edge (`m`, `k`, `n` in
-//! `1 ..= 2·MAX_LANES + 1`, i.e. past two full 16-lane vectors plus a ragged
-//! tail) and compare raw bits between forced-off and forced-on runs of the
-//! same computation. Forced on is the widest backend the CPU has; the GEMM
-//! kernel's narrower backends are pinned by `linalg`'s unit tests.
+//! and no FMA contraction is emitted — so the GEMM kernel's 16-lane AVX-512,
+//! 8-lane AVX, 4-lane SSE2 and scalar backends, and the slice kernels'
+//! inlined and AVX instances of their one scalar body, round identically
+//! per element. These tests sweep every remainder-handling edge (`m`, `k`,
+//! `n` in `1 ..= 2·MAX_LANES + 1`, i.e. past two full 16-lane vectors plus
+//! a ragged tail) and compare raw bits between forced-off and forced-on runs
+//! of the same computation. Forced on is the widest backend the CPU has;
+//! the GEMM kernel's narrower backends are pinned by `linalg`'s unit tests.
+//! The tensor crate builds optimized in the test profile (root
+//! `Cargo.toml`), so the AVX instances compared here are vectorized code.
 
 use basm_tensor::{linalg, pool, simd, Graph, Prng, Tensor};
 use proptest::prelude::*;
