@@ -13,6 +13,16 @@
 //! sample, while full-rank capacity comes from the shared base.
 //! `rank: None` generates the full matrix per sample instead (ablation
 //! mode, APG-like cost).
+//!
+//! The low-rank path runs as one tape op, [`Graph::ststl`]: per row block
+//! it generates `U`, `V` and `b_stl` with the GEMM kernel and applies
+//! `h* = (W_base ĥ + U (V ĥ)) + b_stl` in place, and its backward forms the
+//! gradients without per-op intermediates. It computes the same bits as the
+//! four `Linear`s, two `meta_linear`s and two `add`s it replaced
+//! (DESIGN.md §15; `basm-tensor`'s `tests/ststl.rs` keeps that composite as
+//! the op's oracle). The parameters stay in this layer's `Linear`s, so their
+//! names, the RNG order (`meta_b`, `base`, `meta_u`, `meta_v`) and the
+//! checkpoint format are unchanged. `rank: None` stays a composite.
 
 use basm_tensor::nn::Linear;
 use basm_tensor::{Graph, ParamStore, Prng, Var};
@@ -89,26 +99,27 @@ impl StStl {
     /// `cond = [h_c; h_ui]` (Eq. 7-9). Output `[B, out]`.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, h_hat: Var, cond: Var) -> Var {
         debug_assert_eq!(g.value(h_hat).cols(), self.in_dim);
-        let dynamic = match (self.rank, &self.meta_full) {
+        match (self.rank, &self.meta_full) {
             (Some(r), _) => {
-                let u = self.meta_u.as_ref().expect("low-rank U").forward(g, store, cond);
-                let v = self.meta_v.as_ref().expect("low-rank V").forward(g, store, cond);
-                // (W_base + U·V) ĥ = W_base ĥ + U (V ĥ): a static full-rank
-                // path plus two cheap per-sample contractions.
-                let static_path =
-                    self.base.as_ref().expect("base weight").forward(g, store, h_hat);
-                let tmp = g.meta_linear(v, h_hat, r, self.in_dim); // [B, r]
-                let low_rank = g.meta_linear(u, tmp, self.out_dim, r); // [B, out]
-                g.add(static_path, low_rank)
+                // (W_base + U·V) ĥ + b = W_base ĥ + U (V ĥ) + b: a static
+                // full-rank path plus two cheap per-sample contractions.
+                let [base, u, v] = [&self.base, &self.meta_u, &self.meta_v]
+                    .map(|l| l.as_ref().expect("low-rank StSTL layer"));
+                let w_base = g.param(store, base.w);
+                let [u, v, b] = [u, v, &self.meta_b].map(|l| {
+                    let bias = l.b.expect("StSTL meta layers have biases");
+                    (g.param(store, l.w), g.param(store, bias))
+                });
+                g.ststl(h_hat, cond, w_base, u, v, b, r)
             }
             (None, Some(full)) => {
                 let w = full.forward(g, store, cond); // [B, out*in]
-                g.meta_linear(w, h_hat, self.out_dim, self.in_dim)
+                let dynamic = g.meta_linear(w, h_hat, self.out_dim, self.in_dim);
+                let b = self.meta_b.forward(g, store, cond); // [B, out]
+                g.add(dynamic, b)
             }
             _ => unreachable!("StSTL: inconsistent construction"),
-        };
-        let b = self.meta_b.forward(g, store, cond); // [B, out]
-        g.add(dynamic, b)
+        }
     }
 
     /// Output width.

@@ -4,9 +4,9 @@
 //! (`simd::set_simd(false)`) against its widest one, at the shapes the BASM serve
 //! path runs (tower layers `[cands,150]→64→32→1`, attention projections at
 //! width 32). The kernel is dispatched once per call, so narrow outputs
-//! get wide lanes too; `axpy_tune` measures the per-slice crossover
-//! (`simd::WIDE_MIN_LEN`) that still governs the elementwise kernels. Run
-//! with `cargo run --release -p basm-tensor --example serve_shapes`.
+//! get wide lanes too; `basm-bench`'s `axpy_tune` measures the per-slice
+//! crossover (`simd::WIDE_MIN_LEN`) that still governs the elementwise
+//! kernels. Run with `cargo run --release -p basm-tensor --example serve_shapes`.
 
 use basm_tensor::{linalg, simd, Prng};
 use std::time::Instant;

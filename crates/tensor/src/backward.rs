@@ -5,7 +5,7 @@
 //! finite-difference check in `tests/gradcheck.rs`.
 
 use crate::bufpool;
-use crate::graph::{add_ns, select, stable_sigmoid, Graph, Op, Saved, Var, DIN_BLOCK};
+use crate::graph::{add_ns, select, stable_sigmoid, Graph, Op, Saved, Var, DIN_BLOCK, STSTL_BLOCK};
 use crate::linalg;
 use crate::pool;
 use crate::simd;
@@ -461,6 +461,13 @@ impl Graph {
                 let ids = [query, seq, w1, b1, w2, b2];
                 self.din_scores_grads(feats, acts, gout, ids, t, slope, &mut out);
             }
+            Op::Ststl { h_hat, cond, w_base, w_u, b_u, w_v, b_v, w_b, b_b, rank } => {
+                let Some(Saved::StstlFactors { u, v, tmp }) = &self.nodes[i].saved else {
+                    unreachable!("Ststl node missing saved factors (inference tape?)");
+                };
+                let ids = [h_hat, cond, w_base, w_u, b_u, w_v, b_v, w_b, b_b];
+                self.ststl_grads([u, v, tmp], gout, ids, rank, &mut out);
+            }
             Op::BatchNormTrain { x, eps } => {
                 if self.needs(x) {
                     let Some(Saved::BnStats { var, .. }) = &self.nodes[i].saved else {
@@ -631,6 +638,145 @@ impl Graph {
         }
         dpre.recycle();
     }
+
+    /// Backward of [`Graph::ststl`]. Every element replays the float-op
+    /// sequence the composite's reverse sweep produces through `accum_grad`
+    /// (DESIGN.md §15): per row, the two `MetaLinear` rules give `dU`,
+    /// `dtmp`, `dV` and `h_hat`'s low-rank gradient `dx_V`, summing from
+    /// `+0.0` and skipping zero output gradients; GEMM sums start at `+0.0`;
+    /// `dh_hat = dx_V + dS·w_baseᵀ` and `dcond = (G_b + G_v) + G_u`, with
+    /// `G_b = dS·w_bᵀ`, `G_v = dV·w_vᵀ`, `G_u = dU·w_uᵀ`. A block's input
+    /// gradients are formed while its `dU`/`dV` rows are still in cache.
+    fn ststl_grads(
+        &self,
+        [u, v, tmp]: [&Tensor; 3],
+        gout: &Tensor,
+        [h_hat, cond, w_base, w_u, b_u, w_v, b_v, w_b, b_b]: [usize; 9],
+        rank: usize,
+        out: &mut Vec<(usize, Tensor)>,
+    ) {
+        let (hv, cv) = (self.val(h_hat), self.val(cond));
+        let ((m, ni), nc, no) = (hv.shape(), cv.cols(), gout.cols());
+        let (nu, nv) = (no * rank, rank * ni);
+        let (need_h, need_c) = (self.needs(h_hat), self.needs(cond));
+        let mut du = Tensor::scratch_pooled(m, nu);
+        let mut dv = Tensor::scratch_pooled(m, nv);
+        let mut dh = Tensor::scratch_pooled(m, ni);
+        let mut dc = Tensor::scratch_pooled(m, nc);
+        let [wbase_t, wu_t, wv_t, wb_t] =
+            [w_base, w_u, w_v, w_b].map(|w| linalg::transpose_scratch(self.val(w)));
+        let gd = gout.data();
+        let threads = pool::threads_for(m, m * (nc * (nu + nv + no) + ni * no));
+        let outs = [du.data_mut(), dv.data_mut(), dh.data_mut(), dc.data_mut()];
+        pool::par_row_blocks_n(outs, [nu, nv, ni, nc], threads, |s0, [du, dv, dh, dc]| {
+            let rows = du.len() / nu;
+            let mut part = bufpool::acquire_scratch(STSTL_BLOCK.min(rows) * ni.max(nc));
+            let mut dt_buf = bufpool::acquire_scratch(rank);
+            let dt = &mut dt_buf[..rank];
+            for b0 in (0..rows).step_by(STSTL_BLOCK) {
+                let (i0, nb) = (s0 + b0, STSTL_BLOCK.min(rows - b0));
+                let du = &mut du[b0 * nu..(b0 + nb) * nu];
+                let dv = &mut dv[b0 * nv..(b0 + nb) * nv];
+                let dh = &mut dh[b0 * ni..(b0 + nb) * ni];
+                let dc = &mut dc[b0 * nc..(b0 + nb) * nc];
+                let rows = du.chunks_exact_mut(nu).zip(dv.chunks_exact_mut(nv));
+                for (ri, ((dur, dvr), dhr)) in rows.zip(dh.chunks_exact_mut(ni)).enumerate() {
+                    let r = i0 + ri;
+                    let fwd = [gout.row(r), u.row(r), tmp.row(r), v.row(r), hv.row(r)];
+                    let grads = [dur, &mut *dt, dvr, dhr];
+                    match rank {
+                        4 => ststl_row_grads::<4>(fwd, grads),
+                        _ => ststl_row_grads::<0>(fwd, grads),
+                    }
+                }
+                if need_h {
+                    let part = &mut part[..nb * ni];
+                    linalg::gemm_rows(gd, no, 1, &wbase_t, no, ni, i0, part);
+                    simd::acc(dh, part);
+                }
+                if need_c {
+                    let part = &mut part[..nb * nc];
+                    linalg::gemm_rows(gd, no, 1, &wb_t, no, nc, i0, dc);
+                    linalg::gemm_rows(dv, nv, 1, &wv_t, nv, nc, 0, part);
+                    simd::acc(dc, part);
+                    linalg::gemm_rows(du, nu, 1, &wu_t, nu, nc, 0, part);
+                    simd::acc(dc, part);
+                }
+            }
+            bufpool::release(part);
+            bufpool::release(dt_buf);
+        });
+        for w in [wbase_t, wu_t, wv_t, wb_t] {
+            bufpool::release(w);
+        }
+        let weight_grads = [(w_u, cv, &du), (w_v, cv, &dv), (w_base, hv, gout), (w_b, cv, gout)];
+        for (w, x, dy) in weight_grads {
+            if self.needs(w) {
+                out.push((w, linalg::matmul_at_b(x, dy)));
+            }
+        }
+        for (b, dy) in [(b_u, &du), (b_v, &dv), (b_b, gout)] {
+            if self.needs(b) {
+                out.push((b, col_sums(dy)));
+            }
+        }
+        for (x, g, need) in [(h_hat, dh, need_h), (cond, dc, need_c)] {
+            if need {
+                out.push((x, g));
+            } else {
+                g.recycle();
+            }
+        }
+        du.recycle();
+        dv.recycle();
+    }
+}
+
+/// One row of [`Graph::ststl`]'s two `MetaLinear` rules, given the row's
+/// output gradient `g`, factors `u`, `tmp`, `v` and input `x`: writes `du`,
+/// `dt` (dtmp), `dv` and `dx` (`x`'s low-rank gradient `dx_V`). Sums start
+/// at `+0.0`, and zero output gradients are skipped, as the rule does: a
+/// skipped `du`/`dv` block stays `+0.0`. `R` is the rank when it is known
+/// at compile time (the model's rank 4, whose rank-long loops then unroll
+/// into registers) and 0 otherwise; every instance does the same float ops.
+#[inline(always)]
+fn ststl_row_grads<const R: usize>(
+    [g, u, tmp, v, x]: [&[f32]; 5],
+    [du, dt, dv, dx]: [&mut [f32]; 4],
+) {
+    // low_rank = meta_linear(U, tmp): dU[o] = 0 + g[o]·tmp, dt = Σ_o g[o]·U[o].
+    let rank = if R > 0 { R } else { tmp.len() };
+    let tmp = &tmp[..rank];
+    for (duo, &gv) in du.chunks_exact_mut(rank).zip(g) {
+        if gv == 0.0 {
+            duo.fill(0.0);
+        } else {
+            duo.iter_mut().zip(tmp).for_each(|(d, &tk)| *d = 0.0 + gv * tk);
+        }
+    }
+    // Four factor columns at a time, so each sum is carried in a register
+    // rather than through memory from one `o` to the next.
+    for k0 in (0..rank).step_by(4) {
+        let w = (rank - k0).min(4);
+        let mut acc = [0.0f32; 4];
+        for (uo, &gv) in u.chunks_exact(rank).zip(g) {
+            if gv != 0.0 {
+                acc.iter_mut().zip(&uo[k0..k0 + w]).for_each(|(a, &uk)| *a += gv * uk);
+            }
+        }
+        dt[k0..k0 + w].copy_from_slice(&acc[..w]);
+    }
+    // tmp = meta_linear(V, x): dV[k] = 0 + dt[k]·x, dx = Σ_k dt[k]·V[k].
+    dx.fill(0.0);
+    let vk = dv.chunks_exact_mut(x.len()).zip(v.chunks_exact(x.len()));
+    for ((dvk, vk), &d) in vk.zip(&*dt) {
+        if d == 0.0 {
+            dvk.fill(0.0);
+            continue;
+        }
+        dvk.iter_mut().zip(x).for_each(|(o, &xp)| *o = 0.0 + d * xp);
+        simd::axpy(dx, vk, d);
+    }
 }
 
 fn col_sums(t: &Tensor) -> Tensor {
@@ -701,7 +847,8 @@ mod tests {
     /// backward, each node value and gradient carries a pool-bucket
     /// (power-of-two) capacity — reshape copies, the pass-through gradients
     /// of the add-family rules, parameter copies, embedding gathers and the
-    /// fused attention op included.
+    /// fused attention and StSTL ops (value, gradients and saved buffers)
+    /// included.
     #[test]
     fn hot_path_buffers_come_from_the_pool() {
         use crate::nn::EmbeddingTable;
@@ -731,12 +878,27 @@ mod tests {
         let q = g.slice_cols(seq, 0, 3);
         let p: Vec<Var> = [w1, b1, w2, b2].iter().map(|&id| g.param(&store, id)).collect();
         let scores = g.din_scores(q, seq, p[0], p[1], p[2], p[3], 4, 0.01);
-        let loss = g.sum_all(scores);
+        // StSTL's op on rows of the same chain: ĥ [4, 3], cond [4, 1], out 2,
+        // rank 2.
+        let shapes = [(3, 2), (1, 4), (1, 4), (1, 6), (1, 6), (1, 2), (1, 2)];
+        let s: Vec<Var> =
+            shapes.iter().map(|&(r, c)| g.input_with_grad(rng.randn(r, c, 1.0))).collect();
+        let cond = g.reshape(scores, 4, 1);
+        let h_star = g.ststl(r, cond, s[0], (s[1], s[2]), (s[3], s[4]), (s[5], s[6]), 2);
+        let loss = g.sum_all(h_star);
         g.backward(loss);
 
         for (i, node) in g.nodes.iter().enumerate() {
             let grad = node.grad.as_ref().map(Tensor::capacity);
-            for cap in std::iter::once(node.value.capacity()).chain(grad) {
+            let saved: Vec<usize> = match &node.saved {
+                Some(Saved::BnStats { mean, var }) => vec![mean.capacity(), var.capacity()],
+                Some(Saved::DinActs { feats, acts }) => vec![feats.capacity(), acts.capacity()],
+                Some(Saved::StstlFactors { u, v, tmp }) => {
+                    vec![u.capacity(), v.capacity(), tmp.capacity()]
+                }
+                None => Vec::new(),
+            };
+            for cap in std::iter::once(node.value.capacity()).chain(grad).chain(saved) {
                 assert!(cap.is_power_of_two(), "node {i} ({:?}): capacity {cap}", node.op);
             }
         }

@@ -109,6 +109,22 @@ pub(crate) enum Op {
         t: usize,
         slope: f32,
     },
+    /// StSTL's low-rank semantic transformation, fused: per sample,
+    /// `U = cond·w_u + b_u`, `V = cond·w_v + b_v` (`[out, rank]` and
+    /// `[rank, in]` per row) and `h* = (h_hat·w_base + U (V h_hat)) +
+    /// (cond·w_b + b_b)` -> `[m, out]`.
+    Ststl {
+        h_hat: usize,
+        cond: usize,
+        w_base: usize,
+        w_u: usize,
+        b_u: usize,
+        w_v: usize,
+        b_v: usize,
+        w_b: usize,
+        b_b: usize,
+        rank: usize,
+    },
     /// Per-column batch normalization (no affine) using batch statistics.
     BatchNormTrain { x: usize, eps: f32 },
     /// Per-column normalization with fixed (running) statistics `mean`/`var` `[1,n]`.
@@ -125,6 +141,9 @@ pub(crate) enum Saved {
     /// The features `[q; k; q-k; q⊙k]` (`[m·t, 4d]`) and hidden activations
     /// (`[m·t, h]`) of an [`Op::DinScores`] node on a training tape.
     DinActs { feats: Tensor, acts: Tensor },
+    /// The biased factors `U` (`[m, out·rank]`), `V` (`[m, rank·in]`) and
+    /// `tmp = V ĥ` (`[m, rank]`) of an [`Op::Ststl`] node on a training tape.
+    StstlFactors { u: Tensor, v: Tensor, tmp: Tensor },
 }
 
 impl Saved {
@@ -133,6 +152,7 @@ impl Saved {
         let floats = match self {
             Saved::BnStats { mean, var } => mean.capacity() + var.capacity(),
             Saved::DinActs { feats, acts } => feats.capacity() + acts.capacity(),
+            Saved::StstlFactors { u, v, tmp } => u.capacity() + v.capacity() + tmp.capacity(),
         };
         floats * std::mem::size_of::<f32>()
     }
@@ -147,6 +167,11 @@ impl Saved {
             Saved::DinActs { feats, acts } => {
                 feats.recycle();
                 acts.recycle();
+            }
+            Saved::StstlFactors { u, v, tmp } => {
+                u.recycle();
+                v.recycle();
+                tmp.recycle();
             }
         }
     }
@@ -846,6 +871,126 @@ impl Graph {
         self.push_saved(op, scores, rg, saved)
     }
 
+    /// StSTL's low-rank transformation as one op. For sample `r`, with
+    /// `x = h_hat[r]` and `c = cond[r]`, the generated factors are
+    /// `U = c·w_u + b_u` (a row-major `out × rank` matrix) and
+    /// `V = c·w_v + b_v` (`rank × in`), and
+    /// `h*[r] = (x·w_base + U (V x)) + (c·w_b + b_b)`, for `h_hat [m, in]`,
+    /// `cond [m, c]`, `w_base [in, out]`, `w_u [c, out·rank]`,
+    /// `b_u [1, out·rank]`, `w_v [c, rank·in]`, `b_v [1, rank·in]`,
+    /// `w_b [c, out]` and `b_b [1, out]`.
+    ///
+    /// Bitwise equal, forward and backward, to the composite `matmul` +
+    /// `add_row` for each of `U`, `V` and the bias, `matmul` for the base,
+    /// two `meta_linear`s and two `add`s, provided `h_hat` and `cond` have
+    /// no later consumer on the tape (DESIGN.md §15). Rows go
+    /// `STSTL_BLOCK` at a time: the kernel runs on each weight where it
+    /// lies, and the biases and contractions are applied while the block's
+    /// factors are still in cache. A training tape keeps the biased `U`,
+    /// `V` and `V x` for the backward pass; an inference tape keeps nothing.
+    #[allow(clippy::too_many_arguments)]
+    pub fn ststl(
+        &mut self,
+        h_hat: Var,
+        cond: Var,
+        w_base: Var,
+        (w_u, b_u): (Var, Var),
+        (w_v, b_v): (Var, Var),
+        (w_b, b_b): (Var, Var),
+        rank: usize,
+    ) -> Var {
+        let (hv, cv) = (self.value(h_hat), self.value(cond));
+        let ((m, ni), nc, no) = (hv.shape(), cv.cols(), self.value(w_base).cols());
+        let (nu, nv) = (no * rank, rank * ni);
+        assert!(rank > 0, "ststl: rank must be positive");
+        assert_eq!(cv.rows(), m, "ststl: cond must have {m} rows");
+        let params = [w_base, w_u, b_u, w_v, b_v, w_b, b_b];
+        let shapes = [(ni, no), (nc, nu), (1, nu), (nc, nv), (1, nv), (nc, no), (1, no)];
+        for (p, shape) in params.iter().zip(shapes) {
+            assert_eq!(self.value(*p).shape(), shape, "ststl: parameter shape");
+        }
+        let [wbase, wu, bu, wv, bv, wb, bb] = params.map(|p| self.value(p).data());
+        let (hd, cd) = (hv.data(), cv.data());
+        // One row block: the three GEMMs on `cond` with their biases, the
+        // base GEMM into `h`, then the per-row contractions.
+        let block = |i0: usize, h: &mut [f32], [u, v, tmp, bias]: [&mut [f32]; 4]| {
+            for (out, w, b) in [(&mut *u, wu, bu), (&mut *v, wv, bv), (&mut *bias, wb, bb)] {
+                linalg::gemm_rows(cd, nc, 1, w, nc, b.len(), i0, out);
+                out.chunks_exact_mut(b.len()).for_each(|row| simd::acc(row, b));
+            }
+            linalg::gemm_rows(hd, ni, 1, wbase, ni, no, i0, h);
+            let rows = h.chunks_exact_mut(no).zip(bias.chunks_exact(no));
+            for (ri, (hrow, brow)) in rows.enumerate() {
+                let (x, t) = (hv.row(i0 + ri), &mut tmp[ri * rank..(ri + 1) * rank]);
+                let (u, v) = (&u[ri * nu..(ri + 1) * nu], &v[ri * nv..(ri + 1) * nv]);
+                match rank {
+                    4 => ststl_row::<4>(x, u, v, t, hrow, brow),
+                    _ => ststl_row::<0>(x, u, v, t, hrow, brow),
+                }
+            }
+        };
+        // Per-thread scratch for a block's bias rows and, on an inference
+        // tape, its factors: `[U, V, tmp, bias]` widths.
+        let widths = [nu, nv, rank, no];
+        let scratch = |rows: usize, saving: bool| {
+            let per_row = if saving { no } else { widths.iter().sum() };
+            bufpool::acquire_scratch(STSTL_BLOCK.min(rows) * per_row)
+        };
+        let mut h = Tensor::scratch_pooled(m, no);
+        let threads = pool::threads_for(m, m * (nc * (nu + nv + no) + ni * no));
+        let saved = if self.inference {
+            pool::par_row_blocks(h.data_mut(), no, threads, |s0, h| {
+                let rows = h.len() / no;
+                let mut buf = scratch(rows, false);
+                for b0 in (0..rows).step_by(STSTL_BLOCK) {
+                    let nb = STSTL_BLOCK.min(rows - b0);
+                    let mut rest = &mut buf[..];
+                    let parts = widths.map(|w| {
+                        let (part, tail) = std::mem::take(&mut rest).split_at_mut(nb * w);
+                        rest = tail;
+                        part
+                    });
+                    block(s0 + b0, &mut h[b0 * no..(b0 + nb) * no], parts);
+                }
+                bufpool::release(buf);
+            });
+            None
+        } else {
+            let [mut u, mut v, mut tmp] = [nu, nv, rank].map(|w| Tensor::scratch_pooled(m, w));
+            let outs = [h.data_mut(), u.data_mut(), v.data_mut(), tmp.data_mut()];
+            pool::par_row_blocks_n(outs, [no, nu, nv, rank], threads, |s0, [h, u, v, tmp]| {
+                let rows = h.len() / no;
+                let mut bias = scratch(rows, true);
+                for b0 in (0..rows).step_by(STSTL_BLOCK) {
+                    let nb = STSTL_BLOCK.min(rows - b0);
+                    let parts = [
+                        &mut u[b0 * nu..(b0 + nb) * nu],
+                        &mut v[b0 * nv..(b0 + nb) * nv],
+                        &mut tmp[b0 * rank..(b0 + nb) * rank],
+                        &mut bias[..nb * no],
+                    ];
+                    block(s0 + b0, &mut h[b0 * no..(b0 + nb) * no], parts);
+                }
+                bufpool::release(bias);
+            });
+            Some(Saved::StstlFactors { u, v, tmp })
+        };
+        let rg = [h_hat, cond].iter().chain(&params).any(|v| self.rg(v.0));
+        let op = Op::Ststl {
+            h_hat: h_hat.0,
+            cond: cond.0,
+            w_base: w_base.0,
+            w_u: w_u.0,
+            b_u: b_u.0,
+            w_v: w_v.0,
+            b_v: b_v.0,
+            w_b: w_b.0,
+            b_b: b_b.0,
+            rank,
+        };
+        self.push_saved(op, h, rg, saved)
+    }
+
     // --------------------------------------------------------- normalization
 
     /// Batch normalization core (no affine): per-column standardization with
@@ -953,6 +1098,45 @@ impl Drop for Graph {
 /// (`DIN_BLOCK·t` rows of `4d`) are written and then read by the GEMM while
 /// still cache-resident — 320 KiB at `t = 20`, `d = 32`.
 pub(crate) const DIN_BLOCK: usize = 32;
+
+/// Rows per cache block of [`Graph::ststl`], forward and backward: a block's
+/// generated factors `U`, `V` and their gradients (`out·rank + rank·in`
+/// floats a row) are written and then read while still cache-resident —
+/// 106 KiB at the model's shapes (out 80, in 132, rank 4).
+pub(crate) const STSTL_BLOCK: usize = 32;
+
+/// One row of [`Graph::ststl`]'s contractions, after the GEMMs: `tmp = V x`
+/// and `h = (h + U tmp) + bias`, where `h` holds `x·w_base`. Each sum is
+/// `linalg::dot`'s (from `-0.0`, products in order). The sums of `V x` go
+/// four factor rows at a time, each carried in a register, so they advance
+/// together instead of waiting on each other's adds. `R` is the rank when it
+/// is known at compile time (the model's rank 4, whose rank-long loops then
+/// unroll) and 0 otherwise; every instance does the same float ops.
+#[inline(always)]
+fn ststl_row<const R: usize>(
+    x: &[f32],
+    u: &[f32],
+    v: &[f32],
+    tmp: &mut [f32],
+    h: &mut [f32],
+    bias: &[f32],
+) {
+    let (rank, n) = (if R > 0 { R } else { tmp.len() }, x.len());
+    let tmp = &mut tmp[..rank];
+    for k0 in (0..rank).step_by(4) {
+        let w = (rank - k0).min(4);
+        let mut acc = [-0.0f32; 4];
+        for (p, &xp) in x.iter().enumerate() {
+            for (j, a) in acc.iter_mut().enumerate().take(w) {
+                *a += v[(k0 + j) * n + p] * xp;
+            }
+        }
+        tmp[k0..k0 + w].copy_from_slice(&acc[..w]);
+    }
+    for ((y, uo), &b) in h.iter_mut().zip(u.chunks_exact(rank)).zip(bias) {
+        *y = (*y + linalg::dot(uo, tmp)) + b;
+    }
+}
 
 /// Graphs retained per thread by [`with_graph`]. Serving fans one request
 /// out per worker thread and each worker needs at most one live graph, but

@@ -334,11 +334,13 @@ unsafe fn tile<L: Lanes, const R: usize, const C: usize>(
     }
 }
 
-/// Dot product of two equal-length slices.
+/// Dot product of two equal-length slices: `acc = -0.0; acc = acc + a_p·b_p`
+/// for `p` ascending. `-0.0` is the additive identity, so the result is the
+/// first product plus each next one in order (and an empty dot is `-0.0`).
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
+    a.iter().zip(b.iter()).fold(-0.0, |acc, (&x, &y)| acc + x * y)
 }
 
 #[cfg(test)]

@@ -10,8 +10,10 @@
 //!   accumulation order is independent of the partition, and there are no
 //!   atomics or cross-thread reductions. Changing `BASM_THREADS` therefore
 //!   never changes results, only wall-clock.
-//! * **Thresholds.** Small problems stay on the serial path; the cutover is
-//!   a work estimate (`threads_for`) so thread spawn cost never dominates.
+//! * **Thresholds.** Problems under a work estimate (`threads_for`) stay on
+//!   the serial path. Above it every parallel region spawns its scoped
+//!   threads afresh, and near the default threshold the spawns cost more
+//!   than the work they split (DESIGN.md §6).
 //! * **No oversubscription.** Work spawned from inside a pool worker (e.g. a
 //!   matmul inside a data-parallel seed repeat) runs serially — the
 //!   thread-local [`in_pool`] flag makes nested parallel regions degrade to

@@ -347,3 +347,26 @@ fn grad_din_scores() {
         g.mean_all(q)
     });
 }
+
+#[test]
+fn grad_ststl() {
+    let mut rng = Prng::seeded(22);
+    // h_hat [3, 5], cond [3, 4], out 3, rank 2: w_base [5, 3], w_u [4, 6],
+    // b_u [1, 6], w_v [4, 10], b_v [1, 10], w_b [4, 3], b_b [1, 3].
+    let inputs = [
+        rt(&mut rng, 3, 5),
+        rt(&mut rng, 3, 4),
+        rt(&mut rng, 5, 3),
+        rt(&mut rng, 4, 6),
+        rt(&mut rng, 1, 6),
+        rt(&mut rng, 4, 10),
+        rt(&mut rng, 1, 10),
+        rt(&mut rng, 4, 3),
+        rt(&mut rng, 1, 3),
+    ];
+    assert_gradients(&inputs, |g, v| {
+        let h = g.ststl(v[0], v[1], v[2], (v[3], v[4]), (v[5], v[6]), (v[7], v[8]), 2);
+        let q = g.square(h);
+        g.mean_all(q)
+    });
+}

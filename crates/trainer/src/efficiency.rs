@@ -43,7 +43,6 @@ pub fn measure_efficiency(
     lr: f32,
 ) -> EfficiencyReport {
     let train_idx = ds.train_indices();
-    let mut rng = Prng::seeded(0xEFF1);
     let mut opt = AdagradDecay::paper_default();
 
     // Activation probe: one forward+backward tape at full batch size.
@@ -58,13 +57,7 @@ pub fn measure_efficiency(
     model.params().zero_grads();
     model.clear_journals();
 
-    // Timed epoch.
-    let start = Instant::now();
-    for chunk in ds.shuffled_batches(&train_idx, batch_size, &mut rng) {
-        let b = ds.batch(&chunk);
-        train_step(model, &b, &mut opt, lr, Some(10.0));
-    }
-    let secs_per_epoch = start.elapsed().as_secs_f64();
+    let secs_per_epoch = train_epoch(model, ds, batch_size, lr, &mut opt);
 
     let num_params = model.num_params();
     let memory_bytes = model.memory_bytes() + opt.state_bytes() + activation_bytes;
@@ -75,6 +68,24 @@ pub fn measure_efficiency(
         memory_bytes,
         activation_bytes,
     }
+}
+
+/// Seconds for one training epoch of `model` over the training split, in
+/// a fixed shuffle order: the Table VI time column.
+pub fn train_epoch(
+    model: &mut dyn CtrModel,
+    ds: &Dataset,
+    batch_size: usize,
+    lr: f32,
+    opt: &mut AdagradDecay,
+) -> f64 {
+    let mut rng = Prng::seeded(0xEFF1);
+    let start = Instant::now();
+    for chunk in ds.shuffled_batches(&ds.train_indices(), batch_size, &mut rng) {
+        let b = ds.batch(&chunk);
+        train_step(model, &b, opt, lr, Some(10.0));
+    }
+    start.elapsed().as_secs_f64()
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ mod log;
 pub mod online;
 pub mod repeat;
 
-pub use efficiency::{measure_efficiency, EfficiencyReport};
+pub use efficiency::{measure_efficiency, train_epoch, EfficiencyReport};
 pub use harness::{evaluate, train, train_and_evaluate, TrainConfig, TrainOutcome};
 pub use log::{close_train_log, open_train_log};
 pub use online::{train_online, OnlineDay, OnlineOutcome};
