@@ -19,12 +19,16 @@
 //! wraps its payload in an envelope — magic, format version, payload length,
 //! then a CRC32 (IEEE) trailer over the payload — and [`load_model_dir`]
 //! refuses anything that fails those checks, or the payload's own section
-//! checks, with a typed [`CheckpointError`] (the returned `io::Error`'s
-//! source) before a single byte reaches the model.
+//! checks, with a typed [`PackError`] (the returned `io::Error`'s source)
+//! before a single byte reaches the model. Both sides go through the pack
+//! store's codec (`basm_tensor::packstore::format`).
 
 use crate::model::CtrModel;
-use basm_tensor::packstore::{atomic_write, crc32};
-use basm_tensor::serialize::{begin_checkpoint, CheckpointError, ParsedCheckpoint};
+use basm_tensor::packstore::atomic_write;
+use basm_tensor::packstore::format::{
+    crc_trailed, put_crc, put_f32s, put_u32, put_u64, Cursor, PackError,
+};
+use basm_tensor::serialize::{begin_checkpoint, ParsedCheckpoint};
 use std::io;
 use std::path::Path;
 
@@ -43,60 +47,38 @@ const CURRENT_FILE: &str = "CURRENT";
 fn seal(payload: Vec<u8>) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 24);
     out.extend_from_slice(ENVELOPE_MAGIC);
-    out.extend_from_slice(&ENVELOPE_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    let crc = crc32(&payload);
+    put_u32(&mut out, ENVELOPE_VERSION);
+    put_u64(&mut out, payload.len() as u64);
+    let at = out.len();
     out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc.to_le_bytes());
+    put_crc(&mut out, at);
     out
 }
 
 /// Verify the envelope and return the payload slice.
-fn unseal(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
-    if bytes.len() < 20 {
-        return Err(CheckpointError::Truncated);
-    }
-    if &bytes[..8] != ENVELOPE_MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != ENVELOPE_VERSION {
-        return Err(CheckpointError::BadVersion(version));
-    }
-    let len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-    let payload =
-        bytes.get(20..20 + len).ok_or(CheckpointError::Truncated)?;
-    let trailer = bytes
-        .get(20 + len..20 + len + 4)
-        .ok_or(CheckpointError::Truncated)?;
+fn unseal<'a>(bytes: &'a [u8], what: &'a str) -> Result<&'a [u8], PackError> {
+    let mut c = Cursor::new(bytes, what);
+    c.magic(ENVELOPE_MAGIC)?;
+    c.version(ENVELOPE_VERSION)?;
+    let len = usize::try_from(c.u64()?).unwrap_or(usize::MAX);
+    let sealed = c.take(len.saturating_add(4))?;
     // Anything past the CRC trailer means the file is not what was sealed —
     // a concatenation, a partial overwrite by a longer predecessor, or
     // padding. Refuse it before trusting the CRC of the prefix.
-    if bytes.len() != 20 + len + 4 {
-        return Err(CheckpointError::TrailingBytes);
-    }
-    let stored = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
-    let actual = crc32(payload);
-    if stored != actual {
-        return Err(CheckpointError::ChecksumMismatch { stored, actual });
-    }
-    Ok(payload)
+    c.finish()?;
+    crc_trailed(sealed, what)
 }
 
 /// The `dense.ckpt` payload: dense parameters, then the BN section — count,
 /// then (dim, mean, var) per layer in model order.
 fn dense_payload(model: &mut dyn CtrModel) -> Vec<u8> {
-    let mut payload = begin_checkpoint(model.params()).to_vec();
+    let mut payload = begin_checkpoint(model.params());
     let bns = model.bn_layers();
-    payload.extend_from_slice(&(bns.len() as u32).to_le_bytes());
+    put_u32(&mut payload, bns.len() as u32);
     for bn in bns {
-        payload.extend_from_slice(&(bn.dim() as u32).to_le_bytes());
-        for &v in bn.running_mean() {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
-        for &v in bn.running_var() {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
+        put_u32(&mut payload, bn.dim() as u32);
+        put_f32s(&mut payload, bn.running_mean());
+        put_f32s(&mut payload, bn.running_var());
     }
     payload
 }
@@ -104,47 +86,33 @@ fn dense_payload(model: &mut dyn CtrModel) -> Vec<u8> {
 /// Each BN layer's (running mean, running var), in model order.
 type BnStats = Vec<(Vec<f32>, Vec<f32>)>;
 
-/// Parse the BN section, which must be the *last* section of the payload
-/// (leftover bytes are [`CheckpointError::TrailingBytes`]), checked against
-/// the model's layers.
-fn parse_bn_section(model: &mut dyn CtrModel, rest: &[u8]) -> Result<BnStats, CheckpointError> {
-    let take_u32 = |at: usize| -> Result<u32, CheckpointError> {
-        rest.get(at..at + 4)
-            .map(|s| u32::from_le_bytes(s.try_into().expect("4 bytes")))
-            .ok_or(CheckpointError::Truncated)
-    };
-    let f32s = |b: &[u8]| -> Vec<f32> {
-        b.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().expect("4"))).collect()
-    };
-    let n = take_u32(0)? as usize;
+/// Parse the BN section, checked against the model's layers.
+fn parse_bn_section(model: &mut dyn CtrModel, c: &mut Cursor) -> Result<BnStats, PackError> {
+    let n = c.count(4)?;
     let bns = model.bn_layers();
     if n != bns.len() {
-        return Err(CheckpointError::Missing(format!("{n} BN layers vs {}", bns.len())));
+        return Err(PackError::Missing(format!("{n} BN layers vs {}", bns.len())));
     }
-    let mut at = 4usize;
     let mut stats = Vec::with_capacity(n);
     for bn in bns {
-        let dim = take_u32(at)? as usize;
-        at += 4;
+        let dim = c.u32()? as usize;
         if dim != bn.dim() {
-            return Err(CheckpointError::ShapeMismatch("bn running stats".into()));
+            return Err(PackError::ShapeMismatch("bn running stats".into()));
         }
-        let slice = rest.get(at..at + dim * 8).ok_or(CheckpointError::Truncated)?;
-        stats.push((f32s(&slice[..dim * 4]), f32s(&slice[dim * 4..])));
-        at += dim * 8;
-    }
-    if at != rest.len() {
-        return Err(CheckpointError::TrailingBytes);
+        stats.push((c.f32s(dim)?, c.f32s(dim)?));
     }
     Ok(stats)
 }
 
 /// Verify a `dense.ckpt` file completely, then restore it into the model:
-/// a rejected file leaves the model untouched.
-fn load_dense(model: &mut dyn CtrModel, bytes: &[u8]) -> Result<(), CheckpointError> {
-    let payload = unseal(bytes)?;
-    let parsed = ParsedCheckpoint::parse(payload)?;
-    let stats = parse_bn_section(model, &payload[parsed.consumed()..])?;
+/// a rejected file leaves the model untouched. The BN section must be the
+/// payload's *last* section: leftover bytes are
+/// [`PackError::TrailingBytes`].
+fn load_dense(model: &mut dyn CtrModel, bytes: &[u8], what: &str) -> Result<(), PackError> {
+    let mut c = Cursor::new(unseal(bytes, what)?, what);
+    let parsed = ParsedCheckpoint::parse(&mut c)?;
+    let stats = parse_bn_section(model, &mut c)?;
+    c.finish()?;
     parsed.apply_params(model.params())?;
     for (bn, (mean, var)) in model.bn_layers().into_iter().zip(stats) {
         bn.import_stats(&mean, &var);
@@ -221,22 +189,21 @@ fn sweep_stale_versions(dir: &Path, keep: u64) {
 /// mmap and **no embedding record is deserialized**. Every table has a
 /// directory afterwards.
 ///
-/// A directory without a `CURRENT` pointer, and a `dense.ckpt` that fails
-/// any check, are [`io::ErrorKind::InvalidData`] errors whose source is the
-/// [`CheckpointError`]; the `dense.ckpt` checks all run before the model is
-/// touched.
+/// A directory without a `CURRENT` pointer, a `dense.ckpt` that fails any
+/// check, and a pack directory that fails to attach are
+/// [`io::ErrorKind::InvalidData`] errors whose source is the [`PackError`];
+/// the `dense.ckpt` checks all run before the model is touched.
 pub fn load_model_dir(model: &mut dyn CtrModel, dir: impl AsRef<Path>) -> io::Result<()> {
     let dir = dir.as_ref();
-    let invalid = |e: CheckpointError| io::Error::new(io::ErrorKind::InvalidData, e);
+    let invalid = |e: PackError| io::Error::new(io::ErrorKind::InvalidData, e);
     let version =
-        current_version(dir).ok_or_else(|| invalid(CheckpointError::Missing(CURRENT_FILE.into())))?;
+        current_version(dir).ok_or_else(|| invalid(PackError::Missing(CURRENT_FILE.into())))?;
     let vdir = dir.join(format!("v{version}"));
-    let bytes = std::fs::read(vdir.join(DENSE_FILE))?;
-    load_dense(model, &bytes).map_err(invalid)?;
+    let dense = vdir.join(DENSE_FILE);
+    let bytes = std::fs::read(&dense)?;
+    load_dense(model, &bytes, &dense.display().to_string()).map_err(invalid)?;
     for (i, e) in model.embedders().into_iter().enumerate() {
-        e.emb
-            .attach_pack_dir(&vdir.join(emb_dir(i)))
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        e.emb.attach_pack_dir(&vdir.join(emb_dir(i))).map_err(invalid)?;
     }
     Ok(())
 }
@@ -268,13 +235,13 @@ mod tests {
         batch: &Batch,
         dir: &Path,
         dense: &[u8],
-    ) -> CheckpointError {
+    ) -> PackError {
         std::fs::write(dir.join("v1").join(DENSE_FILE), dense).unwrap();
         let before = pred_bits(model, batch);
         let err = load_model_dir(model, dir).expect_err("corrupt checkpoint must not load");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         assert_eq!(pred_bits(model, batch), before, "a failed load touched the model");
-        *err.into_inner().expect("error source").downcast::<CheckpointError>().expect("typed")
+        *err.into_inner().expect("error source").downcast::<PackError>().expect("typed")
     }
 
     /// A trained BASM saved to a fresh directory, its pristine `dense.ckpt`
@@ -376,7 +343,7 @@ mod tests {
         std::fs::remove_file(dir.join(CURRENT_FILE)).unwrap();
         assert_eq!(
             rejection(&mut fresh, &batch, &dir, &bytes),
-            CheckpointError::Missing(CURRENT_FILE.into())
+            PackError::Missing(CURRENT_FILE.into())
         );
         std::fs::write(dir.join(CURRENT_FILE), current).unwrap();
         assert_pristine_loads(&mut fresh, &dir, &bytes);
@@ -480,20 +447,16 @@ mod tests {
         // concatenated, or a short rewrite over a longer predecessor).
         let mut padded = bytes.clone();
         padded.extend_from_slice(b"garbage");
-        assert_eq!(
-            rejection(&mut fresh, &batch, &dir, &padded),
-            CheckpointError::TrailingBytes
-        );
+        let err = rejection(&mut fresh, &batch, &dir, &padded);
+        assert!(matches!(err, PackError::TrailingBytes(_)), "{err}");
 
         // Garbage *inside* the sealed payload, after the BN section: the CRC
         // is valid (it was sealed over the junk), so only the section-level
         // length check can catch it.
-        let mut payload = unseal(&bytes).unwrap().to_vec();
+        let mut payload = unseal(&bytes, DENSE_FILE).unwrap().to_vec();
         payload.extend_from_slice(b"junk");
-        assert_eq!(
-            rejection(&mut fresh, &batch, &dir, &seal(payload)),
-            CheckpointError::TrailingBytes
-        );
+        let err = rejection(&mut fresh, &batch, &dir, &seal(payload));
+        assert!(matches!(err, PackError::TrailingBytes(_)), "{err}");
         assert_pristine_loads(&mut fresh, &dir, &bytes);
     }
 
@@ -504,7 +467,7 @@ mod tests {
         // trailer — all must fail loudly, never half-apply.
         for cut in [0, 10, bytes.len() / 2, bytes.len() - 1] {
             let err = rejection(&mut fresh, &batch, &dir, &bytes[..cut]);
-            assert_eq!(err, CheckpointError::Truncated, "cut at {cut}");
+            assert!(matches!(err, PackError::Truncated(_)), "cut at {cut}: {err}");
         }
         assert_pristine_loads(&mut fresh, &dir, &bytes);
     }
@@ -518,22 +481,23 @@ mod tests {
             corrupt
         };
         // Envelope header: magic, version and length fields.
-        assert_eq!(rejection(&mut fresh, &batch, &dir, &flipped(0, 0x10)), CheckpointError::BadMagic);
+        let err = rejection(&mut fresh, &batch, &dir, &flipped(0, 0x10));
+        assert!(matches!(err, PackError::BadMagic(_)), "{err}");
         assert_eq!(
             rejection(&mut fresh, &batch, &dir, &flipped(8, 0x10)),
-            CheckpointError::BadVersion(ENVELOPE_VERSION ^ 0x10)
+            PackError::BadVersion(ENVELOPE_VERSION ^ 0x10)
         );
         let err = rejection(&mut fresh, &batch, &dir, &flipped(19, 0x10));
-        assert_eq!(err, CheckpointError::Truncated, "length field grown past the file");
+        assert!(matches!(err, PackError::Truncated(_)), "length field grown past the file: {err}");
         // Payload, from the sealed section header on: without the CRC these
         // would load fine and silently corrupt a weight.
         for at in [20, bytes.len() / 2, bytes.len() - 5] {
             let err = rejection(&mut fresh, &batch, &dir, &flipped(at, 0x10));
-            assert!(matches!(err, CheckpointError::ChecksumMismatch { .. }), "flip at {at}: {err}");
+            assert!(matches!(err, PackError::ChecksumMismatch { .. }), "flip at {at}: {err}");
         }
         // A corrupt trailer bit reports as a mismatch too.
         let err = rejection(&mut fresh, &batch, &dir, &flipped(bytes.len() - 1, 0x01));
-        assert!(matches!(err, CheckpointError::ChecksumMismatch { .. }), "trailer: {err}");
+        assert!(matches!(err, PackError::ChecksumMismatch { .. }), "trailer: {err}");
         assert_pristine_loads(&mut fresh, &dir, &bytes);
     }
 
@@ -541,7 +505,8 @@ mod tests {
     fn non_checkpoint_bytes_are_rejected() {
         let (dir, bytes, mut fresh, batch) = corruption_fixture("magic");
         let junk = b"definitely not a checkpoint at all";
-        assert_eq!(rejection(&mut fresh, &batch, &dir, junk), CheckpointError::BadMagic);
+        let err = rejection(&mut fresh, &batch, &dir, junk);
+        assert!(matches!(err, PackError::BadMagic(_)), "{err}");
         assert_pristine_loads(&mut fresh, &dir, &bytes);
     }
 
@@ -550,12 +515,9 @@ mod tests {
         // A v2 section stream (which carried an embedding-table section),
         // sealed in a valid envelope.
         let (dir, bytes, mut fresh, batch) = corruption_fixture("v2");
-        let mut payload = unseal(&bytes).unwrap().to_vec();
+        let mut payload = unseal(&bytes, DENSE_FILE).unwrap().to_vec();
         payload[8..12].copy_from_slice(&2u32.to_le_bytes());
-        assert_eq!(
-            rejection(&mut fresh, &batch, &dir, &seal(payload)),
-            CheckpointError::BadVersion(2)
-        );
+        assert_eq!(rejection(&mut fresh, &batch, &dir, &seal(payload)), PackError::BadVersion(2));
         assert_pristine_loads(&mut fresh, &dir, &bytes);
     }
 
@@ -566,7 +528,7 @@ mod tests {
         let mut other = Basm::new(&cfg, BasmConfig { tower: vec![48, 16], ..BasmConfig::default() });
         // The tower's first BN layer is 48 wide instead of the saved one.
         let err = rejection(&mut other, &batch, &dir, &bytes);
-        assert_eq!(err, CheckpointError::ShapeMismatch("bn running stats".into()));
+        assert_eq!(err, PackError::ShapeMismatch("bn running stats".into()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

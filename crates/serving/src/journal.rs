@@ -37,10 +37,13 @@
 //!
 //! Appends are sequential, so a crash mid-append leaves an *incomplete
 //! final frame* — recovery drops it, truncates the file back to the last
-//! complete frame, and counts the bytes under `serving.wal_torn_bytes`
-//! (same rule, and same soundness argument, as the pack store's delta
-//! replay). A CRC mismatch on a *complete* frame, an unknown tag, or a bad
-//! magic can never result from a torn append and fail loud.
+//! complete frame with [`truncate_torn_tail`], and counts the bytes under
+//! `serving.wal_torn_bytes`. A CRC mismatch on a *complete* frame, an
+//! unknown tag, a payload that disagrees with its own counts, or a bad
+//! magic can never result from a torn append and fail loud, as an
+//! [`io::ErrorKind::InvalidData`] error whose source is a [`PackError`].
+//! Frames are read and written with the pack store's codec
+//! (`basm_tensor::packstore::format`).
 //!
 //! ## Crash coupling
 //!
@@ -56,7 +59,10 @@
 //! [`CrashPlan`]: basm_tensor::packstore::CrashPlan
 
 use basm_data::BehaviorEvent;
-use basm_tensor::packstore::{crash, crc32};
+use basm_tensor::packstore::format::{
+    crc_trailed, put_crc, put_u16, put_u32, put_u64, Cursor, PackError,
+};
+use basm_tensor::packstore::{crash, truncate_torn_tail};
 use std::io;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -151,76 +157,54 @@ pub struct Journal {
     inner: Mutex<Inner>,
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+/// Bytes of one [`BehaviorEvent`] (field order matches the struct).
+const EVENT_LEN: usize = 14;
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// 14-byte event encoding (field order matches the struct).
 fn put_event(out: &mut Vec<u8>, e: &BehaviorEvent) {
     put_u32(out, e.item);
-    out.extend_from_slice(&e.cat.to_le_bytes());
-    out.extend_from_slice(&e.brand.to_le_bytes());
-    out.push(e.tp);
-    out.push(e.hour);
-    out.extend_from_slice(&e.city.to_le_bytes());
-    out.push(e.gx);
-    out.push(e.gy);
+    put_u16(out, e.cat);
+    put_u16(out, e.brand);
+    out.extend_from_slice(&[e.tp, e.hour]);
+    put_u16(out, e.city);
+    out.extend_from_slice(&[e.gx, e.gy]);
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
+fn event(c: &mut Cursor) -> Result<BehaviorEvent, PackError> {
+    Ok(BehaviorEvent {
+        item: c.u32()?,
+        cat: c.u16()?,
+        brand: c.u16()?,
+        tp: c.u8()?,
+        hour: c.u8()?,
+        city: c.u16()?,
+        gx: c.u8()?,
+        gy: c.u8()?,
+    })
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let s = self
-            .bytes
-            .get(self.at..self.at + n)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "wal: short payload"))?;
-        self.at += n;
-        Ok(s)
-    }
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> io::Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-    fn event(&mut self) -> io::Result<BehaviorEvent> {
-        Ok(BehaviorEvent {
-            item: self.u32()?,
-            cat: self.u16()?,
-            brand: self.u16()?,
-            tp: self.u8()?,
-            hour: self.u8()?,
-            city: self.u16()?,
-            gx: self.u8()?,
-            gy: self.u8()?,
-        })
-    }
-    fn u32s(&mut self, n: usize) -> io::Result<Vec<u32>> {
-        (0..n).map(|_| self.u32()).collect()
-    }
-    fn u64s(&mut self, n: usize) -> io::Result<Vec<u64>> {
-        (0..n).map(|_| self.u64()).collect()
-    }
-    fn finish(self) -> io::Result<()> {
-        if self.at != self.bytes.len() {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "wal: trailing payload bytes"));
-        }
-        Ok(())
-    }
+/// `n` elements read by `read`.
+fn many<'a, T>(
+    c: &mut Cursor<'a>,
+    n: usize,
+    read: impl Fn(&mut Cursor<'a>) -> Result<T, PackError>,
+) -> Result<Vec<T>, PackError> {
+    (0..n).map(|_| read(c)).collect()
+}
+
+/// A `u32`-counted run of events.
+fn put_events(out: &mut Vec<u8>, events: &[BehaviorEvent]) {
+    put_u32(out, events.len() as u32);
+    events.iter().for_each(|e| put_event(out, e));
+}
+
+/// Read a [`put_events`] run.
+fn events(c: &mut Cursor) -> Result<Vec<BehaviorEvent>, PackError> {
+    let n = c.count(EVENT_LEN)?;
+    many(c, n, event)
+}
+
+fn invalid(e: PackError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
 impl WalRecord {
@@ -246,42 +230,21 @@ impl WalRecord {
                 put_u32(&mut out, lists.len() as u32);
                 for l in lists {
                     put_u32(&mut out, l.len() as u32);
-                    for &item in l {
-                        put_u32(&mut out, item);
-                    }
+                    l.iter().for_each(|&item| put_u32(&mut out, item));
                 }
             }
             WalRecord::Seed { uid, events } => {
                 put_u32(&mut out, *uid);
-                put_u32(&mut out, events.len() as u32);
-                for e in events {
-                    put_event(&mut out, e);
-                }
+                put_events(&mut out, events);
             }
             WalRecord::Snapshot(s) => {
                 put_u32(&mut out, s.history.len() as u32);
                 put_u32(&mut out, s.item_clicks.len() as u32);
                 put_u64(&mut out, s.clicks_version);
-                for &v in &s.history_version {
-                    put_u64(&mut out, v);
-                }
-                for h in &s.history {
-                    put_u32(&mut out, h.len() as u32);
-                    for e in h {
-                        put_event(&mut out, e);
-                    }
-                }
-                for &v in &s.user_clicks {
-                    put_u32(&mut out, v);
-                }
-                for &v in &s.user_orders {
-                    put_u32(&mut out, v);
-                }
-                for &v in &s.item_clicks {
-                    put_u32(&mut out, v);
-                }
-                for &v in &s.item_exposures {
-                    put_u32(&mut out, v);
+                s.history_version.iter().for_each(|&v| put_u64(&mut out, v));
+                s.history.iter().for_each(|h| put_events(&mut out, h));
+                for run in [&s.user_clicks, &s.user_orders, &s.item_clicks, &s.item_exposures] {
+                    run.iter().for_each(|&v| put_u32(&mut out, v));
                 }
             }
             WalRecord::Seal { records } => put_u64(&mut out, *records),
@@ -289,63 +252,44 @@ impl WalRecord {
         out
     }
 
-    fn decode(tag: u8, payload: &[u8]) -> io::Result<Self> {
-        let mut r = Reader { bytes: payload, at: 0 };
+    fn decode(tag: u8, payload: &[u8], what: &str) -> Result<Self, PackError> {
+        let mut c = Cursor::new(payload, what);
         let rec = match tag {
-            TAG_CLICK => {
-                let uid = r.u32()?;
-                let ordered = r.u8()? != 0;
-                let event = r.event()?;
-                WalRecord::Click { uid, ordered, event }
-            }
+            TAG_CLICK => WalRecord::Click {
+                uid: c.u32()?,
+                ordered: c.u8()? != 0,
+                event: event(&mut c)?,
+            },
             TAG_EXPOSURES => {
-                let n = r.u32()? as usize;
-                let mut lists = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let m = r.u32()? as usize;
-                    lists.push(r.u32s(m)?);
-                }
+                let n = c.count(4)?;
+                let lists = many(&mut c, n, |c| {
+                    let m = c.count(4)?;
+                    many(c, m, Cursor::u32)
+                })?;
                 WalRecord::Exposures { lists }
             }
-            TAG_SEED => {
-                let uid = r.u32()?;
-                let n = r.u32()? as usize;
-                let events = (0..n).map(|_| r.event()).collect::<io::Result<_>>()?;
-                WalRecord::Seed { uid, events }
-            }
+            TAG_SEED => WalRecord::Seed { uid: c.u32()?, events: events(&mut c)? },
             TAG_SNAPSHOT => {
-                let n_users = r.u32()? as usize;
-                let n_items = r.u32()? as usize;
-                let clicks_version = r.u64()?;
-                let history_version = r.u64s(n_users)?;
-                let mut history = Vec::with_capacity(n_users);
-                for _ in 0..n_users {
-                    let m = r.u32()? as usize;
-                    history.push((0..m).map(|_| r.event()).collect::<io::Result<_>>()?);
-                }
-                let user_clicks = r.u32s(n_users)?;
-                let user_orders = r.u32s(n_users)?;
-                let item_clicks = r.u32s(n_items)?;
-                let item_exposures = r.u32s(n_items)?;
+                // Per user: a version, a history count, clicks and orders.
+                let n_users = c.count(20)?;
+                let n_items = c.count(8)?;
+                let clicks_version = c.u64()?;
+                let history_version = many(&mut c, n_users, Cursor::u64)?;
+                let history = many(&mut c, n_users, events)?;
                 WalRecord::Snapshot(Box::new(WalSnapshot {
                     clicks_version,
                     history_version,
                     history,
-                    user_clicks,
-                    user_orders,
-                    item_clicks,
-                    item_exposures,
+                    user_clicks: many(&mut c, n_users, Cursor::u32)?,
+                    user_orders: many(&mut c, n_users, Cursor::u32)?,
+                    item_clicks: many(&mut c, n_items, Cursor::u32)?,
+                    item_exposures: many(&mut c, n_items, Cursor::u32)?,
                 }))
             }
-            TAG_SEAL => WalRecord::Seal { records: r.u64()? },
-            t => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("wal: unknown record tag {t}"),
-                ))
-            }
+            TAG_SEAL => WalRecord::Seal { records: c.u64()? },
+            t => return Err(PackError::Corrupt(format!("{what}: unknown record tag {t}"))),
         };
-        r.finish()?;
+        c.finish()?;
         Ok(rec)
     }
 
@@ -355,8 +299,7 @@ impl WalRecord {
         frame.push(self.tag());
         put_u32(&mut frame, payload.len() as u32);
         frame.extend_from_slice(&payload);
-        let crc = crc32(&frame);
-        put_u32(&mut frame, crc);
+        put_crc(&mut frame, 0);
         frame
     }
 }
@@ -393,40 +336,30 @@ impl Journal {
             let j = Self::create(path)?;
             return Ok((j, Vec::new(), WalStats::default()));
         }
-        if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "wal: bad magic"));
-        }
+        let what = path.display().to_string();
+        let mut c = Cursor::new(&bytes, &what);
+        c.magic(WAL_MAGIC).map_err(invalid)?;
         let mut records = Vec::new();
         let mut stats = WalStats::default();
-        let mut at = WAL_MAGIC.len();
-        while at < bytes.len() {
-            let Some(header) = bytes.get(at..at + 5) else { break };
-            let len = u32::from_le_bytes(header[1..5].try_into().expect("4 bytes")) as usize;
-            let Some(frame) = bytes.get(at..at + 5 + len + 4) else { break };
-            let stored = u32::from_le_bytes(frame[5 + len..].try_into().expect("4 bytes"));
-            let actual = crc32(&frame[..5 + len]);
-            if stored != actual {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("wal: crc mismatch at byte {at} (stored {stored:#x}, actual {actual:#x})"),
-                ));
-            }
-            let rec = WalRecord::decode(frame[0], &frame[5..5 + len])?;
+        while c.remaining() > 0 {
+            let frame = c.frame(5, |header| {
+                let mut h = Cursor::new(&header[1..], &what);
+                Ok((h.u32()? as usize).saturating_add(9))
+            });
+            // An incomplete final frame: the signature of a crash mid-append.
+            let Ok(frame) = frame else { break };
+            let body = crc_trailed(frame, &what).map_err(invalid)?;
+            let rec = WalRecord::decode(body[0], &body[5..], &what).map_err(invalid)?;
             stats.sealed = matches!(rec, WalRecord::Seal { records: n } if n == stats.records);
             if !matches!(rec, WalRecord::Seal { .. }) {
                 stats.records += 1;
                 records.push(rec);
             }
-            at += 5 + len + 4;
         }
-        if at < bytes.len() {
-            // Incomplete final frame: the signature of a crash mid-append.
-            stats.torn_bytes = (bytes.len() - at) as u64;
+        let at = c.position();
+        stats.torn_bytes = truncate_torn_tail(&path, at as u64);
+        if stats.torn_bytes > 0 {
             basm_obs::counter_add("serving.wal_torn_bytes", stats.torn_bytes);
-            if let Ok(f) = std::fs::OpenOptions::new().write(true).open(&path) {
-                let _ = f.set_len(at as u64);
-                let _ = f.sync_all();
-            }
         }
         let journal = Self {
             inner: Mutex::new(Inner {
@@ -445,14 +378,7 @@ impl Journal {
         let frame = rec.encode_frame();
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         // Repair a torn tail left by a previously failed append.
-        if let Ok(md) = std::fs::metadata(&inner.path) {
-            if md.len() != inner.valid_len {
-                if let Ok(f) = std::fs::OpenOptions::new().write(true).open(&inner.path) {
-                    let _ = f.set_len(inner.valid_len);
-                    let _ = f.sync_all();
-                }
-            }
-        }
+        truncate_torn_tail(&inner.path, inner.valid_len);
         crash::append_file(&inner.path, &frame)?;
         inner.valid_len += frame.len() as u64;
         inner.records += 1;
@@ -525,7 +451,7 @@ mod tests {
         for rec in &records {
             let frame = rec.encode_frame();
             let len = u32::from_le_bytes(frame[1..5].try_into().unwrap()) as usize;
-            let decoded = WalRecord::decode(frame[0], &frame[5..5 + len]).unwrap();
+            let decoded = WalRecord::decode(frame[0], &frame[5..5 + len], "t").unwrap();
             assert_eq!(&decoded, rec);
         }
     }

@@ -1,94 +1,46 @@
-//! Golden bytes of every on-disk format: the length and CRC32 of each file
-//! written by a fixed-seed checkpoint save (`dense.ckpt`, `MANIFEST`, `.idx`
-//! and shards), one delta flush after a train step, and a WAL holding one
-//! record of every tag. A codec change that claims "same bytes" must leave
-//! every pinned pair as it is.
+//! Golden bytes of every on-disk format: the length and CRC32 of what a
+//! fixed-seed checkpoint save writes (`CURRENT`, `dense.ckpt`, `MANIFEST`,
+//! `.idx` and shards), of one delta flush after a train step, and of a WAL
+//! holding one record of every tag. A codec change that claims "same bytes"
+//! must leave every pinned digest as it is.
 
 use basm_core::basm::{Basm, BasmConfig};
 use basm_core::checkpoint::{load_model_dir, save_model_dir};
 use basm_core::model::{train_step, CtrModel};
 use basm_data::{generate_dataset, BehaviorEvent, WorldConfig};
-use basm_serving::{fresh_wal_path, Journal, WalRecord, WalSnapshot};
+use basm_serving::{Journal, WalRecord, WalSnapshot};
 use basm_tensor::optim::AdagradDecay;
 use basm_tensor::packstore::{crc32, fresh_temp_dir};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-/// A file's length, and the CRC32 of its bytes in reverse order. The
-/// reversal matters: a file that ends in the CRC32 of everything before it
-/// (`.idx`, `MANIFEST`) has the same whole-file CRC32 (the CRC residue)
-/// whatever its body, so a forward CRC32 would pin nothing there.
-fn digest(bytes: &[u8]) -> (usize, u32) {
-    let reversed: Vec<u8> = bytes.iter().rev().copied().collect();
-    (bytes.len(), crc32(&reversed))
-}
-
-/// Every file under `root`, as (path relative to `root`, [`digest`]),
-/// sorted by path.
-fn digests(root: &Path) -> Vec<(String, usize, u32)> {
-    fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, usize, u32)>) {
+/// The files under `root` whose path passes `keep`, each one's path and
+/// bytes concatenated in path order: (file count, bytes, CRC32). The CRC32
+/// runs over the concatenation in reverse byte order, because a file that
+/// ends in the CRC32 of everything before it (`.idx`, `MANIFEST`) leaves the
+/// forward CRC32 of any run holding it blind to its body (the CRC residue).
+fn digest(root: &Path, keep: impl Fn(&str) -> bool) -> (usize, usize, u32) {
+    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
         for entry in std::fs::read_dir(dir).unwrap() {
             let path = entry.unwrap().path();
             if path.is_dir() {
-                walk(root, &path, out);
+                walk(&path, out);
             } else {
-                let (len, crc) = digest(&std::fs::read(&path).unwrap());
-                let rel = path.strip_prefix(root).unwrap().to_str().unwrap().to_string();
-                out.push((rel, len, crc));
+                out.push(path);
             }
         }
     }
-    let mut out = Vec::new();
-    walk(root, root, &mut out);
-    out.sort();
-    out
+    let mut paths = Vec::new();
+    walk(root, &mut paths);
+    paths.retain(|p| keep(p.strip_prefix(root).unwrap().to_str().unwrap()));
+    paths.sort();
+    let mut all = Vec::new();
+    for p in &paths {
+        all.extend_from_slice(p.strip_prefix(root).unwrap().to_str().unwrap().as_bytes());
+        all.extend(std::fs::read(p).unwrap());
+    }
+    all.reverse();
+    (paths.len(), all.len(), crc32(&all))
 }
-
-fn assert_pinned(label: &str, got: &[(String, usize, u32)], want: &[(&str, usize, u32)]) {
-    let want: Vec<(String, usize, u32)> =
-        want.iter().map(|&(p, n, c)| (p.to_string(), n, c)).collect();
-    let now: String =
-        got.iter().map(|(p, n, c)| format!("    (\"{p}\", {n}, {c:#010x}),\n")).collect();
-    assert_eq!(got, want.as_slice(), "{label}: on-disk bytes changed; now\n{now}");
-}
-
-const CHECKPOINT: &[(&str, usize, u32)] = &[
-    ("CURRENT", 3, 0x8ded8f7f),
-    ("v1/dense.ckpt", 442255, 0xbd46709e),
-    ("v1/emb/MANIFEST", 282, 0xff20bdc2),
-    ("v1/emb/brand.0.pack", 1460, 0xee5eeeea),
-    ("v1/emb/brand.idx", 2116, 0x38494505),
-    ("v1/emb/category.0.pack", 820, 0xa8c9d258),
-    ("v1/emb/category.idx", 2116, 0xd34e23e7),
-    ("v1/emb/city.0.pack", 436, 0x05f37420),
-    ("v1/emb/city.idx", 2116, 0xc44afc7f),
-    ("v1/emb/combine.0.pack", 2100, 0x32182481),
-    ("v1/emb/combine.idx", 2116, 0xa282f9cd),
-    ("v1/emb/geohash.0.pack", 4276, 0xe93050ab),
-    ("v1/emb/geohash.idx", 2116, 0x93e43b23),
-    ("v1/emb/hour.0.pack", 1716, 0xe2d50d3a),
-    ("v1/emb/hour.idx", 2116, 0x68fe030d),
-    ("v1/emb/item.0.pack", 19508, 0xd222cb47),
-    ("v1/emb/item.idx", 2116, 0x6efe057b),
-    ("v1/emb/position.0.pack", 276, 0xb706eefa),
-    ("v1/emb/position.idx", 2116, 0xc9f1ed4f),
-    ("v1/emb/time_period.0.pack", 500, 0x40c7482d),
-    ("v1/emb/time_period.idx", 2116, 0xf9530c9e),
-    ("v1/emb/user.0.pack", 25908, 0xf44ac0f8),
-    ("v1/emb/user.idx", 2116, 0xb5535793),
-];
-const DELTAS: &[(&str, usize, u32)] = &[
-    ("v1/emb/brand.delta", 876, 0xa537eed7),
-    ("v1/emb/category.delta", 732, 0xba6cc442),
-    ("v1/emb/city.delta", 156, 0xa6015be8),
-    ("v1/emb/combine.delta", 660, 0x6b9e333f),
-    ("v1/emb/geohash.delta", 516, 0x37692576),
-    ("v1/emb/hour.delta", 444, 0x49c77e44),
-    ("v1/emb/item.delta", 6540, 0x2aa251d1),
-    ("v1/emb/position.delta", 212, 0x177f8162),
-    ("v1/emb/time_period.delta", 372, 0xbfd650fd),
-    ("v1/emb/user.delta", 964, 0x048f7c4d),
-];
-const WAL: (usize, u32) = (242, 0xaa1b7597);
 
 #[test]
 fn checkpoint_and_delta_bytes_are_pinned() {
@@ -100,27 +52,43 @@ fn checkpoint_and_delta_bytes_are_pinned() {
     train_step(&mut model, &batch, &mut opt, 0.05, None);
     let dir = fresh_temp_dir();
     save_model_dir(&mut model, &dir).unwrap();
-    assert_pinned("checkpoint", &digests(&dir), CHECKPOINT);
+    // CURRENT, dense.ckpt, MANIFEST, and ten tables' index and shard.
+    assert_eq!(digest(&dir, |_| true), (23, 521109, 0x393c_a6bd), "checkpoint bytes changed");
 
     // Attach the checkpoint, take one step and flush its rows as deltas.
     let mut attached = Basm::new(&cfg, BasmConfig { seed: 3, ..BasmConfig::default() });
     load_model_dir(&mut attached, &dir).unwrap();
     let mut opt = AdagradDecay::paper_default();
-    train_step(&mut attached, &data.dataset.batch(&(32..64).collect::<Vec<_>>()), &mut opt, 0.05, None);
+    train_step(
+        &mut attached,
+        &data.dataset.batch(&(32..64).collect::<Vec<_>>()),
+        &mut opt,
+        0.05,
+        None,
+    );
     for e in attached.embedders() {
         assert!(e.emb.flush_deltas().unwrap() > 0);
     }
-    let deltas: Vec<_> =
-        digests(&dir).into_iter().filter(|(p, _, _)| p.ends_with(".delta")).collect();
-    assert_pinned("deltas", &deltas, DELTAS);
+    let deltas = digest(&dir, |p| p.ends_with(".delta"));
+    assert_eq!(deltas, (10, 11664, 0xe74b_4c23), "delta bytes changed");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn wal_bytes_are_pinned() {
-    let ev = |item: u32| BehaviorEvent { item, cat: 2, brand: 3, tp: 1, hour: 12, city: 4, gx: 5, gy: 6 };
-    let path = fresh_wal_path();
-    let j = Journal::create(&path).unwrap();
+    let ev = |item: u32| BehaviorEvent {
+        item,
+        cat: 2,
+        brand: 3,
+        tp: 1,
+        hour: 12,
+        city: 4,
+        gx: 5,
+        gy: 6,
+    };
+    let dir = fresh_temp_dir();
+    std::fs::create_dir_all(&dir).unwrap();
+    let j = Journal::create(dir.join("wal")).unwrap();
     j.append(&WalRecord::Click { uid: 7, ordered: true, event: ev(9) }).unwrap();
     j.append(&WalRecord::Exposures { lists: vec![vec![1, 2, 3], vec![], vec![4]] }).unwrap();
     j.append(&WalRecord::Seed { uid: 1, events: vec![ev(1), ev(2)] }).unwrap();
@@ -135,8 +103,6 @@ fn wal_bytes_are_pinned() {
     })))
     .unwrap();
     j.seal().unwrap();
-    drop(j);
-    let got = digest(&std::fs::read(&path).unwrap());
-    assert_eq!(got, WAL, "WAL bytes changed: now ({}, {:#010x})", got.0, got.1);
-    let _ = std::fs::remove_file(&path);
+    assert_eq!(digest(&dir, |_| true), (1, 245, 0x2c7a_bfaf), "WAL bytes changed");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -406,7 +406,7 @@ impl EmbeddingStore {
         for t in &self.tables {
             let e = by_name
                 .get(t.name())
-                .ok_or_else(|| PackError::MissingTable(t.name().to_string()))?;
+                .ok_or_else(|| PackError::Missing(t.name().to_string()))?;
             if e.rows != t.rows() as u64 || e.dim != t.dim() as u32 {
                 return Err(PackError::ShapeMismatch(format!(
                     "table {:?}: manifest {}x{}, live {}x{}",

@@ -4,12 +4,12 @@
 //! compaction, and full verification.
 
 use super::format::{
-    crc32, key_byte, name_hash, put_u32, put_u64, record_bytes, record_f32s, Cursor, IndexFile,
-    PackError, ShardHeader, ShardMeta, DELTA_CHUNK_MAGIC, FANOUT, MANIFEST_MAGIC, PACK_VERSION,
-    SHARD_HEADER_LEN,
+    check_crc, crc32, crc_trailed, key_byte, name_hash, put_crc, put_f32s, put_str, put_u32,
+    put_u64, record_bytes, record_f32s, Cursor, IndexFile, PackError, ShardHeader, ShardMeta,
+    DELTA_CHUNK_MAGIC, FANOUT, MANIFEST_MAGIC, PACK_VERSION, SHARD_HEADER_LEN,
 };
 use super::mapping::ShardData;
-use super::{atomic_write, crash};
+use super::{atomic_write, crash, truncate_torn_tail};
 use std::collections::BTreeSet;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -122,8 +122,36 @@ fn next_epoch(dir: &Path, name: &str) -> u64 {
     }
 }
 
-fn shard_file_len(n_rows: u64, dim: usize) -> u64 {
-    SHARD_HEADER_LEN as u64 + n_rows * record_bytes(dim) as u64 + 4
+/// Check shard `s` of table `name` against its index entry: the exact file
+/// length first (`file_len`), then the header at the front of `header`.
+fn check_shard(
+    path: &Path,
+    name: &str,
+    s: usize,
+    meta: &ShardMeta,
+    dim: usize,
+    file_len: u64,
+    header: &[u8],
+) -> Result<(), PackError> {
+    let what = path.display().to_string();
+    let want_len = SHARD_HEADER_LEN as u64 + meta.n_rows * record_bytes(dim) as u64 + 4;
+    if file_len < want_len {
+        return Err(PackError::Truncated(what));
+    }
+    if file_len > want_len {
+        return Err(PackError::TrailingBytes(what));
+    }
+    let want = ShardHeader {
+        name_hash: name_hash(name),
+        shard_idx: s as u32,
+        start_row: meta.start_row,
+        n_rows: meta.n_rows,
+        dim: dim as u32,
+    };
+    if ShardHeader::decode(header, &what)? != want {
+        return Err(PackError::Corrupt(format!("{what}: header disagrees with index")));
+    }
+    Ok(())
 }
 
 // ---- writer ----------------------------------------------------------------
@@ -154,12 +182,8 @@ fn record_payload(weights: &[f32], accum: &[f32], dim: usize, rows: std::ops::Ra
     let mut payload = Vec::with_capacity((rows.end - rows.start) as usize * record_bytes(dim));
     for r in rows {
         let base = r as usize * dim;
-        for &w in &weights[base..base + dim] {
-            payload.extend_from_slice(&w.to_le_bytes());
-        }
-        for &a in &accum[base..base + dim] {
-            payload.extend_from_slice(&a.to_le_bytes());
-        }
+        put_f32s(&mut payload, &weights[base..base + dim]);
+        put_f32s(&mut payload, &accum[base..base + dim]);
     }
     payload
 }
@@ -235,14 +259,12 @@ pub fn write_manifest(dir: &Path, entries: &[ManifestEntry]) -> Result<(), PackE
     put_u32(&mut out, PACK_VERSION);
     put_u32(&mut out, entries.len() as u32);
     for e in entries {
-        put_u32(&mut out, e.name.len() as u32);
-        out.extend_from_slice(e.name.as_bytes());
+        put_str(&mut out, &e.name);
         put_u64(&mut out, e.rows);
         put_u32(&mut out, e.dim);
         put_u32(&mut out, e.n_shards);
     }
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
+    put_crc(&mut out, 0);
     let path = dir.join("MANIFEST");
     atomic_write(&path, &out).map_err(|e| PackError::io(&path, &e))
 }
@@ -252,29 +274,14 @@ pub fn read_manifest(dir: &Path) -> Result<Vec<ManifestEntry>, PackError> {
     let path = dir.join("MANIFEST");
     let bytes = std::fs::read(&path).map_err(|e| PackError::io(&path, &e))?;
     let what = path.display().to_string();
-    if bytes.len() < 4 {
-        return Err(PackError::Truncated(what));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
-    let actual = crc32(body);
-    if stored != actual {
-        return Err(PackError::ChecksumMismatch { what, stored, actual });
-    }
-    let mut c = Cursor::new(body, &what);
-    if c.take(8)? != MANIFEST_MAGIC {
-        return Err(PackError::BadMagic(what.clone()));
-    }
-    let version = c.u32()?;
-    if version != PACK_VERSION {
-        return Err(PackError::BadVersion(version));
-    }
-    let n = c.u32()? as usize;
+    let mut c = Cursor::new(crc_trailed(&bytes, &what)?, &what);
+    c.magic(MANIFEST_MAGIC)?;
+    c.version(PACK_VERSION)?;
+    // An entry is at least a name length, rows, dim and shard count.
+    let n = c.count(20)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let len = c.u32()? as usize;
-        let name = String::from_utf8(c.take(len)?.to_vec())
-            .map_err(|_| PackError::Corrupt(format!("{what}: non-utf8 table name")))?;
+        let name = c.str()?;
         let rows = c.u64()?;
         let dim = c.u32()?;
         let n_shards = c.u32()?;
@@ -410,34 +417,16 @@ impl PackTable {
                 index.rows, index.dim
             )));
         }
-        let expected_hash = name_hash(name);
         let mut shards = Vec::with_capacity(index.shards.len());
         let mut shard_starts = Vec::with_capacity(index.shards.len());
         for (s, meta) in index.shards.iter().enumerate() {
             let path = shard_path(dir, name, s, meta.epoch);
-            let what = path.display().to_string();
-            let want_len = shard_file_len(meta.n_rows, expect_dim);
-            let got_len = std::fs::metadata(&path).map_err(|e| PackError::io(&path, &e))?.len();
-            if got_len < want_len {
-                return Err(PackError::Truncated(what));
-            }
-            if got_len > want_len {
-                return Err(PackError::TrailingBytes(what));
-            }
-            let mut header_bytes = [0u8; SHARD_HEADER_LEN];
-            {
-                let mut f = std::fs::File::open(&path).map_err(|e| PackError::io(&path, &e))?;
-                f.read_exact(&mut header_bytes).map_err(|e| PackError::io(&path, &e))?;
-            }
-            let header = ShardHeader::decode(&header_bytes, &what)?;
-            if header.name_hash != expected_hash
-                || header.shard_idx != s as u32
-                || header.start_row != meta.start_row
-                || header.n_rows != meta.n_rows
-                || header.dim != expect_dim as u32
-            {
-                return Err(PackError::Corrupt(format!("{what}: header disagrees with index")));
-            }
+            let io = |e| PackError::io(&path, &e);
+            let file = std::fs::File::open(&path).map_err(io)?;
+            let file_len = file.metadata().map_err(io)?.len();
+            let mut header = Vec::with_capacity(SHARD_HEADER_LEN);
+            file.take(SHARD_HEADER_LEN as u64).read_to_end(&mut header).map_err(io)?;
+            check_shard(&path, name, s, meta, expect_dim, file_len, &header)?;
             let payload_bytes = meta.n_rows as usize * record_bytes(expect_dim);
             let data = ShardData::open(&path, SHARD_HEADER_LEN, payload_bytes, map)?;
             shard_starts.push(meta.start_row);
@@ -633,57 +622,42 @@ impl PackTable {
         let what = path.display().to_string();
         let rec_bytes = record_bytes(self.dim);
         let nf = record_f32s(self.dim);
-        let mut at = 0usize;
-        while at < bytes.len() {
-            let Some(header) = bytes.get(at..at + 12) else {
-                // Incomplete final header: torn tail.
-                self.truncate_torn_delta(&path, at, bytes.len());
-                break;
+        let mut c = Cursor::new(&bytes, &what);
+        while c.remaining() > 0 {
+            let chunk = c.frame(12, |header| {
+                let mut h = Cursor::new(header, &what);
+                h.magic(DELTA_CHUNK_MAGIC)?;
+                Ok((h.u32()? as usize).saturating_mul(8 + rec_bytes).saturating_add(12))
+            });
+            let chunk = match chunk {
+                Ok(chunk) => chunk,
+                // Incomplete final chunk: torn tail.
+                Err(PackError::Truncated(_)) => {
+                    let torn = truncate_torn_tail(&path, c.position() as u64);
+                    basm_obs::counter_add("packstore.delta_torn_tail", 1);
+                    basm_obs::counter_add("packstore.delta_torn_bytes", torn);
+                    break;
+                }
+                Err(e) => return Err(e),
             };
-            if &header[..4] != DELTA_CHUNK_MAGIC {
-                return Err(PackError::BadMagic(what));
-            }
-            let n = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
-            let stored = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-            let body_len = n * (8 + rec_bytes);
-            let Some(body) = bytes.get(at + 12..at + 12 + body_len) else {
-                // Incomplete final body: torn tail.
-                self.truncate_torn_delta(&path, at, bytes.len());
-                break;
-            };
-            let actual = crc32(body);
-            if stored != actual {
-                return Err(PackError::ChecksumMismatch { what, stored, actual });
-            }
-            for rec in body.chunks_exact(8 + rec_bytes) {
-                let row = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
+            let (header, body) = chunk.split_at(12);
+            check_crc(body, u32::from_le_bytes(header[8..].try_into().expect("4 bytes")), &what)?;
+            let mut records = Cursor::new(body, &what);
+            while records.remaining() > 0 {
+                let row = records.u64()?;
                 if row >= self.rows as u64 {
-                    return Err(PackError::Corrupt(format!("{what}: delta row {row} out of range")));
+                    return Err(PackError::Corrupt(format!(
+                        "{what}: delta row {row} out of range"
+                    )));
                 }
-                let slot = self.overlay.slot_mut(row as u32, self.rows, nf, |data| {
-                    data.resize(data.len() + nf, 0.0)
-                });
-                for (v, c) in slot.iter_mut().zip(rec[8..].chunks_exact(4)) {
-                    *v = f32::from_le_bytes(c.try_into().expect("4 bytes"));
-                }
+                let slot = self
+                    .overlay
+                    .slot_mut(row as u32, self.rows, nf, |data| data.resize(data.len() + nf, 0.0));
+                records.f32s_into(slot)?;
             }
-            at += 12 + body_len;
         }
-        self.delta_valid_len = at as u64;
+        self.delta_valid_len = c.position() as u64;
         Ok(())
-    }
-
-    /// Drop a torn delta tail: truncate the file back to `valid_len` so the
-    /// next append continues from complete chunks. Best-effort and
-    /// idempotent — a crash mid-truncate leaves a (shorter) torn tail the
-    /// next open handles identically.
-    fn truncate_torn_delta(&self, path: &Path, valid_len: usize, file_len: usize) {
-        basm_obs::counter_add("packstore.delta_torn_tail", 1);
-        basm_obs::counter_add("packstore.delta_torn_bytes", (file_len - valid_len) as u64);
-        if let Ok(f) = std::fs::OpenOptions::new().write(true).open(path) {
-            let _ = f.set_len(valid_len as u64);
-            let _ = f.sync_all();
-        }
     }
 
     /// Append the pending rows' overlay records to the delta file as one
@@ -701,16 +675,16 @@ impl PackTable {
         let nf = record_f32s(self.dim);
         let mut body = Vec::with_capacity(self.pending.len() * (8 + rec_bytes));
         for &row in &self.pending {
-            let rec = self.overlay.get(row, nf).expect("pending rows live in the overlay");
-            body.extend_from_slice(&(row as u64).to_le_bytes());
-            for v in rec {
-                body.extend_from_slice(&v.to_le_bytes());
-            }
+            put_u64(&mut body, row as u64);
+            put_f32s(
+                &mut body,
+                self.overlay.get(row, nf).expect("pending rows live in the overlay"),
+            );
         }
         let mut chunk = Vec::with_capacity(12 + body.len());
         chunk.extend_from_slice(DELTA_CHUNK_MAGIC);
-        chunk.extend_from_slice(&(self.pending.len() as u32).to_le_bytes());
-        chunk.extend_from_slice(&crc32(&body).to_le_bytes());
+        put_u32(&mut chunk, self.pending.len() as u32);
+        put_u32(&mut chunk, crc32(&body));
         chunk.extend_from_slice(&body);
         let path = self.delta_path().expect("only a table with a directory has pending rows");
         // A previously failed append (transient IO error, or a survived
@@ -718,14 +692,7 @@ impl PackTable {
         // would bury garbage mid-file where replay must reject it. Repair
         // first — idempotent, and a crash here just re-creates the torn
         // tail the next open drops.
-        if let Ok(md) = std::fs::metadata(&path) {
-            if md.len() != self.delta_valid_len {
-                if let Ok(f) = std::fs::OpenOptions::new().write(true).open(&path) {
-                    let _ = f.set_len(self.delta_valid_len);
-                    let _ = f.sync_all();
-                }
-            }
-        }
+        truncate_torn_tail(&path, self.delta_valid_len);
         crash::append_file(&path, &chunk)?;
         // Only a durable append clears the buffer.
         self.delta_valid_len += chunk.len() as u64;
@@ -787,9 +754,7 @@ impl PackTable {
                         self.shards[s].data.f32s(local * nf, nf)
                     }
                 };
-                for v in rec {
-                    payload.extend_from_slice(&v.to_le_bytes());
-                }
+                put_f32s(&mut payload, rec);
             }
             let (bytes, crc) = encode_shard(&self.name, s, start, n_rows, dim, &payload);
             let path = shard_path(&dir, &self.name, s, epoch);
@@ -841,22 +806,11 @@ impl PackTable {
             let path = shard_path(dir, &self.name, s, shard.meta.epoch);
             let what = path.display().to_string();
             let bytes = std::fs::read(&path).map_err(|e| PackError::io(&path, &e))?;
-            let want_len = shard_file_len(shard.meta.n_rows, self.dim) as usize;
-            if bytes.len() < want_len {
-                return Err(PackError::Truncated(what));
-            }
-            if bytes.len() > want_len {
-                return Err(PackError::TrailingBytes(what));
-            }
-            ShardHeader::decode(&bytes, &what)?;
-            let payload = &bytes[SHARD_HEADER_LEN..bytes.len() - 4];
-            let stored = u32::from_le_bytes(
-                bytes[bytes.len() - 4..].try_into().expect("4 bytes"),
-            );
-            let actual = crc32(payload);
-            if stored != actual {
-                return Err(PackError::ChecksumMismatch { what, stored, actual });
-            }
+            check_shard(&path, &self.name, s, &shard.meta, self.dim, bytes.len() as u64, &bytes)?;
+            let payload = crc_trailed(&bytes[SHARD_HEADER_LEN..], &what)?;
+            // The trailer checked out, so it is the payload's CRC32.
+            let trailer = &bytes[SHARD_HEADER_LEN + payload.len()..];
+            let actual = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
             if actual != shard.meta.payload_crc {
                 return Err(PackError::ChecksumMismatch {
                     what: format!("{what} (index copy)"),

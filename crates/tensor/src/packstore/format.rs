@@ -1,7 +1,11 @@
-//! Binary layout of the pack-file store: magics, CRC32, shard/index/delta
-//! encoding. Everything is little-endian and length-prefixed; every decoder
-//! is strict — short buffers are [`PackError::Truncated`], excess bytes are
-//! [`PackError::TrailingBytes`].
+//! The one codec of every on-disk format: pack shards, `.idx`, `MANIFEST`,
+//! `PDLT` delta chunks, the `BASMSAFE` checkpoint envelope with its dense and
+//! batch-norm payload, and the `BASMWAL1` serving WAL. Everything is
+//! little-endian and length-prefixed, read through one strict [`Cursor`] and
+//! written through one set of `put_*` functions; every decoder reports a
+//! [`PackError`]. Short input is [`PackError::Truncated`], excess bytes are
+//! [`PackError::TrailingBytes`], and a decoded count is checked against the
+//! bytes left before anything is allocated from it.
 
 use std::fmt;
 
@@ -25,8 +29,8 @@ pub const SHARD_HEADER_LEN: usize = 48;
 /// Fan-out width: cumulative row counts per key byte, as in a git pack index.
 pub const FANOUT: usize = 256;
 
-/// Errors produced by the pack store.
-#[derive(Debug)]
+/// Errors produced by every on-disk decoder and the pack store.
+#[derive(Debug, PartialEq, Eq)]
 pub enum PackError {
     /// Underlying filesystem error, tagged with the file involved.
     Io(String, std::io::ErrorKind),
@@ -48,10 +52,12 @@ pub enum PackError {
         /// CRC32 of the bytes as read.
         actual: u32,
     },
-    /// Geometry in a file disagrees with its index/manifest or the live table.
+    /// Geometry in a file disagrees with its index/manifest or the live
+    /// table or model.
     ShapeMismatch(String),
-    /// A table named in the live store has no entry in the pack directory.
-    MissingTable(String),
+    /// Something the live store or model names — a table, a dense
+    /// parameter, a file of a checkpoint directory — is absent on disk.
+    Missing(String),
     /// Internal inconsistency (e.g. a record's row id out of range).
     Corrupt(String),
 }
@@ -59,17 +65,17 @@ pub enum PackError {
 impl fmt::Display for PackError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PackError::Io(what, kind) => write!(f, "pack io error on {what}: {kind}"),
-            PackError::BadMagic(what) => write!(f, "{what}: not a pack-store file"),
-            PackError::BadVersion(v) => write!(f, "unsupported pack format version {v}"),
+            PackError::Io(what, kind) => write!(f, "io error on {what}: {kind}"),
+            PackError::BadMagic(what) => write!(f, "{what}: bad magic"),
+            PackError::BadVersion(v) => write!(f, "unsupported format version {v}"),
             PackError::Truncated(what) => write!(f, "{what}: truncated"),
             PackError::TrailingBytes(what) => write!(f, "{what}: trailing bytes after valid content"),
             PackError::ChecksumMismatch { what, stored, actual } => {
                 write!(f, "{what}: stored CRC32 {stored:#010x}, read {actual:#010x}")
             }
-            PackError::ShapeMismatch(what) => write!(f, "pack shape mismatch: {what}"),
-            PackError::MissingTable(name) => write!(f, "pack directory has no table {name:?}"),
-            PackError::Corrupt(what) => write!(f, "pack corrupt: {what}"),
+            PackError::ShapeMismatch(what) => write!(f, "shape mismatch: {what}"),
+            PackError::Missing(name) => write!(f, "missing on disk: {name:?}"),
+            PackError::Corrupt(what) => write!(f, "corrupt: {what}"),
         }
     }
 }
@@ -96,6 +102,27 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         }
     }
     !crc
+}
+
+/// Fail with [`PackError::ChecksumMismatch`] unless `crc32(body) == stored`.
+pub(crate) fn check_crc(body: &[u8], stored: u32, what: &str) -> Result<(), PackError> {
+    let actual = crc32(body);
+    if stored != actual {
+        return Err(PackError::ChecksumMismatch { what: what.into(), stored, actual });
+    }
+    Ok(())
+}
+
+/// Verify a "body ‖ crc32(body)" run and return the body: the trailer of
+/// `.idx`, `MANIFEST`, a shard's payload, the checkpoint envelope's payload
+/// and a WAL frame.
+pub fn crc_trailed<'a>(bytes: &'a [u8], what: &str) -> Result<&'a [u8], PackError> {
+    let Some(split) = bytes.len().checked_sub(4) else {
+        return Err(PackError::Truncated(what.into()));
+    };
+    let (body, trailer) = bytes.split_at(split);
+    check_crc(body, u32::from_le_bytes(trailer.try_into().expect("4 bytes")), what)?;
+    Ok(body)
 }
 
 /// FNV-1a over a table name: shard headers carry it so a shard file renamed
@@ -128,7 +155,7 @@ pub fn key_byte(row: u64, rows: u64) -> u8 {
     ((row * FANOUT as u64) / rows) as u8
 }
 
-// ---- primitive cursor ------------------------------------------------------
+// ---- cursor and writers ------------------------------------------------------
 
 /// A strict little-endian reader over a byte slice.
 pub struct Cursor<'a> {
@@ -143,24 +170,120 @@ impl<'a> Cursor<'a> {
         Self { buf, at: 0, what }
     }
 
-    /// Take `n` raw bytes.
+    fn truncated(&self) -> PackError {
+        PackError::Truncated(self.what.into())
+    }
+
+    /// Bytes consumed so far.
+    pub fn position(&self) -> usize {
+        self.at
+    }
+
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.at
+    }
+
+    /// Take `n` raw bytes; on a short buffer nothing is consumed.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], PackError> {
         let s = self
-            .buf
-            .get(self.at..self.at + n)
-            .ok_or_else(|| PackError::Truncated(self.what.into()))?;
+            .at
+            .checked_add(n)
+            .and_then(|end| self.buf.get(self.at..end))
+            .ok_or_else(|| self.truncated())?;
         self.at += n;
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], PackError> {
+        Ok(self.take(N)?.try_into().expect("N bytes"))
+    }
+
+    /// Read a `u8`.
+    pub fn u8(&mut self) -> Result<u8, PackError> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// Read a `u16`.
+    pub fn u16(&mut self) -> Result<u16, PackError> {
+        Ok(u16::from_le_bytes(self.array()?))
+    }
+
     /// Read a `u32`.
     pub fn u32(&mut self) -> Result<u32, PackError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Read a `u64`.
     pub fn u64(&mut self) -> Result<u64, PackError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// Read `magic.len()` bytes: [`PackError::BadMagic`] unless they are
+    /// `magic`.
+    pub fn magic(&mut self, magic: &[u8]) -> Result<(), PackError> {
+        if self.take(magic.len())? != magic {
+            return Err(PackError::BadMagic(self.what.into()));
+        }
+        Ok(())
+    }
+
+    /// Read a `u32` format version: [`PackError::BadVersion`] unless it is
+    /// `version`.
+    pub fn version(&mut self, version: u32) -> Result<(), PackError> {
+        match self.u32()? {
+            v if v == version => Ok(()),
+            v => Err(PackError::BadVersion(v)),
+        }
+    }
+
+    /// Read a `u32` element count, each element at least `min_elem_bytes`
+    /// long: [`PackError::Truncated`] unless that many bytes remain, so no
+    /// caller allocates from a count the buffer cannot hold.
+    pub fn count(&mut self, min_elem_bytes: usize) -> Result<usize, PackError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_elem_bytes) > self.remaining() {
+            return Err(self.truncated());
+        }
+        Ok(n)
+    }
+
+    /// Read `n` f32s into a new vector (the bytes are taken first, so an
+    /// unchecked `n` allocates nothing).
+    pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, PackError> {
+        let bytes = self.take(n.checked_mul(4).ok_or_else(|| self.truncated())?)?;
+        Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().expect("4"))).collect())
+    }
+
+    /// Read `dst.len()` f32s into `dst`.
+    pub(crate) fn f32s_into(&mut self, dst: &mut [f32]) -> Result<(), PackError> {
+        let bytes = self.take(dst.len() * 4)?;
+        for (v, c) in dst.iter_mut().zip(bytes.chunks_exact(4)) {
+            *v = f32::from_le_bytes(c.try_into().expect("4 bytes"));
+        }
+        Ok(())
+    }
+
+    /// Read a `u32`-length-prefixed UTF-8 string.
+    pub fn str(&mut self) -> Result<String, PackError> {
+        let n = self.count(1)?;
+        String::from_utf8(self.take(n)?.to_vec())
+            .map_err(|_| PackError::Corrupt(format!("{}: non-utf8 name", self.what)))
+    }
+
+    /// Take one frame of an append-only file: a `header_len`-byte header
+    /// from which `frame_len` derives the whole frame's length. An
+    /// incomplete frame — the signature of a crash mid-append — is
+    /// [`PackError::Truncated`] and consumes nothing; errors from
+    /// `frame_len` (a bad magic) pass through.
+    pub fn frame(
+        &mut self,
+        header_len: usize,
+        frame_len: impl FnOnce(&[u8]) -> Result<usize, PackError>,
+    ) -> Result<&'a [u8], PackError> {
+        let header = self.buf[self.at..].get(..header_len).ok_or_else(|| self.truncated())?;
+        let len = frame_len(header)?;
+        self.take(len)
     }
 
     /// Fail with [`PackError::TrailingBytes`] unless fully consumed.
@@ -172,6 +295,11 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Append a `u16`.
+pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
 /// Append a `u32`.
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -180,6 +308,25 @@ pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
 /// Append a `u64`.
 pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append a run of f32s (no length prefix).
+pub fn put_f32s(buf: &mut Vec<u8>, v: &[f32]) {
+    for x in v {
+        buf.extend_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// Append a `u32`-length-prefixed string.
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_u32(buf, s.len() as u32);
+    buf.extend_from_slice(s.as_bytes());
+}
+
+/// Append the CRC32 of `buf[from..]`: the writer's half of [`crc_trailed`].
+pub fn put_crc(buf: &mut Vec<u8>, from: usize) {
+    let crc = crc32(&buf[from..]);
+    put_u32(buf, crc);
 }
 
 // ---- shard header ----------------------------------------------------------
@@ -220,13 +367,8 @@ impl ShardHeader {
             return Err(PackError::Truncated(what.into()));
         }
         let mut c = Cursor::new(&bytes[..SHARD_HEADER_LEN], what);
-        if c.take(8)? != PACK_MAGIC {
-            return Err(PackError::BadMagic(what.into()));
-        }
-        let version = c.u32()?;
-        if version != PACK_VERSION {
-            return Err(PackError::BadVersion(version));
-        }
+        c.magic(PACK_MAGIC)?;
+        c.version(PACK_VERSION)?;
         let name_hash = c.u64()?;
         let shard_idx = c.u32()?;
         let start_row = c.u64()?;
@@ -237,6 +379,9 @@ impl ShardHeader {
 }
 
 // ---- index file ------------------------------------------------------------
+
+/// Bytes of one [`ShardMeta`] in an index file.
+const SHARD_META_LEN: usize = 28;
 
 /// Per-shard entry in an index file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -312,34 +457,19 @@ impl IndexFile {
             put_u64(&mut out, s.epoch);
             put_u32(&mut out, s.payload_crc);
         }
-        let crc = crc32(&out);
-        put_u32(&mut out, crc);
+        put_crc(&mut out, 0);
         out
     }
 
     /// Strict decode of a full index file.
     pub fn decode(bytes: &[u8], what: &str) -> Result<Self, PackError> {
-        if bytes.len() < 4 {
-            return Err(PackError::Truncated(what.into()));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
-        let actual = crc32(body);
-        if stored != actual {
-            return Err(PackError::ChecksumMismatch { what: what.into(), stored, actual });
-        }
-        let mut c = Cursor::new(body, what);
-        if c.take(8)? != IDX_MAGIC {
-            return Err(PackError::BadMagic(what.into()));
-        }
-        let version = c.u32()?;
-        if version != PACK_VERSION {
-            return Err(PackError::BadVersion(version));
-        }
+        let mut c = Cursor::new(crc_trailed(bytes, what)?, what);
+        c.magic(IDX_MAGIC)?;
+        c.version(PACK_VERSION)?;
         let rows = c.u64()?;
         let dim = c.u32()?;
         let delta_epoch = c.u64()?;
-        let n_shards = c.u32()? as usize;
+        let n_shards = c.count(SHARD_META_LEN)?;
         let mut fanout = [0u64; FANOUT];
         for slot in &mut fanout {
             *slot = c.u64()?;

@@ -5,7 +5,7 @@
 //! cannot back an `&[f32]`. The heap run is also the whole base of a table
 //! with no directory.
 
-use super::format::PackError;
+use super::format::{Cursor, PackError};
 use std::path::Path;
 
 #[cfg(unix)]
@@ -118,14 +118,10 @@ impl ShardData {
         }
         // Fallback: one sequential read + decode.
         let bytes = std::fs::read(path).map_err(|e| PackError::io(path, &e))?;
-        let payload = bytes
-            .get(payload_off..payload_off + payload_bytes)
-            .ok_or_else(|| PackError::Truncated(path.display().to_string()))?;
-        let mut out = Vec::with_capacity(payload_bytes / 4);
-        for chunk in payload.chunks_exact(4) {
-            out.push(f32::from_le_bytes(chunk.try_into().expect("4 bytes")));
-        }
-        Ok(ShardData::Heap(out))
+        let what = path.display().to_string();
+        let mut c = Cursor::new(&bytes, &what);
+        c.take(payload_off)?;
+        Ok(ShardData::Heap(c.f32s(payload_bytes / 4)?))
     }
 
     /// Whether this shard is served from a live mapping.
@@ -176,9 +172,7 @@ mod tests {
         let header = vec![0u8; 16];
         let values: Vec<f32> = (0..64).map(|i| (i as f32) * 0.25 - 3.0).collect();
         let mut bytes = header.clone();
-        for v in &values {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
+        super::super::format::put_f32s(&mut bytes, &values);
         bytes.extend_from_slice(&[0u8; 4]); // trailer placeholder
         std::fs::write(&path, &bytes).unwrap();
 

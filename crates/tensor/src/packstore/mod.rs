@@ -101,7 +101,7 @@
 
 pub mod crash;
 mod dir;
-mod format;
+pub mod format;
 mod mapping;
 
 pub use crash::{set_crash_plan, CrashPlan};
@@ -218,6 +218,23 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()>
         return Err(e);
     }
     Ok(())
+}
+
+/// Drop a torn tail: truncate `path` back to `valid_len`, the end of its
+/// last complete frame, so later appends continue from valid bytes rather
+/// than bury garbage mid-file. Returns the bytes dropped (0 unless the file
+/// is longer). Best-effort and idempotent: a crash mid-truncate leaves a
+/// shorter torn tail the next recovery handles the same way. The one rule
+/// for both append-only formats, the `PDLT` delta file and the serving WAL.
+pub fn truncate_torn_tail(path: &Path, valid_len: u64) -> u64 {
+    let torn = std::fs::metadata(path).map_or(0, |md| md.len().saturating_sub(valid_len));
+    if torn > 0 {
+        if let Ok(f) = std::fs::OpenOptions::new().write(true).open(path) {
+            let _ = f.set_len(valid_len);
+            let _ = f.sync_all();
+        }
+    }
+    torn
 }
 
 #[cfg(test)]

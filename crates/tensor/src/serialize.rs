@@ -8,9 +8,9 @@
 //! construction (but not renaming). Embedding tables never pass through it:
 //! they live in pack directories next to it (`basm_tensor::packstore`).
 
+use crate::packstore::format::{put_f32s, put_str, put_u32, put_u64, Cursor, PackError};
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
 
 const MAGIC: &[u8; 8] = b"BASMCKPT";
@@ -18,101 +18,18 @@ const MAGIC: &[u8; 8] = b"BASMCKPT";
 // section (written empty by checkpoint directories); it is rejected.
 const VERSION: u32 = 3;
 
-/// Errors produced when reading a checkpoint.
-#[derive(Debug, PartialEq, Eq)]
-pub enum CheckpointError {
-    /// Not a checkpoint file / wrong magic.
-    BadMagic,
-    /// Unsupported format version.
-    BadVersion(u32),
-    /// Buffer ended prematurely or lengths disagree.
-    Truncated,
-    /// A named entry in the store (or a file of the checkpoint directory)
-    /// has no counterpart in the checkpoint.
-    Missing(String),
-    /// Shape in the checkpoint disagrees with the live store.
-    ShapeMismatch(String),
-    /// The stored CRC32 does not match the payload: the checkpoint was
-    /// corrupted after writing (bit flip, partial overwrite).
-    ChecksumMismatch {
-        /// CRC32 recorded at save time.
-        stored: u32,
-        /// CRC32 of the payload as read.
-        actual: u32,
-    },
-    /// Bytes past the last valid section: a concatenated, padded, or
-    /// partially overwritten file must never load as if it were clean.
-    TrailingBytes,
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::BadMagic => write!(f, "not a BASM checkpoint"),
-            CheckpointError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
-            CheckpointError::Truncated => write!(f, "checkpoint truncated"),
-            CheckpointError::Missing(n) => write!(f, "checkpoint missing entry {n:?}"),
-            CheckpointError::ShapeMismatch(n) => write!(f, "shape mismatch for {n:?}"),
-            CheckpointError::ChecksumMismatch { stored, actual } => {
-                write!(f, "checkpoint corrupt: stored CRC32 {stored:#010x}, payload {actual:#010x}")
-            }
-            CheckpointError::TrailingBytes => {
-                write!(f, "checkpoint has trailing bytes after valid content")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes) -> Result<String, CheckpointError> {
-    if buf.remaining() < 4 {
-        return Err(CheckpointError::Truncated);
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(CheckpointError::Truncated);
-    }
-    let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| CheckpointError::Truncated)
-}
-
-fn put_f32s(buf: &mut BytesMut, data: &[f32]) {
-    buf.put_u64_le(data.len() as u64);
-    for &v in data {
-        buf.put_f32_le(v);
-    }
-}
-
-fn get_f32s(buf: &mut Bytes) -> Result<Vec<f32>, CheckpointError> {
-    if buf.remaining() < 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    let len = buf.get_u64_le() as usize;
-    if buf.remaining() < len * 4 {
-        return Err(CheckpointError::Truncated);
-    }
-    Ok((0..len).map(|_| buf.get_f32_le()).collect())
-}
-
 /// Encode the header and the dense-parameter section. Callers append their
 /// own sections after it (the model's batch-norm statistics).
-pub fn begin_checkpoint(params: &ParamStore) -> BytesMut {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-
-    buf.put_u32_le(params.len() as u32);
+pub fn begin_checkpoint(params: &ParamStore) -> Vec<u8> {
+    let mut buf = MAGIC.to_vec();
+    put_u32(&mut buf, VERSION);
+    put_u32(&mut buf, params.len() as u32);
     for id in params.ids() {
         put_str(&mut buf, params.name(id));
         let t = params.value(id);
-        buf.put_u32_le(t.rows() as u32);
-        buf.put_u32_le(t.cols() as u32);
+        put_u32(&mut buf, t.rows() as u32);
+        put_u32(&mut buf, t.cols() as u32);
+        put_u64(&mut buf, t.data().len() as u64);
         put_f32s(&mut buf, t.data());
     }
     buf
@@ -121,65 +38,43 @@ pub fn begin_checkpoint(params: &ParamStore) -> BytesMut {
 /// A parsed dense-parameter section.
 pub struct ParsedCheckpoint {
     dense: HashMap<String, ((usize, usize), Vec<f32>)>,
-    consumed: usize,
 }
 
 impl ParsedCheckpoint {
-    /// Parse and validate the header and the dense-parameter section.
-    pub fn parse(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let mut buf = Bytes::copy_from_slice(bytes);
-        if buf.remaining() < 12 {
-            return Err(CheckpointError::Truncated);
-        }
-        let mut magic = [0u8; 8];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let version = buf.get_u32_le();
-        if version != VERSION {
-            return Err(CheckpointError::BadVersion(version));
-        }
-
-        if buf.remaining() < 4 {
-            return Err(CheckpointError::Truncated);
-        }
-        let n_params = buf.get_u32_le() as usize;
+    /// Parse and validate the header and the dense-parameter section,
+    /// leaving `c` at the caller's own sections (e.g. model-specific
+    /// batch-norm statistics).
+    pub fn parse(c: &mut Cursor) -> Result<Self, PackError> {
+        c.magic(MAGIC)?;
+        c.version(VERSION)?;
+        // An entry is at least a name length, rows, cols and an f32 count.
+        let n_params = c.count(20)?;
         let mut dense = HashMap::new();
         for _ in 0..n_params {
-            let name = get_str(&mut buf)?;
-            if buf.remaining() < 8 {
-                return Err(CheckpointError::Truncated);
-            }
-            let rows = buf.get_u32_le() as usize;
-            let cols = buf.get_u32_le() as usize;
-            let data = get_f32s(&mut buf)?;
-            if data.len() != rows * cols {
-                return Err(CheckpointError::Truncated);
+            let name = c.str()?;
+            let rows = c.u32()? as usize;
+            let cols = c.u32()? as usize;
+            let n = usize::try_from(c.u64()?).unwrap_or(usize::MAX);
+            let data = c.f32s(n)?;
+            if Some(n) != rows.checked_mul(cols) {
+                return Err(PackError::ShapeMismatch(name));
             }
             dense.insert(name, ((rows, cols), data));
         }
-        let consumed = bytes.len() - buf.remaining();
-        Ok(ParsedCheckpoint { dense, consumed })
-    }
-
-    /// Bytes consumed by the section — the caller's own sections (e.g.
-    /// model-specific batch-norm statistics) start here.
-    pub fn consumed(&self) -> usize {
-        self.consumed
+        Ok(ParsedCheckpoint { dense })
     }
 
     /// Restore dense parameters (by name; shapes must match). Every entry is
     /// checked before any is written, so a mismatch leaves the store as it
     /// was.
-    pub fn apply_params(&self, params: &mut ParamStore) -> Result<(), CheckpointError> {
+    pub fn apply_params(&self, params: &mut ParamStore) -> Result<(), PackError> {
         let ids: Vec<_> = params.ids().collect();
         for &id in &ids {
             let name = params.name(id);
             let ((rows, cols), _) =
-                self.dense.get(name).ok_or_else(|| CheckpointError::Missing(name.to_string()))?;
+                self.dense.get(name).ok_or_else(|| PackError::Missing(name.to_string()))?;
             if params.value(id).shape() != (*rows, *cols) {
-                return Err(CheckpointError::ShapeMismatch(name.to_string()));
+                return Err(PackError::ShapeMismatch(name.to_string()));
             }
         }
         for id in ids {
@@ -204,11 +99,11 @@ mod tests {
     }
 
     fn encode(p: &ParamStore) -> Vec<u8> {
-        begin_checkpoint(p).to_vec()
+        begin_checkpoint(p)
     }
 
-    fn load(bytes: &[u8], p: &mut ParamStore) -> Result<(), CheckpointError> {
-        ParsedCheckpoint::parse(bytes)?.apply_params(p)
+    fn load(bytes: &[u8], p: &mut ParamStore) -> Result<(), PackError> {
+        ParsedCheckpoint::parse(&mut Cursor::new(bytes, "t"))?.apply_params(p)
     }
 
     #[test]
@@ -230,21 +125,22 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        // The section reports exactly its own length, so the caller sees
+        // The parse stops exactly at the section's end, so the caller sees
         // anything appended after it as unconsumed and rejects it.
         let (p, _) = setup();
         let clean = encode(&p);
         let mut bytes = clean.clone();
         bytes.extend_from_slice(b"junk");
-        let parsed = ParsedCheckpoint::parse(&bytes).unwrap();
-        assert_eq!(parsed.consumed(), clean.len());
-        assert_ne!(parsed.consumed(), bytes.len());
+        let mut c = Cursor::new(&bytes, "t");
+        ParsedCheckpoint::parse(&mut c).unwrap();
+        assert_eq!(c.position(), clean.len());
+        assert_eq!(c.finish(), Err(PackError::TrailingBytes("t".into())));
     }
 
     #[test]
     fn wrong_magic_rejected() {
         let (mut p, _) = setup();
-        assert_eq!(load(b"NOTACKPTxxxx", &mut p), Err(CheckpointError::BadMagic));
+        assert_eq!(load(b"NOTACKPTxxxx", &mut p), Err(PackError::BadMagic("t".into())));
     }
 
     #[test]
@@ -253,7 +149,7 @@ mod tests {
         let bytes = encode(&p);
         let (mut p2, _) = setup();
         let err = load(&bytes[..bytes.len() - 7], &mut p2).unwrap_err();
-        assert_eq!(err, CheckpointError::Truncated);
+        assert_eq!(err, PackError::Truncated("t".into()));
     }
 
     #[test]
@@ -263,7 +159,7 @@ mod tests {
         let mut p2 = ParamStore::new();
         p2.add("other.w", rng.randn(3, 4, 1.0));
         let err = load(&bytes, &mut p2).unwrap_err();
-        assert_eq!(err, CheckpointError::Missing("other.w".into()));
+        assert_eq!(err, PackError::Missing("other.w".into()));
     }
 
     #[test]
@@ -275,7 +171,7 @@ mod tests {
         p2.add("a.b", before.clone());
         p2.add("a.w", rng.randn(4, 3, 1.0)); // transposed shape
         let err = load(&bytes, &mut p2).unwrap_err();
-        assert_eq!(err, CheckpointError::ShapeMismatch("a.w".into()));
+        assert_eq!(err, PackError::ShapeMismatch("a.w".into()));
         // Checked before written: the matching entry kept its value.
         assert_eq!(p2.value(p2.id_of("a.b").unwrap()).data(), before.data());
     }

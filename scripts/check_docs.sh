@@ -21,7 +21,11 @@
 # names a `BASM_*` variable the code no longer reads, so an artifact cannot
 # describe a knob that is gone. It checks DESIGN §7's "no hook in a kernel":
 # no `basm_obs::` call in basm-tensor's GEMM, SIMD or buffer-pool source,
-# and none in pool.rs but `par_map`'s flush. And it checks that README's "Artifact index" table names
+# and none in pool.rs but `par_map`'s flush. It checks that no source under
+# crates/ names a `bytes::` path: every on-disk format is read and written
+# through basm_tensor::packstore::format's one cursor and writers, and the
+# vendored `bytes` stand-in stays declared only until benchmark/Cargo.lock
+# can be pruned. And it checks that README's "Artifact index" table names
 # exactly the files under results/ (brace forms like `x.{txt,json}` expand),
 # so a deleted artifact cannot keep its row and a new one cannot go unlisted.
 set -uo pipefail
@@ -158,6 +162,16 @@ kernel_hooks=$(grep -nE 'basm_obs::' crates/tensor/src/{linalg,simd,bufpool,pool
 if [ -n "$kernel_hooks" ]; then
     echo "check_docs: telemetry hook in a kernel or the pool (DESIGN §7):" >&2
     printf '%s\n' "$kernel_hooks" | sed 's/^/  /' >&2
+    fail=1
+fi
+
+# One codec (DESIGN §11): no `bytes::` path under crates/. Comment lines
+# are skipped.
+bytes_uses=$(grep -rnE --include='*.rs' '\bbytes::' crates \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//') || true
+if [ -n "$bytes_uses" ]; then
+    echo "check_docs: a \`bytes::\` use under crates/ (on-disk formats go through basm_tensor::packstore::format):" >&2
+    printf '%s\n' "$bytes_uses" | sed 's/^/  /' >&2
     fail=1
 fi
 
